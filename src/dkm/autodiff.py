@@ -2,23 +2,36 @@
 
 Just enough machinery to differentiate an unrolled soft-clustering loop and
 a small MLP: every value is a 2-D numpy array (float32 or float64), every
-operation records a backward closure, and ``backward`` runs one reverse
-topological sweep from a scalar loss.
+operation on a differentiable input records a backward closure, and
+``backward`` runs one reverse topological sweep from a scalar loss.
 
-Graphs are per-forward-pass and thread-confined: dropping the node
-references after ``backward`` frees the tape. Distinct graphs may be built
-concurrently; there is no shared mutable state.
+The tape holds only what backward reads:
+
+- a node computed from constants alone keeps no parents and no closure, so
+  a forward pass on constants builds no tape at all;
+- ``transpose``, ``broadcast_row`` and ``broadcast_col`` return read-only
+  views of their input, not copies;
+- ``neg_sq_distance`` is one fused node that saves only its output, and
+  ``row_softmax`` saves only its output;
+- ``backward`` releases each node's parents and closure once it has run, so
+  the tape shrinks as gradients flow, and only leaves keep a gradient.
+
+Because values are shared by reference, no primitive may write into an
+input's value, and callers must not write into a node's value while its
+graph is alive.
+
+Graphs are per-forward-pass and thread-confined. Distinct graphs may be
+built concurrently; there is no shared mutable state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 
-F32 = np.float32
 F64 = np.float64
 
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -47,10 +60,11 @@ class Node:
 
     ``_backward(g)`` returns one gradient array (or None) per parent.
     Gradients accumulate across consumers, so a node used twice receives
-    the sum of both contributions.
+    the sum of both contributions. When no parent requires grad the node
+    keeps neither its parents nor the rule, so constants build no tape.
     """
 
-    __slots__ = ("value", "parents", "_backward", "grad", "requires_grad", "_backward_ran")
+    __slots__ = ("value", "parents", "_backward", "grad", "requires_grad")
 
     def __init__(
         self,
@@ -60,11 +74,12 @@ class Node:
         requires_grad: bool = False,
     ):
         self.value = value
-        self.parents = parents
-        self._backward = backward
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._backward_ran = False
+        if self.requires_grad:
+            self.parents, self._backward = parents, backward
+        else:
+            self.parents, self._backward = (), None
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -72,19 +87,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, dtype={self.value.dtype}, requires_grad={self.requires_grad})"
-
-    # Light operator sugar; the free functions are the primary API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _coerce(data, dtype, checked: bool) -> np.ndarray:
@@ -173,7 +175,10 @@ def matmul(a: Node, b: Node) -> Node:
 
 
 def transpose(a: Node) -> Node:
-    return Node(a.value.T.copy(), (a,), lambda g: (g.T,))
+    """Read-only transposed view of ``a``."""
+    view = a.value.T
+    view.flags.writeable = False
+    return Node(view, (a,), lambda g: (g.T,))
 
 
 def sum_rows(a: Node) -> Node:
@@ -187,17 +192,17 @@ def sum_cols(a: Node) -> Node:
 
 
 def broadcast_row(a: Node, m: int) -> Node:
-    """Tile a (1, n) row down to (m, n)."""
+    """Tile a (1, n) row down to (m, n) as a read-only view."""
     if a.value.shape[0] != 1:
         raise ShapeError(f"broadcast_row: expected a single row, got {a.value.shape}")
-    return Node(np.broadcast_to(a.value, (m, a.value.shape[1])).copy(), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
+    return Node(np.broadcast_to(a.value, (m, a.value.shape[1])), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
 
 
 def broadcast_col(a: Node, n: int) -> Node:
-    """Tile an (m, 1) column out to (m, n)."""
+    """Tile an (m, 1) column out to (m, n) as a read-only view."""
     if a.value.shape[1] != 1:
         raise ShapeError(f"broadcast_col: expected a single column, got {a.value.shape}")
-    return Node(np.broadcast_to(a.value, (a.value.shape[0], n)).copy(), (a,), lambda g: (g.sum(axis=1, keepdims=True),))
+    return Node(np.broadcast_to(a.value, (a.value.shape[0], n)), (a,), lambda g: (g.sum(axis=1, keepdims=True),))
 
 
 def reshape(a: Node, rows: int, cols: int) -> Node:
@@ -238,20 +243,71 @@ def crop_rows(a: Node, rows: int) -> Node:
 def row_softmax(x: Node, temperature: float) -> Node:
     """Row-wise softmax of x / temperature, max-subtracted for stability.
 
-    Backward uses the softmax Jacobian: dx = y * (g - sum(g*y)) / tau.
+    Backward uses the softmax Jacobian: dx = y * (g - sum(g*y)) / tau, so
+    only the output y is saved.
     """
     if temperature <= 0:
         raise ParameterError(f"row_softmax: temperature must be > 0, got {temperature}")
     v = x.value
-    shifted = (v - v.max(axis=1, keepdims=True)) / v.dtype.type(temperature)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    tau = v.dtype.type(temperature)
+    y = v - v.max(axis=1, keepdims=True)
+    y /= tau
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
 
     def backward(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - inner) / v.dtype.type(temperature),)
+        dx = g - (g * y).sum(axis=1, keepdims=True)
+        dx *= y
+        dx /= tau
+        return (dx,)
 
     return Node(y, (x,), backward)
+
+
+def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
+    """Negated pairwise distances between the rows of w (m, d) and c (k, d).
+
+    Entry (i, j) is -max(|w_i|^2 + |c_j|^2 - 2 w_i.c_j, 0), the clamp
+    absorbing tiny negatives from cancellation, or the negated square root
+    of that when ``euclidean``. One node saves only its output: backward
+    rebuilds the clamp mask as ``out < 0``. A clamped entry (a row that
+    coincides with a centroid) passes no gradient.
+    """
+    wv, cv = w.value, c.value
+    if wv.shape[1] != cv.shape[1]:
+        raise ShapeError(f"neg_sq_distance: sub-vector dim {wv.shape[1]} != centroid dim {cv.shape[1]}")
+    out = (wv * wv).sum(axis=1, keepdims=True) + (cv * cv).sum(axis=1)
+    cross = wv @ cv.T
+    cross *= -2.0
+    out += cross
+    del cross
+    np.maximum(out, 0.0, out=out)
+    if euclidean:
+        np.sqrt(out, out=out)
+    np.negative(out, out=out)
+
+    def backward(g):
+        # gs = dL/d(|w|^2 + |c|^2 - 2 w.c), zero where the clamp was active
+        if euclidean:
+            # d(-sqrt(s))/ds = -0.5 / sqrt(s), with sqrt(s) = -out floored
+            # so a clamped entry stays finite before its mask zeroes it
+            gs = -0.5 * g
+            gs /= np.maximum(-out, np.finfo(out.dtype).tiny ** 0.5)
+            gs *= out < 0
+        else:
+            gs = -g * (out < 0)
+        gw = gc = None
+        if w.requires_grad:
+            gw = gs @ cv
+            gw *= -2.0
+            gw += 2.0 * wv * gs.sum(axis=1, keepdims=True)
+        if c.requires_grad:
+            gc = gs.T @ wv
+            gc *= -2.0
+            gc += 2.0 * cv * gs.sum(axis=0)[:, None]
+        return gw, gc
+
+    return Node(out, (w, c), backward)
 
 
 def sum_all(a: Node) -> Node:
@@ -283,32 +339,38 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def backward(loss: Node) -> dict[Node, np.ndarray]:
-    """Propagate d(loss)/d(node) to every reachable differentiable node.
+def _spent(g):
+    raise RuntimeError("backward already ran through this node: the tape is one-shot")
 
-    Returns a map from node to accumulated gradient and mirrors each
-    gradient onto ``node.grad``. Calling twice on the same loss raises:
-    the graph is a one-shot tape.
+
+def backward(loss: Node) -> dict[Node, np.ndarray]:
+    """Propagate d(loss)/d(leaf) to every reachable differentiable leaf.
+
+    Returns a map from leaf to accumulated gradient and mirrors each one
+    onto ``leaf.grad``. Interior gradients are dropped once passed on, and
+    each interior node releases its parents and closure after it runs, so
+    the tape is one-shot: running backward through it again raises.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward: loss must be 1x1, got {loss.value.shape}")
-    if loss._backward_ran:
-        raise RuntimeError("backward already ran for this loss node")
-    loss._backward_ran = True
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.value.dtype)}
     result: dict[Node, np.ndarray] = {}
 
-    for node in reversed(_toposort(loss)):
+    order = _toposort(loss)
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g
-        result[node] = g
         if node._backward is None:
+            node.grad = g
+            result[node] = g
             continue
         parent_grads = node._backward(g)
-        for parent, pg in zip(node.parents, parent_grads):
+        parents = node.parents
+        node.parents, node._backward = (), _spent
+        for parent, pg in zip(parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
@@ -317,8 +379,3 @@ def backward(loss: Node) -> dict[Node, np.ndarray]:
             else:
                 grads[pid] = pg
     return result
-
-
-def zero_grads(nodes: Iterable[Node]) -> None:
-    for n in nodes:
-        n.grad = None

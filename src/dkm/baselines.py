@@ -24,7 +24,7 @@ from .core import (
     SubvectorMatrix,
     centroid_update,
     distance_matrix,
-    init_centroids,
+    loop_start,
 )
 from .errors import DataError, ParameterError
 
@@ -91,17 +91,10 @@ def hard_forward(
     """
     if config is None:
         raise ParameterError("config is required")
-    if isinstance(w, Node):
-        w_node, values = w, w.value
-    else:
-        w_node, values = ad.leaf(w.values), w.values
+    # the tape holds only the snapped values: no (m, k) arrays
+    w_node, centers = loop_start(w, warm_start, config, seed, arrays_per_step=0)
+    values = w_node.value
     k = config.clusters
-
-    if warm_start is not None:
-        centers = warm_start.centroids.astype(values.dtype, copy=True)
-    else:
-        sub = w if isinstance(w, SubvectorMatrix) else SubvectorMatrix(values, values.size)
-        centers = init_centroids(sub, config, seed).centroids.astype(values.dtype, copy=True)
 
     delta = np.inf
     converged = False
@@ -133,7 +126,6 @@ def hard_forward(
         attention=onehot,
         codebook=Codebook(centers.copy()),
         telemetry=DkmTelemetry(iterations_used=iterations, final_delta=delta, converged=converged),
-        input_node=w_node,
     )
 
 
@@ -193,22 +185,19 @@ def gumbel_forward(
     """The iterative clustering loop with Gumbel-softmax attention.
 
     ``seed`` drives the noise draws; ``init_seed`` (defaulting to it) drives
-    centroid seeding when no warm start is given.
+    centroid seeding when no warm start is given. Raises ResourceError
+    before seeding when the loop's (m, k) arrays cannot fit in memory.
     """
     if config is None:
         raise ParameterError("config is required")
-    if isinstance(w, Node):
-        w_node, values = w, w.value
-    else:
-        w_node, values = ad.leaf(w.values), w.values
+    # tape arrays per step: the distances; per draw the noise, the noisy
+    # logits and their softmax; and, over several draws, their running sums
+    # and mean
+    arrays = 1 + 3 * draws + (draws if draws > 1 else 0)
+    w_node, start = loop_start(
+        w, warm_start, config, seed if init_seed is None else init_seed, arrays_per_step=arrays
+    )
     rng = np.random.default_rng(seed)
-
-    if warm_start is not None:
-        start = warm_start.centroids.astype(values.dtype, copy=True)
-    else:
-        sub = w if isinstance(w, SubvectorMatrix) else SubvectorMatrix(values, values.size)
-        start = init_centroids(sub, config, seed if init_seed is None else init_seed)
-        start = start.centroids.astype(values.dtype, copy=True)
 
     c_node = ad.constant(start, checked=False)
     delta = np.inf
@@ -234,7 +223,6 @@ def gumbel_forward(
         attention=final_attn.value.copy(),
         codebook=Codebook(c_node.value.copy()),
         telemetry=DkmTelemetry(iterations_used=iterations, final_delta=delta, converged=converged),
-        input_node=w_node,
     )
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import compression, core, harness
 from .config import RunSpec, load_run_spec
 from .errors import DataError, DkmError, ParameterError
@@ -66,7 +67,8 @@ def _cluster_weights(args) -> tuple[core.SubvectorMatrix, compression.Compressed
     flat = read_weights(args.weights)
     cfg = _dkm_config(args)
     sub = compression.reshape_to_subvectors(flat, cfg.dim)
-    res = core.dkm_forward(sub, config=cfg, seed=args.seed)
+    # nothing here calls backward, so cluster on a constant and build no tape
+    res = core.dkm_forward(ad.constant(sub.values), config=cfg, seed=args.seed)
     indices, _ = compression.snap(sub, res.attention, res.codebook)
     layer = compression.CompressedLayer(
         bits=cfg.bits,

@@ -10,13 +10,14 @@ returned detached so the caller can warm-start the next batch.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import DataError, NumericError, ParameterError, ShapeError
+from .errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
 SQUARED_EUCLIDEAN = "squared_euclidean"
 EUCLIDEAN = "euclidean"
@@ -29,6 +30,10 @@ INITS = (RANDOM_SAMPLE, KMEANS_PP)
 # Attention column sums below this keep the previous centroid for that row
 # instead of dividing by dust.
 EMPTY_CLUSTER_THRESHOLD = 1e-30
+
+# (m, k) arrays one soft-loop step keeps on the tape: the distance node's
+# output and the attention.
+TAPE_ARRAYS_PER_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,6 @@ class DkmResult:
     attention: np.ndarray
     codebook: Codebook
     telemetry: DkmTelemetry
-    input_node: Node
     trajectory: list[np.ndarray] = field(default_factory=list)
 
 
@@ -195,23 +199,13 @@ def distance_matrix(w, c, metric: str = SQUARED_EUCLIDEAN) -> Node:
     """Negated pairwise distances, differentiable w.r.t. both operands.
 
     Entry (i, j) is -||w_i - c_j||^2 (or the plain norm), so larger means
-    closer. Uses the |w|^2 + |c|^2 - 2 w.c expansion; tiny negative squared
-    distances from cancellation are clamped to zero.
+    closer. One fused tape node (``autodiff.neg_sq_distance``) using the
+    |w|^2 + |c|^2 - 2 w.c expansion; tiny negative squared distances from
+    cancellation are clamped to zero.
     """
     if metric not in METRICS:
         raise ParameterError(f"metric must be one of {METRICS}, got {metric!r}")
-    wn, cn = _as_node(w), _as_node(c)
-    if wn.shape[1] != cn.shape[1]:
-        raise ShapeError(f"sub-vector dim {wn.shape[1]} != centroid dim {cn.shape[1]}")
-    m, k = wn.shape[0], cn.shape[0]
-
-    sq_w = ad.broadcast_col(ad.sum_rows(ad.square(wn)), k)
-    sq_c = ad.broadcast_row(ad.transpose(ad.sum_rows(ad.square(cn))), m)
-    cross = ad.scalar_mul(ad.matmul(wn, ad.transpose(cn)), -2.0)
-    d2 = ad.relu(ad.add(ad.add(sq_w, sq_c), cross))
-    if metric == EUCLIDEAN:
-        return ad.scalar_mul(ad.sqrt(d2), -1.0)
-    return ad.scalar_mul(d2, -1.0)
+    return ad.neg_sq_distance(_as_node(w), _as_node(c), euclidean=metric == EUCLIDEAN)
 
 
 def attention(dist: Node, temperature: float) -> Node:
@@ -247,6 +241,54 @@ def centroid_update(a, w, prev: Node | None = None) -> Node:
     return ad.add(ad.mul(update, keep), ad.mul(_as_node(prev), inv))
 
 
+def physical_memory_bytes() -> int | None:
+    """Physical memory of this machine, or None where the OS cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def loop_start(
+    w, warm_start: Codebook | None, config: DkmConfig, seed: int, arrays_per_step: int
+) -> tuple[Node, np.ndarray]:
+    """Input node and starting centroids shared by the clustering loops.
+
+    ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
+    graph Node of shape (count, dim). Before seeding, estimates the bytes of
+    the (m, k) arrays the loop will hold: ``arrays_per_step`` per step for
+    each of max_iterations + 1 steps when the input is differentiable (the
+    tape), or one step's worth when it is constant, and raises
+    ResourceError if that exceeds physical memory. The warm start must be
+    (2^bits, dim); it is copied, never aliased.
+    """
+    if isinstance(w, Node):
+        w_node, values = w, w.value
+    else:
+        w_node, values = ad.leaf(w.values), w.values
+    k = config.clusters
+    if values.shape[1] != config.dim:
+        raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
+
+    steps = config.max_iterations + 1 if w_node.requires_grad else 1
+    need = steps * arrays_per_step * values.shape[0] * k * values.itemsize
+    available = physical_memory_bytes()
+    if available is not None and need > available:
+        raise ResourceError(
+            f"clustering {values.shape[0]} sub-vectors into {k} clusters needs about {need} bytes, "
+            f"more than the {available} bytes of physical memory"
+        )
+
+    if warm_start is not None:
+        if warm_start.centroids.shape != (k, config.dim):
+            raise ShapeError(
+                f"warm start shape {warm_start.centroids.shape} != ({k}, {config.dim})"
+            )
+        return w_node, warm_start.centroids.astype(values.dtype, copy=True)
+    sub = w if isinstance(w, SubvectorMatrix) else SubvectorMatrix(values, values.size)
+    return w_node, init_centroids(sub, config, seed).centroids.astype(values.dtype, copy=True)
+
+
 def dkm_forward(
     w,
     warm_start: Codebook | None = None,
@@ -257,31 +299,15 @@ def dkm_forward(
     """Run the clustering loop and return soft weights on the tape.
 
     ``w`` may be a SubvectorMatrix or an existing graph Node of shape
-    (count, dim). Initial centroids come from ``warm_start`` (detached copy)
-    or from ``init_centroids``; gradients flow through every executed
-    iteration back to ``w`` but never across batches.
+    (count, dim); a constant Node clusters without building a tape. Initial
+    centroids come from ``warm_start`` (detached copy) or from
+    ``init_centroids``; gradients flow through every executed iteration
+    back to ``w`` but never across batches. Raises ResourceError before
+    seeding when the loop's (m, k) arrays cannot fit in physical memory.
     """
     if config is None:
         raise ParameterError("config is required")
-    if isinstance(w, Node):
-        w_node = w
-        values = w.value
-    else:
-        w_node = ad.leaf(w.values)
-        values = w.values
-    k = config.clusters
-    if values.shape[1] != config.dim:
-        raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
-
-    if warm_start is not None:
-        if warm_start.centroids.shape != (k, config.dim):
-            raise ShapeError(
-                f"warm start shape {warm_start.centroids.shape} != ({k}, {config.dim})"
-            )
-        start = warm_start.centroids.astype(values.dtype, copy=True)
-    else:
-        sub = w if isinstance(w, SubvectorMatrix) else SubvectorMatrix(values, values.size)
-        start = init_centroids(sub, config, seed).centroids.astype(values.dtype, copy=True)
+    w_node, start = loop_start(w, warm_start, config, seed, TAPE_ARRAYS_PER_STEP)
 
     c_node = ad.constant(start, checked=False)
     trajectory = [start.copy()] if record_trajectory else []
@@ -290,9 +316,12 @@ def dkm_forward(
     iterations = 0
 
     for it in range(1, config.max_iterations + 1):
-        dist = distance_matrix(w_node, c_node, config.metric)
-        attn = attention(dist, config.temperature)
-        candidate = centroid_update(attn, w_node, prev=c_node)
+        # left unnamed, so on a constant input no step's (m, k) arrays outlive it
+        candidate = centroid_update(
+            attention(distance_matrix(w_node, c_node, config.metric), config.temperature),
+            w_node,
+            prev=c_node,
+        )
         if not np.all(np.isfinite(candidate.value)):
             raise NumericError(f"non-finite centroids at iteration {it}")
         delta = float(np.linalg.norm(candidate.value - c_node.value))
@@ -312,7 +341,6 @@ def dkm_forward(
         attention=final_attn.value.copy(),
         codebook=Codebook(c_node.value.copy()),
         telemetry=DkmTelemetry(iterations_used=iterations, final_delta=delta, converged=converged),
-        input_node=w_node,
         trajectory=trajectory,
     )
 

@@ -25,6 +25,10 @@ class NumericError(DkmError):
     """A non-finite value appeared where finite values are required."""
 
 
+class ResourceError(DkmError):
+    """The requested work needs more memory than this machine has."""
+
+
 class ConfigError(DkmError):
     """A config file failed validation; message lists every problem found."""
 

@@ -4,7 +4,7 @@ import pytest
 from dkm import autodiff as ad
 from dkm.errors import NumericError, ParameterError, ShapeError
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, pairwise_sq_dists, rel_err
 
 
 def test_matmul_identity():
@@ -299,3 +299,90 @@ def test_float32_pipeline_keeps_dtype():
     assert y.value.dtype == np.float32
     ad.backward(ad.sum_all(y))
     assert x.grad.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# fused distance node and the lean tape
+# ---------------------------------------------------------------------------
+
+
+def _grid(rng, shape):
+    # multiples of 1/4: every product and sum in the distance expansion is
+    # exact, so a row equal to a centroid gets a distance of exactly zero
+    return rng.integers(-8, 9, shape) / 4.0
+
+
+@pytest.mark.parametrize("euclidean", [False, True])
+def test_neg_sq_distance_gradients_match_finite_differences(euclidean):
+    rng = np.random.default_rng(91)
+    c0 = _grid(rng, (4, 2))
+    w0 = _grid(rng, (7, 2))
+    w0[2], w0[5] = c0[1], c0[3]  # coincident rows
+    weights = rng.uniform(-1, 1, (7, 4))
+
+    def f(w, c):
+        d = pairwise_sq_dists(w, c)
+        return float(np.sum(weights * -(np.sqrt(d) if euclidean else d)))
+
+    w, c = ad.leaf(w0), ad.leaf(c0)
+    out = ad.neg_sq_distance(w, c, euclidean=euclidean)
+    assert out.value[2, 1] == 0.0 and out.value[5, 3] == 0.0
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights))))
+    assert np.all(np.isfinite(w.grad)) and np.all(np.isfinite(c.grad))
+    assert rel_err(w.grad, central_diff(lambda v: f(v, c0), w0, h=1e-4)) <= 1e-6
+    assert rel_err(c.grad, central_diff(lambda v: f(w0, v), c0, h=1e-4)) <= 1e-6
+
+
+@pytest.mark.parametrize("euclidean", [False, True])
+def test_neg_sq_distance_gradient_is_exactly_zero_at_coincidence(euclidean):
+    c0 = np.array([[0.5, -1.25], [2.0, 0.75]])
+    w0 = np.array([[0.5, -1.25]])
+    w, c = ad.leaf(w0), ad.leaf(c0)
+    out = ad.neg_sq_distance(w, c, euclidean=euclidean)
+    picked = ad.mul(out, ad.constant([[1.0, 0.0]]))  # only the coincident pair
+    ad.backward(ad.sum_all(picked))
+    np.testing.assert_array_equal(w.grad, np.zeros_like(w0))
+    np.testing.assert_array_equal(c.grad, np.zeros_like(c0))
+
+
+def test_neg_sq_distance_rejects_dim_mismatch():
+    with pytest.raises(ShapeError):
+        ad.neg_sq_distance(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 3))))
+
+
+def test_transpose_and_broadcasts_are_read_only_views():
+    a = ad.leaf(np.arange(6.0).reshape(2, 3))
+    row = ad.leaf(np.arange(3.0).reshape(1, 3))
+    col = ad.leaf(np.arange(2.0).reshape(2, 1))
+    for node, base in [
+        (ad.transpose(a), a),
+        (ad.broadcast_row(row, 4), row),
+        (ad.broadcast_col(col, 5), col),
+    ]:
+        assert np.shares_memory(node.value, base.value)
+        assert not node.value.flags.writeable
+    assert a.value.flags.writeable
+
+
+def test_constant_graph_keeps_no_tape():
+    rng = np.random.default_rng(92)
+    w, c = ad.constant(rng.normal(size=(5, 2))), ad.constant(rng.normal(size=(3, 2)))
+    y = ad.row_softmax(ad.neg_sq_distance(w, c), 0.5)
+    out = ad.matmul(ad.transpose(y), w)
+    for node in (y, out):
+        assert not node.requires_grad
+        assert node.parents == () and node._backward is None
+
+    mixed = ad.matmul(ad.transpose(y), ad.leaf(w.value))
+    assert mixed.requires_grad and len(mixed.parents) == 2
+
+
+def test_backward_releases_the_tape_and_keeps_leaf_grads_only():
+    x = ad.leaf([[1.0, -2.0]])
+    h = ad.square(x)
+    grads = ad.backward(ad.sum_all(h))
+    assert list(grads) == [x]
+    assert h.grad is None and h.parents == ()
+    # a second pass through the consumed node must fail, not return zeros
+    with pytest.raises(RuntimeError):
+        ad.backward(ad.sum_all(ad.scalar_mul(h, 2.0)))

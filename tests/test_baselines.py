@@ -4,7 +4,7 @@ import pytest
 from dkm import autodiff as ad
 from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
-from dkm.errors import DataError, ParameterError
+from dkm.errors import DataError, ParameterError, ResourceError, ShapeError
 
 from helpers import pairwise_sq_dists
 
@@ -151,6 +151,24 @@ def test_gumbel_forward_runs_and_is_seeded():
     b = baselines.gumbel_forward(w, config=cfg, seed=9, draws=2)
     assert np.array_equal(a.w_tilde.value, b.w_tilde.value)
     np.testing.assert_allclose(a.attention.sum(axis=1), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("forward", [baselines.hard_forward, baselines.gumbel_forward])
+def test_baseline_warm_start_shape_checked(forward):
+    # 8 centroids offered to a bits=2 (4-cluster) layer
+    w = SubvectorMatrix(np.arange(16.0).reshape(-1, 1), 16)
+    warm = Codebook(np.arange(8.0).reshape(-1, 1))
+    with pytest.raises(ShapeError, match=r"warm start shape \(8, 1\) != \(4, 1\)"):
+        forward(w, warm_start=warm, config=DkmConfig(bits=2), seed=0)
+
+
+def test_gumbel_forward_refuses_layer_larger_than_memory():
+    w = SubvectorMatrix(np.zeros((131072, 1)), 131072)
+    available = core.physical_memory_bytes()
+    if available is None or available >= 131072 * 65536 * 8:
+        pytest.skip("this machine has room for the layer the test expects to be refused")
+    with pytest.raises(ResourceError, match="physical memory"):
+        baselines.gumbel_forward(w, config=DkmConfig(bits=16), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dkm import compression as comp
+from dkm import core
 from dkm.cli import main, read_weights, write_weights
 
 
@@ -152,6 +153,22 @@ def test_compress_report_formula_ratio(tmp_path, capsys, weights_txt):
     assert payload["measured_ratio"] < 32.0
     assert out.stat().st_size == payload["serialized_bytes"]
     assert json.loads((tmp_path / "report.json").read_text()) == payload
+
+
+def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys):
+    # 131,072 weights at bits=16: one (m, k) float64 array is 64 GiB
+    available = core.physical_memory_bytes()
+    if available is None or available >= 2 * 131072 * 65536 * 8:
+        pytest.skip("this machine has room for the layer the test expects to be refused")
+    path = tmp_path / "w.f32"
+    np.zeros(131072, dtype="<f4").tofile(path)
+    code, out, err = run_cli(
+        capsys, "compress", "--weights", str(path), "--bits", "16", "--tau", "0.1",
+        "--out", str(tmp_path / "w.dkmz"),
+    )
+    assert code == 2
+    assert err.startswith("error:ResourceError:")
+    assert out == "" and not (tmp_path / "w.dkmz").exists()
 
 
 def test_decompress_matches_snap_reconstruction(tmp_path, capsys, weights_txt):

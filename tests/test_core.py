@@ -4,7 +4,7 @@ import pytest
 from dkm import autodiff as ad
 from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
-from dkm.errors import DataError, NumericError, ParameterError, ShapeError
+from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
 from helpers import pairwise_sq_dists
 
@@ -403,3 +403,80 @@ def test_gradient_flows_back_to_weight_node():
     assert w_node.grad is not None
     assert w_node.grad.shape == values.shape
     assert np.any(w_node.grad != 0)
+
+
+# ---------------------------------------------------------------------------
+# tape size and the memory pre-flight
+# ---------------------------------------------------------------------------
+
+
+def tape_arrays(root, min_size: int) -> list[np.ndarray]:
+    """Distinct buffers of at least ``min_size`` entries reachable from ``root``.
+
+    Walks parents and collects each node's value and grad and every array
+    its backward closure captured, counting a view as its base buffer.
+    """
+    buffers: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        held = [node.value, node.grad]
+        cells = getattr(node._backward, "__closure__", None) or ()
+        held += [cell.cell_contents for cell in cells]
+        for arr in held:
+            if not isinstance(arr, np.ndarray):
+                continue
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            if arr.size >= min_size:
+                buffers[id(arr)] = arr
+        stack.extend(node.parents)
+    return list(buffers.values())
+
+
+def test_forward_tape_holds_two_arrays_per_step():
+    rng = np.random.default_rng(65)
+    w_node = ad.leaf(rng.normal(size=(4096, 1)))
+    cfg = DkmConfig(bits=4, temperature=0.05, epsilon=0.0)
+    res = core.dkm_forward(w_node, config=cfg, seed=0)
+    mk = 4096 * cfg.clusters
+    bound = core.TAPE_ARRAYS_PER_STEP * (res.telemetry.iterations_used + 1) + 2
+    assert len(tape_arrays(res.w_tilde, mk)) <= bound
+
+    loss = ad.sum_all(ad.square(res.w_tilde))
+    ad.backward(loss)
+    assert len(tape_arrays(loss, mk)) <= bound
+    assert len(tape_arrays(res.w_tilde, mk)) == 0  # backward released the tape
+    assert w_node.grad.shape == (4096, 1) and np.all(np.isfinite(w_node.grad))
+
+
+def test_forward_on_constant_builds_no_tape_and_matches_leaf():
+    rng = np.random.default_rng(66)
+    w = subvectors(rng.normal(size=64))
+    cfg = DkmConfig(bits=2, temperature=0.3)
+    on_leaf = core.dkm_forward(w, config=cfg, seed=3)
+    on_const = core.dkm_forward(ad.constant(w.values), config=cfg, seed=3)
+    assert on_leaf.w_tilde.requires_grad
+    assert not on_const.w_tilde.requires_grad and on_const.w_tilde.parents == ()
+    np.testing.assert_array_equal(on_const.codebook.centroids, on_leaf.codebook.centroids)
+    np.testing.assert_array_equal(on_const.attention, on_leaf.attention)
+
+
+def test_forward_refuses_layer_larger_than_memory():
+    # 131,072 weights at bits=16: one (m, k) float64 array is 64 GiB
+    w, cfg = subvectors(np.zeros(131072)), DkmConfig(bits=16)
+    mk_bytes = 131072 * 65536 * 8
+    available = core.physical_memory_bytes()
+    if available is None or available >= core.TAPE_ARRAYS_PER_STEP * mk_bytes:
+        pytest.skip("this machine has room for the layer the test expects to be refused")
+    need = (cfg.max_iterations + 1) * core.TAPE_ARRAYS_PER_STEP * mk_bytes
+    with pytest.raises(ResourceError, match=f"needs about {need} bytes, more than the {available} bytes"):
+        core.dkm_forward(w, config=cfg, seed=0)
+    # a constant input keeps no tape, so it needs one step's arrays
+    need = core.TAPE_ARRAYS_PER_STEP * mk_bytes
+    with pytest.raises(ResourceError, match=f"needs about {need} bytes"):
+        core.dkm_forward(ad.constant(w.values), config=cfg, seed=0)
