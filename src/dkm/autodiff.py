@@ -11,8 +11,12 @@ The tape holds only what backward reads:
   a forward pass on constants builds no tape at all;
 - ``transpose``, ``broadcast_row`` and ``broadcast_col`` return read-only
   views of their input, not copies;
-- ``neg_sq_distance`` is one fused node that saves only its output, and
-  ``row_softmax`` saves only its output;
+- ``neg_sq_distance`` is one fused node whose value is a read-only view
+  of the cluster-major (k, m) distance kernel, and it and ``row_softmax``
+  save only their outputs;
+- ``dkm.core.dkm_forward`` adds one node for its whole clustering loop,
+  which saves the input, each iteration's (k, dim) codebook and (k,)
+  column sums, and recomputes its (m, k) arrays tile by tile in backward;
 - ``backward`` releases each node's parents and closure once it has run, so
   the tape shrinks as gradients flow, and only leaves keep a gradient.
 
@@ -264,20 +268,17 @@ def row_softmax(x: Node, temperature: float) -> Node:
     return Node(y, (x,), backward)
 
 
-def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
-    """Negated pairwise distances between the rows of w (m, d) and c (k, d).
+def neg_distance_cluster_major(w: np.ndarray, c: np.ndarray, euclidean: bool = False) -> np.ndarray:
+    """Negated distances between the rows of w (m, d) and c (k, d), laid out (k, m).
 
-    Entry (i, j) is -max(|w_i|^2 + |c_j|^2 - 2 w_i.c_j, 0), the clamp
+    Entry (j, i) is -max(|w_i|^2 + |c_j|^2 - 2 w_i.c_j, 0), the clamp
     absorbing tiny negatives from cancellation, or the negated square root
-    of that when ``euclidean``. One node saves only its output: backward
-    rebuilds the clamp mask as ``out < 0``. A clamped entry (a row that
-    coincides with a centroid) passes no gradient.
+    of that when ``euclidean``. Plain arrays, no tape. The cluster-major
+    layout turns reductions over the k clusters of each row into
+    contiguous elementwise passes.
     """
-    wv, cv = w.value, c.value
-    if wv.shape[1] != cv.shape[1]:
-        raise ShapeError(f"neg_sq_distance: sub-vector dim {wv.shape[1]} != centroid dim {cv.shape[1]}")
-    out = (wv * wv).sum(axis=1, keepdims=True) + (cv * cv).sum(axis=1)
-    cross = wv @ cv.T
+    out = (c * c).sum(axis=1)[:, None] + (w * w).sum(axis=1)
+    cross = c @ w.T
     cross *= -2.0
     out += cross
     del cross
@@ -285,6 +286,22 @@ def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
     if euclidean:
         np.sqrt(out, out=out)
     np.negative(out, out=out)
+    return out
+
+
+def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
+    """Negated pairwise distances between the rows of w (m, d) and c (k, d).
+
+    The value is a read-only (m, k) transposed view of
+    ``neg_distance_cluster_major``. One node saves only its output:
+    backward rebuilds the clamp mask as ``out < 0``. A clamped entry (a row
+    that coincides with a centroid) passes no gradient.
+    """
+    wv, cv = w.value, c.value
+    if wv.shape[1] != cv.shape[1]:
+        raise ShapeError(f"neg_sq_distance: sub-vector dim {wv.shape[1]} != centroid dim {cv.shape[1]}")
+    out = neg_distance_cluster_major(wv, cv, euclidean).T
+    out.flags.writeable = False
 
     def backward(g):
         # gs = dL/d(|w|^2 + |c|^2 - 2 w.c), zero where the clamp was active

@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .core import (
+    EMPTY_CLUSTER_THRESHOLD,
     Codebook,
     DkmConfig,
     DkmResult,
@@ -26,9 +27,7 @@ from .core import (
     distance_matrix,
     loop_start,
 )
-from .errors import DataError, ParameterError
-
-EMPTY_CLUSTER_THRESHOLD = 1e-30
+from .errors import DataError, NumericError, ParameterError
 
 
 def _values(x) -> np.ndarray:
@@ -92,7 +91,7 @@ def hard_forward(
     if config is None:
         raise ParameterError("config is required")
     # the tape holds only the snapped values: no (m, k) arrays
-    w_node, centers = loop_start(w, warm_start, config, seed, arrays_per_step=0)
+    w_node, centers = loop_start(w, warm_start, config, seed, lambda mk_bytes, grad: 0)
     values = w_node.value
     k = config.clusters
 
@@ -186,17 +185,22 @@ def gumbel_forward(
 
     ``seed`` drives the noise draws; ``init_seed`` (defaulting to it) drives
     centroid seeding when no warm start is given. Raises ResourceError
-    before seeding when the loop's (m, k) arrays cannot fit in memory.
+    before seeding when the loop's (m, k) arrays cannot fit in memory, and
+    NumericError naming the iteration whose centroids come out non-finite.
     """
     if config is None:
         raise ParameterError("config is required")
-    # tape arrays per step: the distances; per draw the noise, the noisy
-    # logits and their softmax; and, over several draws, their running sums
-    # and mean
+    # (m, k) tape arrays per step: the distances; per draw the noise, the
+    # noisy logits and their softmax; and, over several draws, their running
+    # sums and mean. Every step stays on the tape of a differentiable input;
+    # a constant one holds a single step at a time.
     arrays = 1 + 3 * draws + (draws if draws > 1 else 0)
-    w_node, start = loop_start(
-        w, warm_start, config, seed if init_seed is None else init_seed, arrays_per_step=arrays
-    )
+
+    def need_bytes(mk_bytes: int, differentiable: bool) -> int:
+        steps = config.max_iterations + 1 if differentiable else 1
+        return steps * arrays * mk_bytes
+
+    w_node, start = loop_start(w, warm_start, config, seed if init_seed is None else init_seed, need_bytes)
     rng = np.random.default_rng(seed)
 
     c_node = ad.constant(start, checked=False)
@@ -207,6 +211,8 @@ def gumbel_forward(
         dist = distance_matrix(w_node, c_node, config.metric)
         attn = gumbel_attention_node(dist, config.temperature, rng, draws)
         candidate = centroid_update(attn, w_node, prev=c_node)
+        if not np.all(np.isfinite(candidate.value)):
+            raise NumericError(f"non-finite centroids at iteration {it}")
         delta = float(np.linalg.norm(candidate.value - c_node.value))
         c_node = candidate
         iterations = it
@@ -240,8 +246,19 @@ class LloydResult:
 
 
 def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("mkd,mkd->mk", diff, diff)
+    """(n, k) squared distances by direct differences, one coordinate at a time.
+
+    Deliberately not the |w|^2 + |c|^2 - 2 w.c expansion of the soft loop,
+    so the baselines stay an independent check on it.
+    """
+    out = np.subtract(points[:, 0, None], centers[:, 0])
+    out *= out
+    diff = np.empty_like(out) if points.shape[1] > 1 else None
+    for j in range(1, points.shape[1]):
+        np.subtract(points[:, j, None], centers[:, j], out=diff)
+        diff *= diff
+        out += diff
+    return out
 
 
 def lloyd_kmeans(w, k: int, seed: int = 0, max_iter: int = 100) -> LloydResult:
@@ -321,13 +338,15 @@ def em_gmm_step(w, state: GmmState) -> tuple[np.ndarray, np.ndarray, float]:
     k = centers.shape[0]
     s2 = state.variance
 
-    diff = points[:, None, :] - centers[None, :, :]
-    sq = np.einsum("nkd,nkd->nk", diff, diff)
-    log_density = -0.5 * d * np.log(2.0 * np.pi * s2) - sq / (2.0 * s2)
-
-    shifted = log_density - log_density.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    resp = weights / weights.sum(axis=1, keepdims=True)
+    # one (n, k) buffer walks from squared distance to responsibilities
+    resp = _pairwise_sq(points, centers)
+    resp /= 2.0 * s2
+    np.subtract(-0.5 * d * np.log(2.0 * np.pi * s2), resp, out=resp)  # log density
+    row_max = resp.max(axis=1, keepdims=True)
+    resp -= row_max
+    np.exp(resp, out=resp)
+    row_sums = resp.sum(axis=1, keepdims=True)
+    resp /= row_sums
 
     new_centers = centers.copy()
     for j in range(k):
@@ -335,9 +354,9 @@ def em_gmm_step(w, state: GmmState) -> tuple[np.ndarray, np.ndarray, float]:
         if mass >= EMPTY_CLUSTER_THRESHOLD:
             new_centers[j] = (resp[:, j, None] * points).sum(axis=0) / mass
 
-    # log P(W | C) under uniform mixing, via row-wise logsumexp
-    row_max = log_density.max(axis=1)
-    log_lik = float(np.sum(row_max + np.log(np.exp(log_density - row_max[:, None]).sum(axis=1))) - n * np.log(k))
+    # log P(W | C) under uniform mixing: the row-wise logsumexp of the log
+    # densities is row_max + log(row_sums)
+    log_lik = float(np.sum(row_max[:, 0] + np.log(row_sums[:, 0])) - n * np.log(k))
     return resp, new_centers, log_lik
 
 

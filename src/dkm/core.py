@@ -3,15 +3,24 @@
 A weight vector is viewed as (count, dim) sub-vectors. Each forward pass
 alternates distance -> temperature softmax -> attention-weighted centroid
 means until the codebook moves less than epsilon in Frobenius norm or an
-iteration cap is hit, then emits soft-reconstructed weights A @ C built on
-the autodiff tape of every executed iteration. The converged codebook is
-returned detached so the caller can warm-start the next batch.
+iteration cap is hit, then emits soft-reconstructed weights A @ C. The
+converged codebook is returned detached so the caller can warm-start the
+next batch.
+
+The whole loop is one tape node. It runs over row tiles of about
+TILE_BYTES, each laid out cluster-major (k, rows), and saves for backward
+only the input, each iteration's (k, dim) codebook and (k,) attention
+column sums. Backward recomputes every tile's distances and attention
+from those, so the tape does not grow with count * 2^bits. The public
+``distance_matrix``, ``attention`` and ``centroid_update`` build the same
+steps as separate tape nodes.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +40,9 @@ INITS = (RANDOM_SAMPLE, KMEANS_PP)
 # instead of dividing by dust.
 EMPTY_CLUSTER_THRESHOLD = 1e-30
 
-# (m, k) arrays one soft-loop step keeps on the tape: the distance node's
-# output and the attention.
-TAPE_ARRAYS_PER_STEP = 2
+# The soft loop works on row tiles whose (k, rows) arrays hold about this
+# many bytes (at least one row).
+TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -142,8 +151,9 @@ class DkmResult:
     """Everything one clustering pass produces.
 
     w_tilde stays attached to the tape; attention and codebook are detached
-    value copies (the codebook is the next batch's warm start). trajectory,
-    when recorded, holds the initial centroids followed by each iterate.
+    values the caller owns (the codebook is the next batch's warm start).
+    trajectory, when recorded, holds the initial centroids followed by each
+    iterate.
     """
 
     w_tilde: Node
@@ -250,17 +260,16 @@ def physical_memory_bytes() -> int | None:
 
 
 def loop_start(
-    w, warm_start: Codebook | None, config: DkmConfig, seed: int, arrays_per_step: int
+    w, warm_start: Codebook | None, config: DkmConfig, seed: int, need_bytes: Callable[[int, bool], int]
 ) -> tuple[Node, np.ndarray]:
     """Input node and starting centroids shared by the clustering loops.
 
     ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
-    graph Node of shape (count, dim). Before seeding, estimates the bytes of
-    the (m, k) arrays the loop will hold: ``arrays_per_step`` per step for
-    each of max_iterations + 1 steps when the input is differentiable (the
-    tape), or one step's worth when it is constant, and raises
-    ResourceError if that exceeds physical memory. The warm start must be
-    (2^bits, dim); it is copied, never aliased.
+    graph Node of shape (count, dim). Before seeding, asks
+    ``need_bytes(bytes of one (m, k) array, input is differentiable)`` how
+    much the loop will hold and raises ResourceError if that exceeds
+    physical memory. The warm start must be (2^bits, dim); it is copied,
+    never aliased.
     """
     if isinstance(w, Node):
         w_node, values = w, w.value
@@ -270,8 +279,7 @@ def loop_start(
     if values.shape[1] != config.dim:
         raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
 
-    steps = config.max_iterations + 1 if w_node.requires_grad else 1
-    need = steps * arrays_per_step * values.shape[0] * k * values.itemsize
+    need = need_bytes(values.shape[0] * k * values.itemsize, w_node.requires_grad)
     available = physical_memory_bytes()
     if available is not None and need > available:
         raise ResourceError(
@@ -289,6 +297,80 @@ def loop_start(
     return w_node, init_centroids(sub, config, seed).centroids.astype(values.dtype, copy=True)
 
 
+def _row_tiles(m: int, k: int, itemsize: int) -> list[slice]:
+    rows = max(1, TILE_BYTES // (k * itemsize))
+    return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+
+def _occupied(col_sums: np.ndarray, dtype) -> np.ndarray:
+    """(k, 1) mask: 1 where a cluster's attention mass counts, else 0."""
+    return (col_sums >= EMPTY_CLUSTER_THRESHOLD).astype(dtype)[:, None]
+
+
+def _softmax_clusters(dist: np.ndarray, tau) -> np.ndarray:
+    """Softmax over the clusters of a cluster-major (k, rows) tile, max-subtracted."""
+    y = dist - dist.max(axis=0)
+    y /= tau
+    np.exp(y, out=y)
+    y /= y.sum(axis=0)
+    return y
+
+
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles):
+    """Backward of the fused loop: recompute each tile, then run the chain rule.
+
+    Pass p recomputes the attention to ``codebooks[p]``. The last pass is the
+    output ``w_tilde = A C``; every earlier one is the update
+    ``C' = (A^T w) / s * mask + C * (1 - mask)`` with ``s = col_sums[p]``.
+    Only ``w`` receives a gradient: the starting codebook is a constant.
+    """
+
+    def backward(g):
+        gw = np.zeros_like(w)
+        steps = len(col_sums)
+        g_next = None  # gradient reaching codebooks[p + 1]
+        for p in range(steps, -1, -1):
+            c = codebooks[p]
+            g_c = np.zeros_like(c) if p > 0 else None
+            if p < steps:
+                sums = col_sums[p]
+                mask = _occupied(sums, w.dtype)
+                g_weighted = g_next * mask / (sums[:, None] + (1.0 - mask))
+                g_sums = -(g_weighted * codebooks[p + 1]).sum(axis=1)
+                if g_c is not None:
+                    g_c += g_next * (1.0 - mask)
+            for rows in tiles:
+                wr = w[rows]
+                dist = ad.neg_distance_cluster_major(wr, c, euclidean)
+                a = _softmax_clusters(dist, tau)
+                if p == steps:
+                    gr = g[rows]
+                    ga = c @ gr.T
+                    g_c += a @ gr
+                else:
+                    ga = g_weighted @ wr.T
+                    ga += g_sums[:, None]
+                    gw[rows] += a.T @ g_weighted
+                # through the softmax over clusters ...
+                ga -= (ga * a).sum(axis=0)
+                ga *= a
+                ga /= tau
+                # ... to gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), zero where clamped
+                if euclidean:
+                    ga *= -0.5
+                    ga /= np.maximum(-dist, np.finfo(dist.dtype).tiny ** 0.5)
+                else:
+                    np.negative(ga, out=ga)
+                ga *= dist < 0
+                gw[rows] += 2.0 * wr * ga.sum(axis=0)[:, None] - 2.0 * (ga.T @ c)
+                if g_c is not None:
+                    g_c += 2.0 * c * ga.sum(axis=1)[:, None] - 2.0 * (ga @ wr)
+            g_next = g_c
+        return (gw,)
+
+    return backward
+
+
 def dkm_forward(
     w,
     warm_start: Codebook | None = None,
@@ -302,46 +384,66 @@ def dkm_forward(
     (count, dim); a constant Node clusters without building a tape. Initial
     centroids come from ``warm_start`` (detached copy) or from
     ``init_centroids``; gradients flow through every executed iteration
-    back to ``w`` but never across batches. Raises ResourceError before
-    seeding when the loop's (m, k) arrays cannot fit in physical memory.
+    back to ``w`` but never across batches.
+
+    The loop is one tape node, ``w_tilde``, which holds only ``w``, each
+    iteration's codebook and attention column sums; the attention is
+    recomputed tile by tile in backward. ``attention`` is a fresh (m, k)
+    array filled tile by tile, which the tape does not hold. Raises
+    ResourceError before seeding when that array and one tile cannot fit
+    in physical memory, and NumericError naming the iteration whose
+    centroids come out non-finite.
     """
     if config is None:
         raise ParameterError("config is required")
-    w_node, start = loop_start(w, warm_start, config, seed, TAPE_ARRAYS_PER_STEP)
+    w_node, c = loop_start(w, warm_start, config, seed, lambda mk_bytes, _: mk_bytes + TILE_BYTES)
+    w = w_node.value
+    m, d = w.shape
+    k = config.clusters
+    tau = w.dtype.type(config.temperature)
+    euclidean = config.metric == EUCLIDEAN
+    tiles = _row_tiles(m, k, w.itemsize)
 
-    c_node = ad.constant(start, checked=False)
-    trajectory = [start.copy()] if record_trajectory else []
+    codebooks = [c]
+    col_sums = []
     delta = np.inf
     converged = False
-    iterations = 0
-
     for it in range(1, config.max_iterations + 1):
-        # left unnamed, so on a constant input no step's (m, k) arrays outlive it
-        candidate = centroid_update(
-            attention(distance_matrix(w_node, c_node, config.metric), config.temperature),
-            w_node,
-            prev=c_node,
-        )
-        if not np.all(np.isfinite(candidate.value)):
+        sums = np.zeros(k, dtype=w.dtype)
+        weighted = np.zeros((k, d), dtype=w.dtype)
+        for rows in tiles:
+            a = _softmax_clusters(ad.neg_distance_cluster_major(w[rows], c, euclidean), tau)
+            sums += a.sum(axis=1)
+            weighted += a @ w[rows]
+        # masked arithmetic, not np.where, so a NaN column sum poisons the
+        # iterate and is reported instead of silently keeping the old row
+        mask = _occupied(sums, w.dtype)
+        candidate = weighted / (sums[:, None] + (1.0 - mask)) * mask + c * (1.0 - mask)
+        if not np.all(np.isfinite(candidate)):
             raise NumericError(f"non-finite centroids at iteration {it}")
-        delta = float(np.linalg.norm(candidate.value - c_node.value))
-        c_node = candidate
-        iterations = it
-        if record_trajectory:
-            trajectory.append(c_node.value.copy())
+        delta = float(np.linalg.norm(candidate - c))
+        c = candidate
+        codebooks.append(c)
+        col_sums.append(sums)
         if config.epsilon > 0 and delta <= config.epsilon:
             converged = True
             break
 
-    final_attn = attention(distance_matrix(w_node, c_node, config.metric), config.temperature)
-    w_tilde = ad.matmul(final_attn, c_node)
+    attn = np.empty((m, k), dtype=w.dtype)
+    w_tilde = np.empty((m, d), dtype=w.dtype)
+    for rows in tiles:
+        attn[rows] = _softmax_clusters(ad.neg_distance_cluster_major(w[rows], c, euclidean), tau).T
+        w_tilde[rows] = attn[rows] @ c
+    backward = None
+    if w_node.requires_grad:
+        backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles)
 
     return DkmResult(
-        w_tilde=w_tilde,
-        attention=final_attn.value.copy(),
-        codebook=Codebook(c_node.value.copy()),
-        telemetry=DkmTelemetry(iterations_used=iterations, final_delta=delta, converged=converged),
-        trajectory=trajectory,
+        w_tilde=Node(w_tilde, (w_node,), backward),
+        attention=attn,
+        codebook=Codebook(c.copy()),
+        telemetry=DkmTelemetry(iterations_used=len(col_sums), final_delta=delta, converged=converged),
+        trajectory=[b.copy() for b in codebooks] if record_trajectory else [],
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from dkm import autodiff as ad
 from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
-from dkm.errors import DataError, ParameterError, ResourceError, ShapeError
+from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
 from helpers import pairwise_sq_dists
 
@@ -162,6 +162,13 @@ def test_baseline_warm_start_shape_checked(forward):
         forward(w, warm_start=warm, config=DkmConfig(bits=2), seed=0)
 
 
+def test_gumbel_forward_nonfinite_iterate_names_iteration():
+    w = SubvectorMatrix(np.full((8, 1), 1e200), 8)  # distance expansion overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite centroids at iteration 1"):
+            baselines.gumbel_forward(w, config=DkmConfig(bits=2, temperature=0.5), seed=0)
+
+
 def test_gumbel_forward_refuses_layer_larger_than_memory():
     w = SubvectorMatrix(np.zeros((131072, 1)), 131072)
     available = core.physical_memory_bytes()
@@ -249,6 +256,29 @@ def test_em_responsibilities_match_attention_and_update():
     update = core.centroid_update(attn, ad.constant(w.values))
     np.testing.assert_allclose(resp, attn.value, atol=1e-10)
     np.testing.assert_allclose(centers, update.value, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("variance", [1e-6, 0.025, 3.0])
+def test_em_step_matches_naive_reference(dim, variance):
+    rng = np.random.default_rng(105)
+    w = rng.normal(size=(50, dim))
+    c = rng.normal(size=(6, dim))
+    resp, centers, ll = baselines.em_gmm_step(SubvectorMatrix(w, w.size), baselines.GmmState(c, variance))
+
+    log_density = -0.5 * dim * np.log(2.0 * np.pi * variance) - pairwise_sq_dists(w, c) / (2.0 * variance)
+    row_max = log_density.max(axis=1, keepdims=True)
+    weights = np.exp(log_density - row_max)
+    ref_resp = weights / weights.sum(axis=1, keepdims=True)
+    ref_centers = c.copy()  # a cluster whose mass underflows keeps its center
+    for j in range(6):
+        mass = ref_resp[:, j].sum()
+        if mass >= core.EMPTY_CLUSTER_THRESHOLD:
+            ref_centers[j] = (ref_resp[:, j, None] * w).sum(axis=0) / mass
+    ref_ll = np.sum(row_max[:, 0] + np.log(weights.sum(axis=1))) - 50 * np.log(6)
+    np.testing.assert_allclose(resp, ref_resp, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(centers, ref_centers, rtol=1e-9, atol=1e-12)
+    assert ll == pytest.approx(ref_ll, rel=1e-12)
 
 
 def test_em_log_likelihood_nondecreasing():

@@ -6,7 +6,7 @@ from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
-from helpers import pairwise_sq_dists
+from helpers import pairwise_sq_dists, rel_err
 
 
 def subvectors(values) -> SubvectorMatrix:
@@ -414,7 +414,8 @@ def tape_arrays(root, min_size: int) -> list[np.ndarray]:
     """Distinct buffers of at least ``min_size`` entries reachable from ``root``.
 
     Walks parents and collects each node's value and grad and every array
-    its backward closure captured, counting a view as its base buffer.
+    its backward closure captured, directly or inside a list or tuple,
+    counting a view as its base buffer.
     """
     buffers: dict[int, np.ndarray] = {}
     seen: set[int] = set()
@@ -426,7 +427,9 @@ def tape_arrays(root, min_size: int) -> list[np.ndarray]:
         seen.add(id(node))
         held = [node.value, node.grad]
         cells = getattr(node._backward, "__closure__", None) or ()
-        held += [cell.cell_contents for cell in cells]
+        for cell in cells:
+            contents = cell.cell_contents
+            held += list(contents) if isinstance(contents, (list, tuple)) else [contents]
         for arr in held:
             if not isinstance(arr, np.ndarray):
                 continue
@@ -438,19 +441,19 @@ def tape_arrays(root, min_size: int) -> list[np.ndarray]:
     return list(buffers.values())
 
 
-def test_forward_tape_holds_two_arrays_per_step():
+def test_forward_tape_holds_no_attention_sized_buffer():
     rng = np.random.default_rng(65)
     w_node = ad.leaf(rng.normal(size=(4096, 1)))
     cfg = DkmConfig(bits=4, temperature=0.05, epsilon=0.0)
     res = core.dkm_forward(w_node, config=cfg, seed=0)
     mk = 4096 * cfg.clusters
-    bound = core.TAPE_ARRAYS_PER_STEP * (res.telemetry.iterations_used + 1) + 2
-    assert len(tape_arrays(res.w_tilde, mk)) <= bound
+    assert tape_arrays(res.w_tilde, mk) == []
+    assert res.attention.shape == (4096, cfg.clusters)
+    assert res.attention.flags.c_contiguous and res.attention.flags.writeable
 
     loss = ad.sum_all(ad.square(res.w_tilde))
     ad.backward(loss)
-    assert len(tape_arrays(loss, mk)) <= bound
-    assert len(tape_arrays(res.w_tilde, mk)) == 0  # backward released the tape
+    assert tape_arrays(loss, mk) == [] and tape_arrays(res.w_tilde, mk) == []
     assert w_node.grad.shape == (4096, 1) and np.all(np.isfinite(w_node.grad))
 
 
@@ -462,6 +465,7 @@ def test_forward_on_constant_builds_no_tape_and_matches_leaf():
     on_const = core.dkm_forward(ad.constant(w.values), config=cfg, seed=3)
     assert on_leaf.w_tilde.requires_grad
     assert not on_const.w_tilde.requires_grad and on_const.w_tilde.parents == ()
+    assert on_const.w_tilde._backward is None
     np.testing.assert_array_equal(on_const.codebook.centroids, on_leaf.codebook.centroids)
     np.testing.assert_array_equal(on_const.attention, on_leaf.attention)
 
@@ -469,14 +473,124 @@ def test_forward_on_constant_builds_no_tape_and_matches_leaf():
 def test_forward_refuses_layer_larger_than_memory():
     # 131,072 weights at bits=16: one (m, k) float64 array is 64 GiB
     w, cfg = subvectors(np.zeros(131072)), DkmConfig(bits=16)
-    mk_bytes = 131072 * 65536 * 8
+    # the returned attention plus one tile, whatever the iteration count
+    need = 131072 * 65536 * 8 + core.TILE_BYTES
     available = core.physical_memory_bytes()
-    if available is None or available >= core.TAPE_ARRAYS_PER_STEP * mk_bytes:
+    if available is None or available >= need:
         pytest.skip("this machine has room for the layer the test expects to be refused")
-    need = (cfg.max_iterations + 1) * core.TAPE_ARRAYS_PER_STEP * mk_bytes
     with pytest.raises(ResourceError, match=f"needs about {need} bytes, more than the {available} bytes"):
         core.dkm_forward(w, config=cfg, seed=0)
-    # a constant input keeps no tape, so it needs one step's arrays
-    need = core.TAPE_ARRAYS_PER_STEP * mk_bytes
+    # a constant input needs the same: the tape never holds (m, k) arrays
     with pytest.raises(ResourceError, match=f"needs about {need} bytes"):
         core.dkm_forward(ad.constant(w.values), config=cfg, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the fused loop against the loop composed from the public per-step nodes
+# ---------------------------------------------------------------------------
+
+
+def composed_loop(w_node, start: np.ndarray, cfg: DkmConfig, iterations: int):
+    """w_tilde and final codebook of the loop built from one node per step."""
+    c = ad.constant(start)
+    for _ in range(iterations):
+        dist = core.distance_matrix(w_node, c, cfg.metric)
+        c = core.centroid_update(core.attention(dist, cfg.temperature), w_node, prev=c)
+    final = core.attention(core.distance_matrix(w_node, c, cfg.metric), cfg.temperature)
+    return ad.matmul(final, c), c.value
+
+
+def fused_and_composed(values, cfg, warm=None, wrap=lambda node: node, seed=0):
+    """(fused result, fused grad, composed grad, composed codebook, composed w_tilde).
+
+    Both losses are sum((w_tilde - T)^2) for the same seeded target T; the
+    composed loop runs as many iterations as the fused one used.
+    """
+    fused_leaf = ad.leaf(values)
+    res = core.dkm_forward(wrap(fused_leaf), warm, cfg, seed=seed)
+    target = np.random.default_rng(seed).standard_normal(res.w_tilde.shape).astype(values.dtype)
+
+    def loss(w_tilde):
+        return ad.sum_all(ad.square(ad.sub(w_tilde, ad.constant(target))))
+
+    ad.backward(loss(res.w_tilde))
+
+    ref_leaf = ad.leaf(values)
+    ref_w = wrap(ref_leaf)
+    start = warm if warm is not None else core.init_centroids(SubvectorMatrix(ref_w.value, ref_w.value.size), cfg, seed)
+    ref_w_tilde, ref_codebook = composed_loop(
+        ref_w, start.centroids.astype(values.dtype), cfg, res.telemetry.iterations_used
+    )
+    ref_value = ref_w_tilde.value
+    ad.backward(loss(ref_w_tilde))
+    return res, fused_leaf.grad, ref_leaf.grad, ref_codebook, ref_value
+
+
+@pytest.mark.parametrize("metric", core.METRICS)
+def test_fused_backward_matches_composed_loop(metric):
+    rng = np.random.default_rng(71)
+    values = rng.uniform(-1, 1, (200, 2))
+    cfg = DkmConfig(bits=3, dim=2, temperature=0.1, epsilon=0.0, metric=metric)
+    res, grad, ref_grad, ref_codebook, ref_w_tilde = fused_and_composed(values, cfg)
+    assert res.telemetry.iterations_used == cfg.max_iterations
+    assert rel_err(grad, ref_grad) <= 1e-10
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-12
+    assert rel_err(res.w_tilde.value, ref_w_tilde) <= 1e-12
+
+
+def test_fused_backward_with_empty_cluster_and_warm_start():
+    rng = np.random.default_rng(72)
+    values = rng.uniform(-1, 1, (64, 1))
+    # the far centroid gets exactly zero attention: the masked branch keeps it
+    warm = Codebook(np.array([[-0.5], [0.0], [0.5], [1e3]]))
+    cfg = DkmConfig(bits=2, temperature=0.1, epsilon=0.0, max_iterations=3)
+    res, grad, ref_grad, ref_codebook, _ = fused_and_composed(values, cfg, warm=warm)
+    assert np.all(res.attention[:, 3] == 0.0)
+    assert res.codebook.centroids[3, 0] == 1e3
+    assert rel_err(grad, ref_grad) <= 1e-10
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-12
+
+
+def test_fused_backward_after_epsilon_early_exit():
+    rng = np.random.default_rng(73)
+    values = np.concatenate([rng.normal(c, 0.05, 40) for c in (-2.0, 0.0, 1.0, 3.0)]).reshape(-1, 1)
+    cfg = DkmConfig(bits=2, temperature=0.05, epsilon=1e-6, max_iterations=30, init=core.KMEANS_PP)
+    res, grad, ref_grad, ref_codebook, _ = fused_and_composed(values, cfg, seed=4)
+    assert res.telemetry.converged and res.telemetry.iterations_used < cfg.max_iterations
+    assert rel_err(grad, ref_grad) <= 1e-10
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-12
+
+
+def test_fused_backward_over_several_tiles_with_a_ragged_last_one():
+    m, cfg = 1300, DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=3)
+    rows = core.TILE_BYTES // (cfg.clusters * 8)
+    assert 2 * rows < m < 3 * rows  # three tiles, the last one partial
+    values = np.random.default_rng(74).normal(size=(m, 1))
+    res, grad, ref_grad, ref_codebook, ref_w_tilde = fused_and_composed(values, cfg)
+    assert rel_err(grad, ref_grad) <= 1e-10
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-12
+    assert rel_err(res.w_tilde.value, ref_w_tilde) <= 1e-12
+
+
+def test_fused_backward_through_a_non_leaf_input():
+    # the harness clusters reshape/pad_rows chains of its weight leaves
+    values = np.random.default_rng(75).normal(size=(7, 9))
+    cfg = DkmConfig(bits=2, dim=2, temperature=0.2, epsilon=0.0)
+
+    def wrap(leaf):
+        flat = ad.reshape(leaf, 63, 1)
+        return ad.reshape(ad.pad_rows(flat, 1), 32, 2)
+
+    res, grad, ref_grad, _, _ = fused_and_composed(values, cfg, wrap=wrap)
+    assert grad.shape == values.shape
+    assert rel_err(grad, ref_grad) <= 1e-10
+
+
+def test_fused_loop_keeps_float32():
+    values = np.random.default_rng(76).normal(size=(300, 1)).astype(np.float32)
+    cfg = DkmConfig(bits=3, temperature=0.1, epsilon=0.0)
+    res, grad, ref_grad, ref_codebook, _ = fused_and_composed(values, cfg)
+    assert res.w_tilde.value.dtype == res.attention.dtype == grad.dtype == np.float32
+    # the two float32 loops sum in different orders
+    assert rel_err(grad, ref_grad) <= 1e-5
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-5
