@@ -21,23 +21,13 @@ from .core import (
     Codebook,
     DkmConfig,
     DkmResult,
-    DkmTelemetry,
-    SubvectorMatrix,
-    centroid_update,
-    distance_matrix,
+    _cluster_loop,
+    _softmax_clusters,
+    _values,
+    kmeans_pp,
     loop_start,
 )
-from .errors import DataError, NumericError, ParameterError
-
-
-def _values(x) -> np.ndarray:
-    if isinstance(x, Node):
-        return x.value
-    if isinstance(x, SubvectorMatrix):
-        return x.values
-    if isinstance(x, Codebook):
-        return x.centroids
-    return np.asarray(x, dtype=np.float64)
+from .errors import DataError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +47,11 @@ def hard_attention(dist) -> np.ndarray:
     return out
 
 
+def _hard_rule(dist: np.ndarray, tau) -> tuple[np.ndarray]:
+    # one one-hot sample per (k, rows) tile, so centroids become cluster means
+    return (hard_attention(dist.T).T.astype(dist.dtype, copy=False),)
+
+
 def straight_through_reconstruct(w: Node, indices: np.ndarray, codebook: np.ndarray) -> Node:
     """Snap each sub-vector to its centroid, re-using centroid gradients.
 
@@ -68,10 +63,9 @@ def straight_through_reconstruct(w: Node, indices: np.ndarray, codebook: np.ndar
     value = codebook[indices].astype(w.value.dtype)
 
     def backward(g):
-        k = codebook.shape[0]
-        onehot = np.zeros((indices.shape[0], k), dtype=g.dtype)
-        onehot[np.arange(indices.shape[0]), indices] = 1.0
-        return (onehot @ (onehot.T @ g),)
+        sums = np.zeros((codebook.shape[0], g.shape[1]), dtype=g.dtype)
+        np.add.at(sums, indices, g)
+        return (sums[indices],)
 
     return Node(value, (w,), backward)
 
@@ -84,48 +78,17 @@ def hard_forward(
 ) -> DkmResult:
     """Conventional iterative hard clustering, packaged like the soft loop.
 
-    Alternates argmin assignment and per-cluster means (empty clusters keep
-    their previous centroid) until the codebook moves at most epsilon or the
-    iteration cap is hit, then emits straight-through snapped weights.
+    The shared clustering loop with one-hot attention: argmax assignment
+    and per-cluster means (empty clusters keep their previous centroid)
+    until the codebook moves at most epsilon or the iteration cap is hit.
+    Emits straight-through snapped weights; the loop itself builds no tape.
     """
-    if config is None:
-        raise ParameterError("config is required")
-    # the tape holds only the snapped values: no (m, k) arrays
-    w_node, centers = loop_start(w, warm_start, config, seed, lambda mk_bytes, grad: 0)
-    values = w_node.value
-    k = config.clusters
-
-    delta = np.inf
-    converged = False
-    iterations = 0
-    assign = None
-    for it in range(1, config.max_iterations + 1):
-        d2 = _pairwise_sq(values, centers)
-        assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                new_centers[j] = values[members].mean(axis=0)
-        delta = float(np.linalg.norm(new_centers - centers))
-        centers = new_centers
-        iterations = it
-        if config.epsilon > 0 and delta <= config.epsilon:
-            converged = True
-            break
-
-    d2 = _pairwise_sq(values, centers)
-    assign = np.argmin(d2, axis=1)
-    onehot = np.zeros((values.shape[0], k), dtype=values.dtype)
-    onehot[np.arange(values.shape[0]), assign] = 1.0
-    w_tilde = straight_through_reconstruct(w_node, assign, centers)
-
-    return DkmResult(
-        w_tilde=w_tilde,
-        attention=onehot,
-        codebook=Codebook(centers.copy()),
-        telemetry=DkmTelemetry(iterations_used=iterations, final_delta=delta, converged=converged),
-    )
+    w_node, start = loop_start(w, warm_start, config, seed)
+    res = _cluster_loop(ad.constant(w_node.value, checked=False), start, config, _hard_rule)
+    # one-hot rows, so this product reads each row's cluster index exactly
+    indices = (res.attention @ np.arange(config.clusters, dtype=res.attention.dtype)).astype(np.intp)
+    res.w_tilde = straight_through_reconstruct(w_node, indices, res.codebook.centroids)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -133,44 +96,25 @@ def hard_forward(
 # ---------------------------------------------------------------------------
 
 
-def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
-    # inverse-CDF of the standard Gumbel from seeded uniforms
-    u = rng.random(shape)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return -np.log(-np.log(u))
+def gumbel_samples(dist: np.ndarray, temperature, rng: np.random.Generator, draws: int = 1):
+    """Gumbel-softmax samples of a cluster-major (k, rows) distance tile.
 
-
-def gumbel_attention(dist, temperature: float, seed: int, draws: int = 1) -> np.ndarray:
-    """Stochastic soft assignments: softmax((d + gumbel) / tau) per draw.
-
-    Averaging several independent draws keeps rows stochastic while cutting
-    the sampling variance.
+    A list of ``draws`` tiles softmax((dist + g) / tau) over the clusters,
+    each with fresh standard Gumbel noise g: seeded uniforms from ``rng``,
+    drawn as (rows, k) row major, through the inverse CDF. Their mean is
+    the Gumbel attention: stochastic columns whose sampling variance falls
+    as draws are averaged.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    d = _values(dist)
-    rng = np.random.default_rng(seed)
-    acc = np.zeros_like(d)
-    for _ in range(draws):
-        z = (d + _gumbel(rng, d.shape)) / temperature
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        acc += e / e.sum(axis=1, keepdims=True)
-    return acc / draws
 
+    def sample():
+        u = np.clip(rng.random(dist.shape[::-1]), 1e-300, 1.0 - 1e-16).T
+        return _softmax_clusters(dist - np.log(-np.log(u)).astype(dist.dtype, copy=False), temperature)
 
-def gumbel_attention_node(dist: Node, temperature: float, rng: np.random.Generator, draws: int = 1) -> Node:
-    """Tape version of gumbel_attention; gradients flow through the softmax."""
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
-    total = None
-    for _ in range(draws):
-        noise = ad.constant(_gumbel(rng, dist.shape).astype(dist.value.dtype), checked=False)
-        sample = ad.row_softmax(ad.add(dist, noise), temperature)
-        total = sample if total is None else ad.add(total, sample)
-    return ad.scalar_mul(total, 1.0 / draws) if draws > 1 else total
+    return [sample() for _ in range(draws)]
 
 
 def gumbel_forward(
@@ -181,55 +125,18 @@ def gumbel_forward(
     draws: int = 1,
     init_seed: int | None = None,
 ) -> DkmResult:
-    """The iterative clustering loop with Gumbel-softmax attention.
+    """The clustering loop with Gumbel-softmax attention.
 
     ``seed`` drives the noise draws; ``init_seed`` (defaulting to it) drives
-    centroid seeding when no warm start is given. Raises ResourceError
-    before seeding when the loop's (m, k) arrays cannot fit in memory, and
-    NumericError naming the iteration whose centroids come out non-finite.
+    centroid seeding when no warm start is given. The loop is one tape node,
+    like the soft one: backward replays each pass's noise from the
+    generator state saved at its start. Raises ResourceError before seeding
+    when one (m, k) array and a tile cannot fit in memory, and NumericError
+    naming the iteration whose centroids come out non-finite.
     """
-    if config is None:
-        raise ParameterError("config is required")
-    # (m, k) tape arrays per step: the distances; per draw the noise, the
-    # noisy logits and their softmax; and, over several draws, their running
-    # sums and mean. Every step stays on the tape of a differentiable input;
-    # a constant one holds a single step at a time.
-    arrays = 1 + 3 * draws + (draws if draws > 1 else 0)
-
-    def need_bytes(mk_bytes: int, differentiable: bool) -> int:
-        steps = config.max_iterations + 1 if differentiable else 1
-        return steps * arrays * mk_bytes
-
-    w_node, start = loop_start(w, warm_start, config, seed if init_seed is None else init_seed, need_bytes)
+    w_node, start = loop_start(w, warm_start, config, seed if init_seed is None else init_seed)
     rng = np.random.default_rng(seed)
-
-    c_node = ad.constant(start, checked=False)
-    delta = np.inf
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        dist = distance_matrix(w_node, c_node, config.metric)
-        attn = gumbel_attention_node(dist, config.temperature, rng, draws)
-        candidate = centroid_update(attn, w_node, prev=c_node)
-        if not np.all(np.isfinite(candidate.value)):
-            raise NumericError(f"non-finite centroids at iteration {it}")
-        delta = float(np.linalg.norm(candidate.value - c_node.value))
-        c_node = candidate
-        iterations = it
-        if config.epsilon > 0 and delta <= config.epsilon:
-            converged = True
-            break
-
-    final_attn = gumbel_attention_node(
-        distance_matrix(w_node, c_node, config.metric), config.temperature, rng, draws
-    )
-    w_tilde = ad.matmul(final_attn, c_node)
-    return DkmResult(
-        w_tilde=w_tilde,
-        attention=final_attn.value.copy(),
-        codebook=Codebook(c_node.value.copy()),
-        telemetry=DkmTelemetry(iterations_used=iterations, final_delta=delta, converged=converged),
-    )
+    return _cluster_loop(w_node, start, config, lambda dist, tau: gumbel_samples(dist, tau, rng, draws), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +175,11 @@ def lloyd_kmeans(w, k: int, seed: int = 0, max_iter: int = 100) -> LloydResult:
     assignment step; it never increases.
     """
     points = _values(w)
-    if points.shape[0] < k:
-        raise DataError(f"need at least {k} points for {k} clusters, got {points.shape[0]}")
-    rng = np.random.default_rng(seed)
-
-    centers = np.empty((k, points.shape[1]), dtype=points.dtype)
-    centers[0] = points[rng.integers(points.shape[0])]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        idx = rng.integers(points.shape[0]) if total <= 0 else rng.choice(points.shape[0], p=d2 / total)
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
-
     n = points.shape[0]
+    if n < k:
+        raise DataError(f"need at least {k} points for {k} clusters, got {n}")
+    centers = kmeans_pp(points, k, np.random.default_rng(seed))
+
     assign = None
     trace: list[float] = []
     for _ in range(max_iter):
@@ -291,10 +189,11 @@ def lloyd_kmeans(w, k: int, seed: int = 0, max_iter: int = 100) -> LloydResult:
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                centers[j] = points[members].mean(axis=0)
+        counts = np.bincount(assign, minlength=k)
+        occupied = counts > 0
+        for j in range(points.shape[1]):
+            sums = np.bincount(assign, weights=points[:, j], minlength=k)
+            centers[occupied, j] = sums[occupied] / counts[occupied]
     else:
         # cap reached after a center update: re-derive consistent assignments
         dist2 = _pairwise_sq(points, centers)

@@ -11,16 +11,17 @@ The whole loop is one tape node. It runs over row tiles of about
 TILE_BYTES, each laid out cluster-major (k, rows), and saves for backward
 only the input, each iteration's (k, dim) codebook and (k,) attention
 column sums. Backward recomputes every tile's distances and attention
-from those, so the tape does not grow with count * 2^bits. The public
-``distance_matrix``, ``attention`` and ``centroid_update`` build the same
-steps as separate tape nodes.
+from those, so the tape does not grow with count * 2^bits. The same loop
+serves every assignment mode: only the rule turning a distance tile into
+attention changes (the softmax here; Gumbel-softmax draws and a one-hot
+argmax in ``baselines``). The public ``distance_matrix``, ``attention``
+and ``centroid_update`` build the soft steps as separate tape nodes.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -163,46 +164,61 @@ class DkmResult:
     trajectory: list[np.ndarray] = field(default_factory=list)
 
 
+def _values(x) -> np.ndarray:
+    """The array behind a Node, SubvectorMatrix or Codebook; anything else as float64."""
+    if isinstance(x, Node):
+        return x.value
+    if isinstance(x, SubvectorMatrix):
+        return x.values
+    if isinstance(x, Codebook):
+        return x.centroids
+    return np.asarray(x, dtype=np.float64)
+
+
 def _as_node(x) -> Node:
     if isinstance(x, Node):
         return x
-    if isinstance(x, SubvectorMatrix):
-        return ad.constant(x.values)
-    if isinstance(x, Codebook):
-        return ad.constant(x.centroids)
-    return ad.constant(x)
+    return ad.constant(x if isinstance(x, np.ndarray) else _values(x))
 
 
 def init_centroids(w: SubvectorMatrix, config: DkmConfig, seed: int) -> Codebook:
     """Seed 2^bits centroids from the sub-vectors, deterministically.
 
-    random_sample draws k distinct rows: ``rng.choice(count, k, replace=False)``.
-    kmeans_pp draws the first row uniformly (``rng.integers(count)``) and each
-    next one with probability proportional to its squared distance from the
-    nearest already-chosen centroid (``rng.choice(count, p=d2 / d2.sum())``).
+    With ``rng = np.random.default_rng(seed)``, random_sample draws k
+    distinct rows (``rng.choice(count, k, replace=False)``) and kmeans_pp
+    returns ``kmeans_pp(values, k, rng)``.
     """
     k = config.clusters
     if w.count < k:
         raise DataError(f"need at least {k} sub-vectors to seed {k} clusters, got {w.count}")
     rng = np.random.default_rng(seed)
-    points = w.values
-
     if config.init == RANDOM_SAMPLE:
         idx = rng.choice(w.count, size=k, replace=False)
-        return Codebook(points[idx].copy())
+        return Codebook(w.values[idx].copy())
+    return Codebook(kmeans_pp(w.values, k, rng))
 
-    chosen = np.empty((k, w.dim), dtype=points.dtype)
-    chosen[0] = points[rng.integers(w.count)]
+
+def kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k rows of ``points`` (count >= k) chosen by D^2 weighting.
+
+    The first row is drawn uniformly (``rng.integers(count)``) and each next
+    one with probability proportional to its squared distance from the
+    nearest already-chosen row (``rng.choice(count, p=d2 / d2.sum())``, or
+    uniformly again once every distance is zero).
+    """
+    count = points.shape[0]
+    chosen = np.empty((k, points.shape[1]), dtype=points.dtype)
+    chosen[0] = points[rng.integers(count)]
     d2 = np.sum((points - chosen[0]) ** 2, axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            idx = rng.integers(w.count)
+            idx = rng.integers(count)
         else:
-            idx = rng.choice(w.count, p=d2 / total)
+            idx = rng.choice(count, p=d2 / total)
         chosen[j] = points[idx]
         d2 = np.minimum(d2, np.sum((points - chosen[j]) ** 2, axis=1))
-    return Codebook(chosen)
+    return chosen
 
 
 def distance_matrix(w, c, metric: str = SQUARED_EUCLIDEAN) -> Node:
@@ -259,18 +275,18 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def loop_start(
-    w, warm_start: Codebook | None, config: DkmConfig, seed: int, need_bytes: Callable[[int, bool], int]
-) -> tuple[Node, np.ndarray]:
-    """Input node and starting centroids shared by the clustering loops.
+def loop_start(w, warm_start: Codebook | None, config: DkmConfig, seed: int) -> tuple[Node, np.ndarray]:
+    """Input node and starting centroids of the clustering loop.
 
     ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
-    graph Node of shape (count, dim). Before seeding, asks
-    ``need_bytes(bytes of one (m, k) array, input is differentiable)`` how
-    much the loop will hold and raises ResourceError if that exceeds
-    physical memory. The warm start must be (2^bits, dim); it is copied,
-    never aliased.
+    graph Node of shape (count, dim). Before seeding, raises ResourceError
+    when one (m, k) array plus one tile exceeds physical memory: that is
+    all the loop holds of that size, whatever the assignment rule, the
+    iteration count or ``requires_grad``. The warm start must be
+    (2^bits, dim); it is copied, never aliased.
     """
+    if config is None:
+        raise ParameterError("config is required")
     if isinstance(w, Node):
         w_node, values = w, w.value
     else:
@@ -279,7 +295,7 @@ def loop_start(
     if values.shape[1] != config.dim:
         raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
 
-    need = need_bytes(values.shape[0] * k * values.itemsize, w_node.requires_grad)
+    need = values.shape[0] * k * values.itemsize + TILE_BYTES
     available = physical_memory_bytes()
     if available is not None and need > available:
         raise ResourceError(
@@ -316,11 +332,43 @@ def _softmax_clusters(dist: np.ndarray, tau) -> np.ndarray:
     return y
 
 
-def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles):
+def _soft_rule(dist: np.ndarray, tau) -> tuple[np.ndarray]:
+    """The DKM assignment rule: one temperature softmax over the clusters."""
+    return (_softmax_clusters(dist, tau),)
+
+
+def _attend(samples, tau, ga: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The attention tile, the mean of a rule's samples, and its backward.
+
+    Given ``ga`` = d(loss)/d(attention), also returns the gradient reaching
+    the distances: each sample s is a softmax over the clusters of
+    (distances + its noise) / tau, so it passes ``s * (ga - sum_k ga s) / tau``
+    and the gradient is the mean of those. ``ga`` and the first sample are
+    overwritten.
+    """
+    n = len(samples)
+    g = None
+    if ga is not None:
+        for i, s in enumerate(samples):
+            gs = ga if i == n - 1 else ga.copy()
+            gs -= (gs * s).sum(axis=0)
+            gs *= s
+            g = gs if g is None else np.add(g, gs, out=g)
+        g /= tau * n
+    a = samples[0]
+    for s in samples[1:]:
+        a += s
+    if n > 1:
+        a *= 1.0 / n
+    return a, g
+
+
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks):
     """Backward of the fused loop: recompute each tile, then run the chain rule.
 
-    Pass p recomputes the attention to ``codebooks[p]``. The last pass is the
-    output ``w_tilde = A C``; every earlier one is the update
+    Pass p recomputes the attention to ``codebooks[p]``, replaying the
+    rule's draws from ``marks[p]``. The last pass is the output
+    ``w_tilde = A C``; every earlier one is the update
     ``C' = (A^T w) / s * mask + C * (1 - mask)`` with ``s = col_sums[p]``.
     Only ``w`` receives a gradient: the starting codebook is a constant.
     """
@@ -331,6 +379,8 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles):
         g_next = None  # gradient reaching codebooks[p + 1]
         for p in range(steps, -1, -1):
             c = codebooks[p]
+            if rng is not None:
+                rng.bit_generator.state = marks[p]
             g_c = np.zeros_like(c) if p > 0 else None
             if p < steps:
                 sums = col_sums[p]
@@ -342,19 +392,19 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles):
             for rows in tiles:
                 wr = w[rows]
                 dist = ad.neg_distance_cluster_major(wr, c, euclidean)
-                a = _softmax_clusters(dist, tau)
+                samples = rule(dist, tau)
                 if p == steps:
                     gr = g[rows]
                     ga = c @ gr.T
-                    g_c += a @ gr
                 else:
                     ga = g_weighted @ wr.T
                     ga += g_sums[:, None]
-                    gw[rows] += a.T @ g_weighted
                 # through the softmax over clusters ...
-                ga -= (ga * a).sum(axis=0)
-                ga *= a
-                ga /= tau
+                a, ga = _attend(samples, tau, ga)
+                if p == steps:
+                    g_c += a @ gr
+                else:
+                    gw[rows] += a.T @ g_weighted
                 # ... to gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), zero where clamped
                 if euclidean:
                     ga *= -0.5
@@ -371,48 +421,44 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles):
     return backward
 
 
-def dkm_forward(
-    w,
-    warm_start: Codebook | None = None,
-    config: DkmConfig | None = None,
-    seed: int = 0,
+def _cluster_loop(
+    w_node: Node,
+    c: np.ndarray,
+    config: DkmConfig,
+    rule=_soft_rule,
+    rng: np.random.Generator | None = None,
     record_trajectory: bool = False,
 ) -> DkmResult:
-    """Run the clustering loop and return soft weights on the tape.
+    """The clustering loop of every assignment mode, from centroids ``c``.
 
-    ``w`` may be a SubvectorMatrix or an existing graph Node of shape
-    (count, dim); a constant Node clusters without building a tape. Initial
-    centroids come from ``warm_start`` (detached copy) or from
-    ``init_centroids``; gradients flow through every executed iteration
-    back to ``w`` but never across batches.
-
-    The loop is one tape node, ``w_tilde``, which holds only ``w``, each
-    iteration's codebook and attention column sums; the attention is
-    recomputed tile by tile in backward. ``attention`` is a fresh (m, k)
-    array filled tile by tile, which the tape does not hold. Raises
-    ResourceError before seeding when that array and one tile cannot fit
-    in physical memory, and NumericError naming the iteration whose
-    centroids come out non-finite.
+    ``rule(dist, tau)`` maps a cluster-major (k, rows) tile of negated
+    distances to the list of samples whose mean is its attention tile: one
+    softmax for the soft rule, one per draw for Gumbel, one one-hot for
+    hard. Only softmax samples have a backward. A rule that draws from ``rng`` is
+    replayed in backward from the generator state saved at the start of
+    each pass. Otherwise as ``dkm_forward`` describes.
     """
-    if config is None:
-        raise ParameterError("config is required")
-    w_node, c = loop_start(w, warm_start, config, seed, lambda mk_bytes, _: mk_bytes + TILE_BYTES)
     w = w_node.value
     m, d = w.shape
     k = config.clusters
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
+    marks = []  # generator state at the start of each pass
+
+    def attend(rows, c):
+        return _attend(rule(ad.neg_distance_cluster_major(w[rows], c, euclidean), tau), tau)[0]
 
     codebooks = [c]
     col_sums = []
     delta = np.inf
     converged = False
     for it in range(1, config.max_iterations + 1):
+        marks.append(None if rng is None else rng.bit_generator.state)
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
         for rows in tiles:
-            a = _softmax_clusters(ad.neg_distance_cluster_major(w[rows], c, euclidean), tau)
+            a = attend(rows, c)
             sums += a.sum(axis=1)
             weighted += a @ w[rows]
         # masked arithmetic, not np.where, so a NaN column sum poisons the
@@ -431,12 +477,13 @@ def dkm_forward(
 
     attn = np.empty((m, k), dtype=w.dtype)
     w_tilde = np.empty((m, d), dtype=w.dtype)
+    marks.append(None if rng is None else rng.bit_generator.state)
     for rows in tiles:
-        attn[rows] = _softmax_clusters(ad.neg_distance_cluster_major(w[rows], c, euclidean), tau).T
+        attn[rows] = attend(rows, c).T
         w_tilde[rows] = attn[rows] @ c
     backward = None
     if w_node.requires_grad:
-        backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles)
+        backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks)
 
     return DkmResult(
         w_tilde=Node(w_tilde, (w_node,), backward),
@@ -445,6 +492,33 @@ def dkm_forward(
         telemetry=DkmTelemetry(iterations_used=len(col_sums), final_delta=delta, converged=converged),
         trajectory=[b.copy() for b in codebooks] if record_trajectory else [],
     )
+
+
+def dkm_forward(
+    w,
+    warm_start: Codebook | None = None,
+    config: DkmConfig | None = None,
+    seed: int = 0,
+    record_trajectory: bool = False,
+) -> DkmResult:
+    """Run the soft clustering loop and return soft weights on the tape.
+
+    ``w`` may be a SubvectorMatrix or an existing graph Node of shape
+    (count, dim); a constant Node clusters without building a tape. Initial
+    centroids come from ``warm_start`` (detached copy) or from
+    ``init_centroids``; gradients flow through every executed iteration
+    back to ``w`` but never across batches.
+
+    The loop is one tape node, ``w_tilde``, which holds only ``w``, each
+    iteration's codebook and attention column sums; the attention is
+    recomputed tile by tile in backward. ``attention`` is a fresh (m, k)
+    array filled tile by tile, which the tape does not hold. Raises
+    ResourceError before seeding when that array and one tile cannot fit
+    in physical memory, and NumericError naming the iteration whose
+    centroids come out non-finite.
+    """
+    w_node, c = loop_start(w, warm_start, config, seed)
+    return _cluster_loop(w_node, c, config, record_trajectory=record_trajectory)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

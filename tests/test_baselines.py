@@ -6,7 +6,7 @@ from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
-from helpers import pairwise_sq_dists
+from helpers import pairwise_sq_dists, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,16 @@ def test_hard_forward_reconstruction_is_cluster_means():
 # ---------------------------------------------------------------------------
 
 
+def gumbel_mean(d: np.ndarray, temperature: float, seed: int, draws: int = 1) -> np.ndarray:
+    """Row-major Gumbel attention of (m, k) distances: the mean of the kernel's samples."""
+    samples = baselines.gumbel_samples(d.T, temperature, np.random.default_rng(seed), draws)
+    return np.mean(samples, axis=0).T
+
+
 def test_gumbel_hard_limit_yields_one_hot():
     rng = np.random.default_rng(81)
     d = -rng.uniform(0, 3, (10, 4))
-    a = baselines.gumbel_attention(d, temperature=1e-9, seed=5, draws=1)
+    a = gumbel_mean(d, temperature=1e-9, seed=5, draws=1)
     np.testing.assert_allclose(a.max(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
@@ -98,7 +104,7 @@ def test_gumbel_hard_draw_frequencies_match_softmax():
     d = np.array([[-0.2, -1.1, -0.6, -2.0]])
     p = core.attention(ad.constant(d), temperature=1.0).value[0]
     n = 10_000
-    mean = baselines.gumbel_attention(d, temperature=1e-9, seed=17, draws=n)[0]
+    mean = gumbel_mean(d, temperature=1e-9, seed=17, draws=n)[0]
     sigma = np.sqrt(p * (1.0 - p) / n)
     assert np.all(np.abs(mean - p) <= 3.0 * sigma)
 
@@ -107,7 +113,7 @@ def test_gumbel_rows_sum_to_one_for_any_draw_count():
     rng = np.random.default_rng(82)
     d = -rng.uniform(0, 2, (7, 5))
     for draws in (1, 2, 16):
-        a = baselines.gumbel_attention(d, temperature=0.7, seed=3, draws=draws)
+        a = gumbel_mean(d, temperature=0.7, seed=3, draws=draws)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(a >= 0)
 
@@ -117,9 +123,7 @@ def test_gumbel_averaging_reduces_variance():
     d = -rng.uniform(0, 2, (6, 4))
 
     def samples(draws):
-        return np.stack(
-            [baselines.gumbel_attention(d, 1.0, seed=s, draws=draws) for s in range(200)]
-        )
+        return np.stack([gumbel_mean(d, 1.0, seed=s, draws=draws) for s in range(200)])
 
     var1 = samples(1).var(axis=0).mean()
     var16 = samples(16).var(axis=0).mean()
@@ -127,20 +131,86 @@ def test_gumbel_averaging_reduces_variance():
 
 
 def test_gumbel_rejects_bad_parameters():
-    d = np.zeros((1, 2))
+    d, rng = np.zeros((2, 1)), np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        baselines.gumbel_attention(d, temperature=0.0, seed=0)
+        baselines.gumbel_samples(d, temperature=0.0, rng=rng)
     with pytest.raises(ParameterError):
-        baselines.gumbel_attention(d, temperature=1.0, seed=0, draws=0)
+        baselines.gumbel_samples(d, temperature=1.0, rng=rng, draws=0)
+    w = SubvectorMatrix(np.arange(8.0).reshape(-1, 1), 8)
+    with pytest.raises(ParameterError, match="draws must be >= 1"):
+        baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=0)
 
 
-def test_gumbel_node_gradient_flows():
-    rng = np.random.default_rng(84)
-    d = ad.leaf(-rng.uniform(0, 2, (5, 3)))
-    a = baselines.gumbel_attention_node(d, 0.8, np.random.default_rng(0), draws=4)
-    np.testing.assert_allclose(a.value.sum(axis=1), 1.0, atol=1e-12)
-    ad.backward(ad.sum_all(ad.square(a)))
-    assert d.grad is not None and np.any(d.grad != 0)
+def gumbel_noise(rng, m: int, k: int, draws: int, tile_rows: int) -> np.ndarray:
+    """(draws, m, k) noise for one pass, drawn tile by tile as the fused loop does.
+
+    Each tile of ``tile_rows`` rows draws its ``draws`` noise blocks in turn,
+    each as (rows, k) uniforms mapped through the Gumbel inverse CDF.
+    """
+    noise = np.empty((draws, m, k))
+    for lo in range(0, m, tile_rows):
+        hi = min(lo + tile_rows, m)
+        for j in range(draws):
+            u = np.clip(rng.random((hi - lo, k)), 1e-300, 1.0 - 1e-16)
+            noise[j, lo:hi] = -np.log(-np.log(u))
+    return noise
+
+
+def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, draws: int, iterations: int):
+    """w_tilde, attention and codebook of the Gumbel loop built from one node per step."""
+    rng = np.random.default_rng(seed)
+    m, k = w_node.shape[0], cfg.clusters
+    tile_rows = core.TILE_BYTES // (k * 8)
+
+    def noisy_attention(c):
+        dist = core.distance_matrix(w_node, c, cfg.metric)
+        total = None
+        for noise in gumbel_noise(rng, m, k, draws, tile_rows):
+            sample = ad.row_softmax(ad.add(dist, ad.constant(noise)), cfg.temperature)
+            total = sample if total is None else ad.add(total, sample)
+        return ad.scalar_mul(total, 1.0 / draws)
+
+    c = ad.constant(start)
+    for _ in range(iterations):
+        c = core.centroid_update(noisy_attention(c), w_node, prev=c)
+    final = noisy_attention(c)
+    return ad.matmul(final, c), final.value, c.value
+
+
+@pytest.mark.parametrize(
+    "m, bits, draws, metric",
+    [
+        (120, 2, 1, core.SQUARED_EUCLIDEAN),
+        (120, 2, 3, core.SQUARED_EUCLIDEAN),
+        (120, 3, 1, core.EUCLIDEAN),
+        (120, 3, 3, core.EUCLIDEAN),
+        (1300, 8, 2, core.SQUARED_EUCLIDEAN),  # three tiles, the last one partial
+    ],
+)
+def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
+    cfg = DkmConfig(bits=bits, temperature=0.3, epsilon=0.0, max_iterations=3, metric=metric)
+    if m > 1000:
+        rows = core.TILE_BYTES // (cfg.clusters * 8)
+        assert 2 * rows < m < 3 * rows
+    rng = np.random.default_rng(86)
+    values = rng.normal(size=(m, 1))
+    target = rng.normal(size=(m, 1))
+    start = core.init_centroids(SubvectorMatrix(values, m), cfg, seed=2).centroids
+
+    leaf = ad.leaf(values)
+    res = baselines.gumbel_forward(leaf, Codebook(start), cfg, seed=11, draws=draws)
+    ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
+
+    ref_leaf = ad.leaf(values)
+    ref_w_tilde, ref_attention, ref_codebook = composed_gumbel_loop(ref_leaf, start, cfg, 11, draws, 3)
+    ad.backward(ad.sum_all(ad.square(ad.sub(ref_w_tilde, ad.constant(target)))))
+
+    assert res.telemetry.iterations_used == 3
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-10
+    assert rel_err(res.attention, ref_attention) <= 1e-10
+    assert rel_err(res.w_tilde.value, ref_w_tilde.value) <= 1e-10
+    assert rel_err(leaf.grad, ref_leaf.grad) <= 1e-10
+    assert np.any(leaf.grad != 0)
 
 
 def test_gumbel_forward_runs_and_is_seeded():
@@ -169,13 +239,16 @@ def test_gumbel_forward_nonfinite_iterate_names_iteration():
             baselines.gumbel_forward(w, config=DkmConfig(bits=2, temperature=0.5), seed=0)
 
 
-def test_gumbel_forward_refuses_layer_larger_than_memory():
+@pytest.mark.parametrize("forward", [baselines.gumbel_forward, baselines.hard_forward])
+def test_gumbel_forward_refuses_layer_larger_than_memory(forward):
+    # every mode holds one (m, k) array plus a tile: 64 GiB here
     w = SubvectorMatrix(np.zeros((131072, 1)), 131072)
+    need = 131072 * 65536 * 8 + core.TILE_BYTES
     available = core.physical_memory_bytes()
-    if available is None or available >= 131072 * 65536 * 8:
+    if available is None or available >= need:
         pytest.skip("this machine has room for the layer the test expects to be refused")
-    with pytest.raises(ResourceError, match="physical memory"):
-        baselines.gumbel_forward(w, config=DkmConfig(bits=16), seed=0)
+    with pytest.raises(ResourceError, match=f"needs about {need} bytes, more than the {available} bytes"):
+        forward(w, config=DkmConfig(bits=16), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +298,15 @@ def test_lloyd_objective_is_nonincreasing():
     res = baselines.lloyd_kmeans(SubvectorMatrix(pts, pts.size), k=4, seed=1)
     for prev, nxt in zip(res.objective_trace, res.objective_trace[1:]):
         assert nxt <= prev + 1e-12
+
+
+def test_lloyd_seeds_like_kmeans_pp_init():
+    rng = np.random.default_rng(94)
+    w = SubvectorMatrix(rng.normal(size=(40, 1)), 40)
+    for seed in (0, 5, 31):
+        lloyd = baselines.lloyd_kmeans(w, 4, seed, max_iter=0)
+        init = core.init_centroids(w, DkmConfig(bits=2, init=core.KMEANS_PP), seed)
+        np.testing.assert_array_equal(lloyd.codebook.centroids, init.centroids)
 
 
 def test_lloyd_insufficient_data():

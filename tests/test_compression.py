@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkm import compression as comp
 from dkm import core
@@ -7,6 +9,7 @@ from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 from dkm.errors import (
     BadMagicError,
     DataError,
+    DkmError,
     FormatError,
     IndexRangeError,
     ShapeError,
@@ -290,3 +293,72 @@ def test_policy_skips_first_and_last():
     assert policy.apply(base, 2, 3, 10**6) is None
     assert policy.apply(base, 1, 3, 10**6) == base
     assert policy.apply(None, 1, 3, 10**6) is None
+
+
+# ---------------------------------------------------------------------------
+# container properties
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def layers(draw) -> comp.CompressedLayer:
+    """Any valid layer: bits 1-16, dim 1-8, ragged lengths, arbitrary float32 bit patterns."""
+    bits = draw(st.integers(1, 16))
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pad = (-n) % dim
+    return comp.CompressedLayer(
+        bits=bits,
+        dim=dim,
+        original_length=n,
+        pad_count=pad,
+        codebook=rng.integers(0, 2**32, (1 << bits, dim), dtype=np.uint32).view(np.float32),
+        indices=rng.integers(0, 1 << bits, (n + pad) // dim),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(layers())
+def test_serialize_roundtrip_is_exact(layer):
+    back = comp.deserialize(comp.serialize(layer))
+    assert (back.bits, back.dim, back.original_length, back.pad_count) == (
+        layer.bits,
+        layer.dim,
+        layer.original_length,
+        layer.pad_count,
+    )
+    # compared as bit patterns, so NaN payloads and signed zeros count too
+    np.testing.assert_array_equal(back.codebook.view(np.uint32), layer.codebook.view(np.uint32))
+    np.testing.assert_array_equal(back.indices, layer.indices)
+
+
+def _deserialize_or_dkm_error(blob: bytes) -> None:
+    try:
+        comp.deserialize(blob)
+    except DkmError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64))
+def test_deserialize_arbitrary_bytes_raises_only_dkm_errors(blob):
+    _deserialize_or_dkm_error(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layers(),
+    # byte edits, half of them aimed at the header
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, comp.HEADER_SIZE - 1), st.integers(0, 2**16)), st.integers(0, 255)),
+        max_size=8,
+    ),
+    st.integers(-8, 8),
+)
+def test_deserialize_mutated_container_raises_only_dkm_errors(layer, edits, resize):
+    blob = bytearray(comp.serialize(layer))
+    for position, value in edits:
+        blob[position % len(blob)] = value
+    blob = blob[: len(blob) + resize] if resize < 0 else blob + bytes(resize)
+    _deserialize_or_dkm_error(bytes(blob))

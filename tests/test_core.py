@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -442,19 +444,20 @@ def tape_arrays(root, min_size: int) -> list[np.ndarray]:
 
 
 def test_forward_tape_holds_no_attention_sized_buffer():
-    rng = np.random.default_rng(65)
-    w_node = ad.leaf(rng.normal(size=(4096, 1)))
     cfg = DkmConfig(bits=4, temperature=0.05, epsilon=0.0)
-    res = core.dkm_forward(w_node, config=cfg, seed=0)
     mk = 4096 * cfg.clusters
-    assert tape_arrays(res.w_tilde, mk) == []
-    assert res.attention.shape == (4096, cfg.clusters)
-    assert res.attention.flags.c_contiguous and res.attention.flags.writeable
+    gumbel = functools.partial(baselines.gumbel_forward, draws=2)
+    for forward in (core.dkm_forward, gumbel):
+        w_node = ad.leaf(np.random.default_rng(65).normal(size=(4096, 1)))
+        res = forward(w_node, config=cfg, seed=0)
+        assert tape_arrays(res.w_tilde, mk) == []
+        assert res.attention.shape == (4096, cfg.clusters)
+        assert res.attention.flags.c_contiguous and res.attention.flags.writeable
 
-    loss = ad.sum_all(ad.square(res.w_tilde))
-    ad.backward(loss)
-    assert tape_arrays(loss, mk) == [] and tape_arrays(res.w_tilde, mk) == []
-    assert w_node.grad.shape == (4096, 1) and np.all(np.isfinite(w_node.grad))
+        loss = ad.sum_all(ad.square(res.w_tilde))
+        ad.backward(loss)
+        assert tape_arrays(loss, mk) == [] and tape_arrays(res.w_tilde, mk) == []
+        assert w_node.grad.shape == (4096, 1) and np.all(np.isfinite(w_node.grad))
 
 
 def test_forward_on_constant_builds_no_tape_and_matches_leaf():
