@@ -268,20 +268,41 @@ def row_softmax(x: Node, temperature: float) -> Node:
     return Node(y, (x,), backward)
 
 
-def neg_distance_cluster_major(w: np.ndarray, c: np.ndarray, euclidean: bool = False) -> np.ndarray:
+def rows_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(k, m) dot products of the rows of a (k, d) with the rows of b (m, d): ``a @ b.T``.
+
+    At d = 1 a broadcast product gives the same bits as the K=1 matrix
+    product at a fraction of its cost; otherwise it is the matrix product.
+    """
+    if a.shape[1] == 1:
+        return np.multiply(a, b.T, out=out)
+    return np.matmul(a, b.T, out=out)
+
+
+def neg_distance_cluster_major(
+    w: np.ndarray,
+    c: np.ndarray,
+    euclidean: bool = False,
+    w_sq: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    cross: np.ndarray | None = None,
+) -> np.ndarray:
     """Negated distances between the rows of w (m, d) and c (k, d), laid out (k, m).
 
     Entry (j, i) is -max(|w_i|^2 + |c_j|^2 - 2 w_i.c_j, 0), the clamp
     absorbing tiny negatives from cancellation, or the negated square root
     of that when ``euclidean``. Plain arrays, no tape. The cluster-major
     layout turns reductions over the k clusters of each row into
-    contiguous elementwise passes.
+    contiguous elementwise passes. ``w_sq``, when given, is w's row sums of
+    squares, ``(w * w).sum(axis=1)``; ``out`` receives the result and
+    ``cross`` is a work array, both (k, m).
     """
-    out = (c * c).sum(axis=1)[:, None] + (w * w).sum(axis=1)
-    cross = c @ w.T
+    if w_sq is None:
+        w_sq = (w * w).sum(axis=1)
+    out = np.add((c * c).sum(axis=1)[:, None], w_sq, out=out)
+    cross = rows_dot(c, w, out=cross)
     cross *= -2.0
     out += cross
-    del cross
     np.maximum(out, 0.0, out=out)
     if euclidean:
         np.sqrt(out, out=out)

@@ -21,6 +21,7 @@ from .core import (
     Codebook,
     DkmConfig,
     DkmResult,
+    _TileWork,
     _cluster_loop,
     _softmax_clusters,
     _values,
@@ -47,9 +48,17 @@ def hard_attention(dist) -> np.ndarray:
     return out
 
 
-def _hard_rule(dist: np.ndarray, tau) -> tuple[np.ndarray]:
-    # one one-hot sample per (k, rows) tile, so centroids become cluster means
-    return (hard_attention(dist.T).T.astype(dist.dtype, copy=False),)
+def _hard_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
+    # one one-hot sample per (k, rows) tile, so centroids become cluster means.
+    # Where each column has one entry equal to its max, that entry is the
+    # argmax; a column with a tie (or a NaN) falls back to argmax, whose first
+    # maximum sends ties to the lowest index. The comparison costs about a
+    # quarter of numpy's argmax over axis 0.
+    one_hot = work.get("sample0", dist.shape, dist.dtype)
+    np.equal(dist, dist.max(axis=0), out=one_hot)
+    if not np.all(one_hot.sum(axis=0) == 1):
+        np.equal(np.argmax(dist, axis=0), np.arange(dist.shape[0])[:, None], out=one_hot)
+    return (one_hot,)
 
 
 def straight_through_reconstruct(w: Node, indices: np.ndarray, codebook: np.ndarray) -> Node:
@@ -96,25 +105,39 @@ def hard_forward(
 # ---------------------------------------------------------------------------
 
 
-def gumbel_samples(dist: np.ndarray, temperature, rng: np.random.Generator, draws: int = 1):
+def gumbel_samples(
+    dist: np.ndarray, temperature, rng: np.random.Generator, draws: int = 1, work: _TileWork | None = None
+):
     """Gumbel-softmax samples of a cluster-major (k, rows) distance tile.
 
     A list of ``draws`` tiles softmax((dist + g) / tau) over the clusters,
     each with fresh standard Gumbel noise g: seeded uniforms from ``rng``,
     drawn as (rows, k) row major, through the inverse CDF. Their mean is
     the Gumbel attention: stochastic columns whose sampling variance falls
-    as draws are averaged.
+    as draws are averaged. With ``work``, the noise and the samples are
+    written into its arrays (the clustering loop's reuse); without, into
+    fresh ones.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
+    if work is None:
+        work = _TileWork(dist.size)
 
-    def sample():
-        u = np.clip(rng.random(dist.shape[::-1]), 1e-300, 1.0 - 1e-16).T
-        return _softmax_clusters(dist - np.log(-np.log(u)).astype(dist.dtype, copy=False), temperature)
+    def sample(i):
+        # log(-log(u)) in place, then dist minus it: the operations of
+        # dist - np.log(-np.log(np.clip(u, ...))) in their order, so the
+        # random stream and the bits are those of fresh arrays
+        u = rng.random(out=work.get("noise", dist.shape[::-1], np.float64))
+        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        y = np.subtract(dist, u.T, out=work.get(f"sample{i}", dist.shape, dist.dtype), dtype=dist.dtype)
+        return _softmax_clusters(y, temperature, out=y)
 
-    return [sample() for _ in range(draws)]
+    return [sample(i) for i in range(draws)]
 
 
 def gumbel_forward(
@@ -136,7 +159,11 @@ def gumbel_forward(
     """
     w_node, start = loop_start(w, warm_start, config, seed if init_seed is None else init_seed)
     rng = np.random.default_rng(seed)
-    return _cluster_loop(w_node, start, config, lambda dist, tau: gumbel_samples(dist, tau, rng, draws), rng)
+
+    def rule(dist, tau, work):
+        return gumbel_samples(dist, tau, rng, draws, work)
+
+    return _cluster_loop(w_node, start, config, rule, rng)
 
 
 # ---------------------------------------------------------------------------

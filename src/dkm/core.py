@@ -16,6 +16,14 @@ serves every assignment mode: only the rule turning a distance tile into
 attention changes (the softmax here; Gumbel-softmax draws and a one-hot
 argmax in ``baselines``). The public ``distance_matrix``, ``attention``
 and ``centroid_update`` build the soft steps as separate tape nodes.
+
+Each call allocates its tile work arrays (distances, softmax samples,
+noise) once and reuses them for every tile and pass; they are freed when
+the call returns. The loop's softmax flushes subnormal tails: an entry
+whose shifted logit ``(d - max_k d) / tau`` is below log(finfo.tiny), so
+that its unnormalised weight would fall below the smallest normal float,
+is exactly 0 instead of a subnormal. Every other entry keeps the bits of
+the plain max-subtracted softmax.
 """
 
 from __future__ import annotations
@@ -153,6 +161,10 @@ class DkmResult:
 
     w_tilde stays attached to the tape; attention and codebook are detached
     values the caller owns (the codebook is the next batch's warm start).
+    In soft and Gumbel attention, an entry whose weight before
+    normalisation, exp((d - max_k d) / tau), would fall below the smallest
+    normal float is exactly 0, not a subnormal. Dividing by the column sum
+    (at most k) can still leave entries between tiny / k and tiny.
     trajectory, when recorded, holds the initial centroids followed by each
     iterate.
     """
@@ -323,21 +335,66 @@ def _occupied(col_sums: np.ndarray, dtype) -> np.ndarray:
     return (col_sums >= EMPTY_CLUSTER_THRESHOLD).astype(dtype)[:, None]
 
 
-def _softmax_clusters(dist: np.ndarray, tau) -> np.ndarray:
-    """Softmax over the clusters of a cluster-major (k, rows) tile, max-subtracted."""
-    y = dist - dist.max(axis=0)
+class _TileWork:
+    """Work arrays of one forward or backward call, reused by every tile and pass.
+
+    Each name owns one flat buffer of ``size`` entries, allocated at its
+    first use and freed with this object; ``get`` returns a C-contiguous
+    view of its leading entries. Reuse keeps the loop from allocating (and
+    page-faulting in) fresh tile-sized temporaries on every pass.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None:
+            buf = self.buffers[name] = np.empty(self.size, dtype)
+        return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _softmax_clusters(logits: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the clusters of a cluster-major (k, rows) tile, max-subtracted.
+
+    Entries whose shifted logit ``(logit - column max) / tau`` is below
+    log(finfo.tiny) are exactly 0: exp is not evaluated there, because its
+    subnormal and underflowing results take libm's slow path. Every other
+    entry has the bits of the plain softmax. ``out`` may be ``logits``.
+    """
+    y = np.subtract(logits, logits.max(axis=0), out=out)
     y /= tau
-    np.exp(y, out=y)
+    floor = np.log(np.finfo(y.dtype).tiny, dtype=np.float64)
+    # one reduction decides; tiles with nothing to flush pay nothing more
+    if y.min() < floor:
+        low = y < floor
+        if np.count_nonzero(low) * 32 <= low.size:
+            # a few entries (a large layer at a moderate tau): masked copies
+            # cost little more than reading the mask
+            np.copyto(y, 0.0, where=low)
+            np.exp(y, out=y)
+            np.copyto(y, 0.0, where=low)
+        else:
+            # many (Gumbel noise at a small tau), where masked copies cost
+            # over ten times a multiply: multiply by the complement
+            keep = np.logical_not(low, out=low)
+            np.maximum(y, floor, out=y)  # so the product meets no -inf
+            y *= keep
+            np.exp(y, out=y)
+            y *= keep
+    else:
+        np.exp(y, out=y)
     y /= y.sum(axis=0)
     return y
 
 
-def _soft_rule(dist: np.ndarray, tau) -> tuple[np.ndarray]:
+def _soft_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
     """The DKM assignment rule: one temperature softmax over the clusters."""
-    return (_softmax_clusters(dist, tau),)
+    return (_softmax_clusters(dist, tau, work.get("sample0", dist.shape, dist.dtype)),)
 
 
-def _attend(samples, tau, ga: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def _attend(samples, tau, work: _TileWork, ga: np.ndarray | None = None):
     """The attention tile, the mean of a rule's samples, and its backward.
 
     Given ``ga`` = d(loss)/d(attention), also returns the gradient reaching
@@ -349,9 +406,14 @@ def _attend(samples, tau, ga: np.ndarray | None = None) -> tuple[np.ndarray, np.
     n = len(samples)
     g = None
     if ga is not None:
+        prod = work.get("tmp", ga.shape, ga.dtype)
         for i, s in enumerate(samples):
-            gs = ga if i == n - 1 else ga.copy()
-            gs -= (gs * s).sum(axis=0)
+            if i == n - 1:
+                gs = ga
+            else:
+                gs = work.get("gs" if g is None else "gs_next", ga.shape, ga.dtype)
+                np.copyto(gs, ga)
+            gs -= np.multiply(gs, s, out=prod).sum(axis=0)
             gs *= s
             g = gs if g is None else np.add(g, gs, out=g)
         g /= tau * n
@@ -361,6 +423,19 @@ def _attend(samples, tau, ga: np.ndarray | None = None) -> tuple[np.ndarray, np.
     if n > 1:
         a *= 1.0 / n
     return a, g
+
+
+def _tile_distances(w, w_sq, rows, c, euclidean, work: _TileWork) -> np.ndarray:
+    """The (k, rows) negated-distance tile of ``w[rows]``, in the work arrays.
+
+    ``tmp`` holds only the kernel's cross term, so later steps of the tile
+    may reuse it.
+    """
+    shape = (c.shape[0], rows.stop - rows.start)
+    return ad.neg_distance_cluster_major(
+        w[rows], c, euclidean, w_sq[rows],
+        work.get("dist", shape, w.dtype), work.get("tmp", shape, w.dtype),
+    )
 
 
 def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks):
@@ -375,6 +450,8 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
 
     def backward(g):
         gw = np.zeros_like(w)
+        w_sq = (w * w).sum(axis=1)
+        work = _TileWork(codebooks[0].shape[0] * tiles[0].stop)
         steps = len(col_sums)
         g_next = None  # gradient reaching codebooks[p + 1]
         for p in range(steps, -1, -1):
@@ -391,16 +468,17 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                     g_c += g_next * (1.0 - mask)
             for rows in tiles:
                 wr = w[rows]
-                dist = ad.neg_distance_cluster_major(wr, c, euclidean)
-                samples = rule(dist, tau)
+                dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+                samples = rule(dist, tau, work)
+                ga = work.get("ga", dist.shape, dist.dtype)
                 if p == steps:
                     gr = g[rows]
-                    ga = c @ gr.T
+                    ad.rows_dot(c, gr, out=ga)
                 else:
-                    ga = g_weighted @ wr.T
+                    ad.rows_dot(g_weighted, wr, out=ga)
                     ga += g_sums[:, None]
                 # through the softmax over clusters ...
-                a, ga = _attend(samples, tau, ga)
+                a, ga = _attend(samples, tau, work, ga)
                 if p == steps:
                     g_c += a @ gr
                 else:
@@ -408,10 +486,12 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                 # ... to gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), zero where clamped
                 if euclidean:
                     ga *= -0.5
-                    ga /= np.maximum(-dist, np.finfo(dist.dtype).tiny ** 0.5)
+                    root = np.negative(dist, out=work.get("tmp", dist.shape, dist.dtype))
+                    ga /= np.maximum(root, np.finfo(dist.dtype).tiny ** 0.5, out=root)
                 else:
                     np.negative(ga, out=ga)
-                ga *= dist < 0
+                if not dist.max() < 0:  # a clamped entry is 0; most tiles have none
+                    ga *= np.less(dist, 0, out=work.get("clamp", dist.shape, bool))
                 gw[rows] += 2.0 * wr * ga.sum(axis=0)[:, None] - 2.0 * (ga.T @ c)
                 if g_c is not None:
                     g_c += 2.0 * c * ga.sum(axis=1)[:, None] - 2.0 * (ga @ wr)
@@ -431,12 +511,14 @@ def _cluster_loop(
 ) -> DkmResult:
     """The clustering loop of every assignment mode, from centroids ``c``.
 
-    ``rule(dist, tau)`` maps a cluster-major (k, rows) tile of negated
+    ``rule(dist, tau, work)`` maps a cluster-major (k, rows) tile of negated
     distances to the list of samples whose mean is its attention tile: one
     softmax for the soft rule, one per draw for Gumbel, one one-hot for
-    hard. Only softmax samples have a backward. A rule that draws from ``rng`` is
-    replayed in backward from the generator state saved at the start of
-    each pass. Otherwise as ``dkm_forward`` describes.
+    hard. Samples live in the call's work arrays (``work.get``) and are
+    only valid until the next tile. Only softmax samples have a backward. A
+    rule that draws from ``rng`` is replayed in backward from the generator
+    state saved at the start of each pass. Otherwise as ``dkm_forward``
+    describes.
     """
     w = w_node.value
     m, d = w.shape
@@ -445,9 +527,12 @@ def _cluster_loop(
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
     marks = []  # generator state at the start of each pass
+    w_sq = (w * w).sum(axis=1)
+    work = _TileWork(k * tiles[0].stop)  # the first tile is the largest
 
     def attend(rows, c):
-        return _attend(rule(ad.neg_distance_cluster_major(w[rows], c, euclidean), tau), tau)[0]
+        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+        return _attend(rule(dist, tau, work), tau, work)[0]
 
     codebooks = [c]
     col_sums = []

@@ -141,6 +141,54 @@ def test_gumbel_rejects_bad_parameters():
         baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=0)
 
 
+def fresh_gumbel_samples(dist: np.ndarray, tau, rng, draws: int) -> list[np.ndarray]:
+    """Gumbel samples on fresh arrays: softmax(dist - log(-log(clip(u)))) per draw."""
+    samples = []
+    for _ in range(draws):
+        u = np.clip(rng.random(dist.shape[::-1]), 1e-300, 1.0 - 1e-16).T
+        y = dist - np.log(-np.log(u)).astype(dist.dtype, copy=False)
+        y = y - y.max(axis=0)
+        y /= tau
+        np.exp(y, out=y)
+        y /= y.sum(axis=0)
+        samples.append(y)
+    return samples
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("draws", [1, 3])
+def test_gumbel_samples_in_reused_work_arrays_match_fresh_ones(dtype, draws):
+    # bits=8, m=1300: tiles of the loop's size, the last one ragged, share
+    # one set of work arrays as they do inside a forward or backward call
+    k, m = 256, 1300
+    tiles = core._row_tiles(m, k, np.dtype(dtype).itemsize)
+    assert len(tiles) >= 2 and tiles[-1].stop - tiles[-1].start < tiles[0].stop - tiles[0].start
+    dist = -np.random.default_rng(87).uniform(0, 3, (k, m)).astype(dtype)
+    tau = dtype(0.3)  # nothing reaches the subnormal flush
+    work = core._TileWork(k * (tiles[0].stop - tiles[0].start))
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    for rows in tiles:
+        tile = np.ascontiguousarray(dist[:, rows])
+        got = baselines.gumbel_samples(tile, tau, rng, draws, work)
+        want = fresh_gumbel_samples(tile, tau, ref_rng, draws)
+        assert len(got) == draws
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, w)
+    assert rng.random() == ref_rng.random()
+
+
+def test_hard_rule_matches_hard_attention_with_ties():
+    rng = np.random.default_rng(88)
+    dist = -rng.integers(0, 4, (8, 500)).astype(np.float64)  # many tied columns
+    dist[:, :100] = -rng.uniform(0, 1, (8, 100))  # and some without ties
+    dist[3] = dist[5]  # duplicate centroids tie in every column
+    for tile in (dist[:, :100], dist):
+        tile = np.ascontiguousarray(tile)
+        (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size))
+        np.testing.assert_array_equal(one_hot, baselines.hard_attention(tile.T).T)
+
+
 def gumbel_noise(rng, m: int, k: int, draws: int, tile_rows: int) -> np.ndarray:
     """(draws, m, k) noise for one pass, drawn tile by tile as the fused loop does.
 

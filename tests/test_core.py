@@ -597,3 +597,115 @@ def test_fused_loop_keeps_float32():
     # the two float32 loops sum in different orders
     assert rel_err(grad, ref_grad) <= 1e-5
     assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the tile kernel: subnormal flush and work arrays reused within a call
+# ---------------------------------------------------------------------------
+
+
+def plain_softmax_clusters(dist: np.ndarray, tau) -> np.ndarray:
+    """The max-subtracted softmax over axis 0, exp evaluated everywhere."""
+    y = dist - dist.max(axis=0)
+    y /= tau
+    np.exp(y, out=y)
+    y /= y.sum(axis=0)
+    return y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("plain_columns", [0, 40])  # many flushed entries, then few
+def test_softmax_clusters_flushes_logits_below_log_tiny(dtype, plain_columns):
+    floor = np.log(np.finfo(dtype).tiny, dtype=np.float64)
+    # shifted logits: the kept max, the normal range, the subnormal band just
+    # below log(tiny), far below it, and an overflow to -inf
+    shifted = np.array([0.0, -3.0, floor + 0.5, floor - 0.5, 1.04 * floor, 3.0 * floor, -np.inf])
+    plain = -np.random.default_rng(90).uniform(0, 3, (7, plain_columns))
+    tau = dtype(0.5)
+    dist = np.column_stack([shifted, shifted[::-1], plain]).astype(dtype) * tau - dtype(2.0)
+    y = core._softmax_clusters(dist, tau)
+    assert y.dtype == dtype
+    logits = (dist - dist.max(axis=0)) / tau
+    below = logits < floor
+    assert below.sum() == 8 and np.all(y[below] == 0.0)
+    # the plain softmax leaves subnormals (or 0) there; everything else is bit-equal
+    ref = plain_softmax_clusters(dist, tau)
+    assert np.all(ref[below] < np.finfo(dtype).tiny)
+    np.testing.assert_array_equal(y[~below], ref[~below])
+    np.testing.assert_allclose(y.sum(axis=0), 1.0, rtol=4 * np.finfo(dtype).eps)
+    assert np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_clusters_is_the_plain_softmax_when_nothing_flushes(dtype):
+    rng = np.random.default_rng(91)
+    dist = -rng.uniform(0, 3, (16, 300)).astype(dtype)
+    tau = dtype(0.05)  # shifted logits reach -60, far above log(tiny)
+    out = np.empty_like(dist)
+    y = core._softmax_clusters(dist, tau, out=out)
+    assert y is out
+    np.testing.assert_array_equal(y, plain_softmax_clusters(dist, tau))
+    np.testing.assert_allclose(y.sum(axis=0), 1.0, rtol=1e-6)
+
+
+def test_softmax_clusters_columns_sum_to_one_at_a_near_hard_temperature():
+    dist = -np.random.default_rng(92).uniform(0, 3, (4, 500))
+    y = core._softmax_clusters(dist, 1e-4)
+    assert np.all((y == 0.0) | (y >= np.finfo(np.float64).tiny / 4))
+    np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distance_kernel_cross_term_matches_the_matrix_product(dim, dtype):
+    rng = np.random.default_rng(93)
+    w = rng.normal(size=(1000, dim)).astype(dtype)
+    c = rng.normal(size=(16, dim)).astype(dtype)
+    # the dim-1 broadcast product has the bits of the K=1 matrix product
+    np.testing.assert_array_equal(ad.rows_dot(c, w), c @ w.T)
+    ref = (c * c).sum(axis=1)[:, None] + (w * w).sum(axis=1)
+    ref += -2.0 * (c @ w.T)
+    ref = -np.maximum(ref, 0.0)
+    out, work = np.empty((16, 1000), dtype), np.empty((16, 1000), dtype)
+    got = ad.neg_distance_cluster_major(w, c, w_sq=(w * w).sum(axis=1), out=out, cross=work)
+    assert got is out
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(ad.neg_distance_cluster_major(w, c), ref)
+
+
+FORWARDS = {
+    "dkm": core.dkm_forward,
+    "gumbel": functools.partial(baselines.gumbel_forward, draws=2),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FORWARDS))
+def test_two_forwards_then_one_backward_match_separate_runs(mode):
+    forward = FORWARDS[mode]
+    rng = np.random.default_rng(94)
+    # the second layer spans three tiles, the last one ragged
+    layers = [
+        (rng.normal(size=(200, 1)), DkmConfig(bits=2, temperature=0.05, epsilon=0.0)),
+        (rng.normal(size=(1300, 1)), DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)),
+    ]
+    targets = [rng.normal(size=values.shape) for values, _ in layers]
+
+    def loss(w_tilde, target):
+        return ad.sum_all(ad.mul(w_tilde, ad.constant(target)))
+
+    alone = []
+    for (values, cfg), target in zip(layers, targets):
+        leaf = ad.leaf(values)
+        res = forward(leaf, config=cfg, seed=5)
+        ad.backward(loss(res.w_tilde, target))
+        alone.append((leaf.grad, res.attention))
+
+    leaves = [ad.leaf(values) for values, _ in layers]
+    results = [forward(leaf, config=cfg, seed=5) for leaf, (_, cfg) in zip(leaves, layers)]
+    first_attention = results[0].attention.copy()
+    ad.backward(ad.add(*(loss(res.w_tilde, t) for res, t in zip(results, targets))))
+    for leaf, res, (grad, attention) in zip(leaves, results, alone):
+        np.testing.assert_array_equal(leaf.grad, grad)
+        np.testing.assert_array_equal(res.attention, attention)
+    # a later call and a backward leave the first call's attention alone
+    np.testing.assert_array_equal(results[0].attention, first_attention)
