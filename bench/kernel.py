@@ -14,7 +14,9 @@ at the repository root):
   warm 15-epoch training per mode on the battery configuration (blobs, MLP
   (2, 64, 64, 4), bits 2, dim 1, tau 0.002), after every mode has trained
   one epoch in the same process. Final loss and snapped accuracy are kept
-  so two trees can be checked for identical results.
+  so two trees can be checked for identical results. ``nodes_per_batch``
+  is the number of autodiff tape nodes built per training batch, counted
+  by wrapping ``autodiff.Node.__init__`` during the untimed one-epoch run.
 
 Usage, from anywhere (the script puts this repository's ``src`` first on
 ``sys.path`` and pins BLAS to one thread unless the environment says
@@ -112,7 +114,7 @@ def tile_pass(bits: int, dim: int, count: int, tau: float, scale: float, rule: s
 
 
 def trainings(size: str) -> dict:
-    """CPU seconds and minor faults of one warm battery training per mode."""
+    """CPU seconds, minor faults and tape nodes per batch of one warm battery training per mode."""
     sizes = BATTERY[size]
     data = harness.make_dataset("blobs", sizes["n"], 4, 0.5, seed=1)
     dims = (2, *sizes["hidden"], 4)
@@ -123,8 +125,21 @@ def trainings(size: str) -> dict:
         spec = harness.ModelSpec(dims, (scheme,) * (len(dims) - 1), seed=0, attention_mode=mode)
         return harness.ToyModel(spec)
 
+    init = ad.Node.__init__
+    nodes = {}
     for mode in MODES:
-        harness.train(model(mode), data, replace(cfg, epochs=1))
+        built = [0]
+
+        def counting_init(node, *args, **kwargs):
+            built[0] += 1
+            init(node, *args, **kwargs)
+
+        ad.Node.__init__ = counting_init
+        try:
+            _, log = harness.train(model(mode), data, replace(cfg, epochs=1))
+        finally:
+            ad.Node.__init__ = init
+        nodes[mode] = built[0] / len(log)
     out = {}
     for mode in MODES:
         m = model(mode)
@@ -138,6 +153,7 @@ def trainings(size: str) -> dict:
             "wall_s": round(wall, 3),
             "ru_minflt": after.ru_minflt - before.ru_minflt,
             "batches": len(log),
+            "nodes_per_batch": nodes[mode],
             "final_loss": log[-1].loss,
             "snapped_accuracy": harness.evaluate(m, data, snapped=True),
         }

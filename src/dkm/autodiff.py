@@ -14,6 +14,10 @@ The tape holds only what backward reads:
 - ``neg_sq_distance`` is one fused node whose value is a read-only view
   of the cluster-major (k, m) distance kernel, and it and ``row_softmax``
   save only their outputs;
+- ``softmax_cross_entropy`` is the whole classification loss in one node,
+  saving the row exponentials and their sums, and ``regroup`` lays a
+  matrix's row-major entries out in a new shape, zero-padded or cut short,
+  in one node;
 - ``dkm.core.dkm_forward`` adds one node for its whole clustering loop,
   which saves the input, each iteration's (k, dim) codebook and (k,)
   column sums, and recomputes its (m, k) arrays tile by tile in backward;
@@ -144,23 +148,6 @@ def square(a: Node) -> Node:
     return Node(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
 
-def sqrt(a: Node) -> Node:
-    out = np.sqrt(a.value)
-    # Floor the saved output so the rule stays finite at exact zeros, where
-    # the true derivative of the composed squared distance is zero anyway.
-    safe = np.maximum(out, np.finfo(out.dtype).tiny ** 0.5)
-    return Node(out, (a,), lambda g: (0.5 * g / safe,))
-
-
-def exp(a: Node) -> Node:
-    out = np.exp(a.value)
-    return Node(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
 def relu(a: Node) -> Node:
     # np.maximum (not where) so NaN propagates instead of masking to zero
     mask = a.value > 0
@@ -209,39 +196,25 @@ def broadcast_col(a: Node, n: int) -> Node:
     return Node(np.broadcast_to(a.value, (a.value.shape[0], n)), (a,), lambda g: (g.sum(axis=1, keepdims=True),))
 
 
-def reshape(a: Node, rows: int, cols: int) -> Node:
-    if rows * cols != a.value.size:
-        raise ShapeError(f"reshape: cannot view {a.value.shape} as ({rows}, {cols})")
-    shape = a.value.shape
-    return Node(a.value.reshape(rows, cols).copy(), (a,), lambda g: (g.reshape(shape),))
+def regroup(a: Node, rows: int, cols: int) -> Node:
+    """The row-major entries of ``a`` laid out as (rows, cols).
 
-
-def pad_rows(a: Node, count: int) -> Node:
-    """Append ``count`` zero rows."""
-    if count < 0:
-        raise ParameterError("pad_rows: count must be >= 0")
-    if count == 0:
-        return a
-    m, n = a.value.shape
-    out = np.zeros((m + count, n), dtype=a.value.dtype)
-    out[:m] = a.value
-    return Node(out, (a,), lambda g: (g[:m].copy(),))
-
-
-def crop_rows(a: Node, rows: int) -> Node:
-    """Keep the first ``rows`` rows, dropping the rest."""
-    m, n = a.value.shape
-    if not 0 < rows <= m:
-        raise ShapeError(f"crop_rows: cannot keep {rows} of {m} rows")
-    if rows == m:
-        return a
+    Entries beyond rows * cols are cut off; missing ones are zeros. Backward
+    hands each kept entry its gradient and every cut entry zero.
+    """
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"regroup: cannot lay out ({rows}, {cols})")
+    shape, size = a.value.shape, a.value.size
+    keep = min(size, rows * cols)
+    out = np.zeros(rows * cols, dtype=a.value.dtype)
+    out[:keep] = a.value.reshape(-1)[:keep]
 
     def backward(g):
-        full = np.zeros((m, n), dtype=g.dtype)
-        full[:rows] = g
-        return (full,)
+        full = np.zeros(size, dtype=g.dtype)
+        full[:keep] = g.reshape(-1)[:keep]
+        return (full.reshape(shape),)
 
-    return Node(a.value[:rows].copy(), (a,), backward)
+    return Node(out.reshape(rows, cols), (a,), backward)
 
 
 def row_softmax(x: Node, temperature: float) -> Node:
@@ -266,6 +239,34 @@ def row_softmax(x: Node, temperature: float) -> Node:
         return (dx,)
 
     return Node(y, (x,), backward)
+
+
+def softmax_cross_entropy(logits: Node, labels) -> Node:
+    """Mean negative log-likelihood of integer ``labels`` under the row softmax of (b, c) ``logits``.
+
+    One node for the whole loss. The logits are max-shifted per row, so a
+    wide spread stays finite. Backward is (softmax - one-hot) / b, read
+    from the saved exponentials and their row sums.
+    """
+    v = logits.value
+    b, c = v.shape
+    labels = np.asarray(labels)
+    if labels.shape != (b,) or labels.min() < 0 or labels.max() >= c:
+        raise ShapeError(f"softmax_cross_entropy: need {b} labels in [0, {c}), got shape {labels.shape}")
+    rows = np.arange(b)
+    shifted = v - v.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    picked = shifted[rows, labels][:, None] - np.log(s)
+    scale = v.dtype.type(1.0 / b)
+
+    def backward(g):
+        gb = g * scale
+        dx = e * (gb / s)
+        dx[rows, labels] -= gb[0, 0]
+        return (dx,)
+
+    return Node(picked.sum(axis=0, keepdims=True) * -scale, (logits,), backward)
 
 
 def rows_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -133,14 +133,6 @@ class CompressedLayer:
         """Exact byte size: header + codebook floats + packed index stream."""
         return HEADER_SIZE + (1 << self.bits) * self.dim * 4 + (self.count * self.bits + 7) // 8
 
-    def decode(self) -> SubvectorMatrix:
-        """Reconstruct the snapped sub-vectors (float32 codebook rows)."""
-        return SubvectorMatrix(
-            self.codebook[self.indices].astype(np.float64),
-            self.original_length,
-            self.pad_count,
-        )
-
     def decode_flat(self) -> np.ndarray:
         """Reconstructed flat weights at float32, padding dropped."""
         return self.codebook[self.indices].reshape(-1)[: self.original_length].copy()

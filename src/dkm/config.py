@@ -68,6 +68,12 @@ def _require(sec: dict, section: str, key: str, errors: list[str]):
     return sec[key]
 
 
+def _check_int(value, where: str, low: int, high: int | None, errors: list[str]):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        errors.append(f"{where}: must be an integer {span}")
+
+
 def _reject_unknown(sec: dict, section: str, allowed: set[str], errors: list[str]):
     for key in sec:
         if key not in allowed:
@@ -106,6 +112,10 @@ def parse_run_spec(raw: dict) -> RunSpec:
     train = _section(raw, "train", errors)
     compression = _section(raw, "compression", errors)
 
+    for name, sec in (("dataset", dataset), ("model", model), ("train", train)):
+        if "seed" in sec:
+            _check_int(sec["seed"], f"{name}.seed", 0, None, errors)
+
     _reject_unknown(dataset, "dataset", {"kind", "n", "classes", "noise", "seed"}, errors)
     kind = _require(dataset, "dataset", "kind", errors)
     n = _require(dataset, "dataset", "n", errors)
@@ -131,9 +141,12 @@ def parse_run_spec(raw: dict) -> RunSpec:
         train, "train", {"learning_rate", "momentum", "batch_size", "epochs", "seed"}, errors
     )
     _require(train, "train", "epochs", errors)
+    for key in ("epochs", "batch_size"):
+        if key in train:
+            _check_int(train[key], f"train.{key}", 1, None, errors)
     train_cfg = None
     try:
-        train_cfg = TrainConfig(**{k: v for k, v in train.items()})
+        train_cfg = TrainConfig(**train)
     except (ParameterError, TypeError) as exc:
         errors.append(f"train: {exc}")
 
@@ -163,6 +176,13 @@ def parse_run_spec(raw: dict) -> RunSpec:
             errors.append("compression.policy: must be an object")
         else:
             _reject_unknown(pol, "compression.policy", _POLICY_KEYS, errors)
+            if "small_layer_threshold" in pol:
+                _check_int(pol["small_layer_threshold"], "compression.policy.small_layer_threshold", 0, None, errors)
+            if "small_layer_bits" in pol:
+                _check_int(pol["small_layer_bits"], "compression.policy.small_layer_bits", 1, 16, errors)
+            for key in ("skip_first", "skip_last"):
+                if not isinstance(pol.get(key, False), bool):
+                    errors.append(f"compression.policy.{key}: must be true or false")
             try:
                 policy = LayerPolicy(**pol)
             except TypeError as exc:

@@ -6,6 +6,11 @@ batch (soft, hard, or Gumbel attention), carry codebook warm starts across
 batches, and log the train-vs-inference weight gap plus loop iteration
 counts per batch. A bracketing search over the softmax temperature drives
 repeated short runs.
+
+On the tape, each clustered layer's weights reach the loop and come back
+through one ``autodiff.regroup`` node each way, and the loss is one
+``autodiff.softmax_cross_entropy`` node. Evaluation runs the same MLP
+forward on constant nodes, which build no tape.
 """
 
 from __future__ import annotations
@@ -194,30 +199,16 @@ class ToyModel:
                     f"layer {i}: {count} sub-vectors cannot seed {cfg.clusters} clusters"
                 )
 
-    def compressed_layers(self) -> list[int]:
-        return [i for i, cfg in enumerate(self.schemes) if cfg is not None]
-
-    def reset_clustering(self):
-        self.warm_starts = [None] * self.layers
-        self.state = [None] * self.layers
-
 
 def _cluster_layer(
-    model: ToyModel,
-    index: int,
-    w_node: ad.Node,
-    mode: str,
-    gumbel_rng: np.random.Generator | None,
+    model: ToyModel, index: int, w_node: ad.Node, gumbel_rng: np.random.Generator
 ) -> DkmResult:
     cfg = model.schemes[index]
-    n = model.weights[index].size
-    pad = (-n) % cfg.dim
-    count = (n + pad) // cfg.dim
-
-    flat = ad.reshape(w_node, n, 1)
-    sub_node = ad.reshape(ad.pad_rows(flat, pad), count, cfg.dim)
+    count = -(-w_node.value.size // cfg.dim)  # the last sub-vector zero-padded
+    sub_node = ad.regroup(w_node, count, cfg.dim)
     warm = model.warm_starts[index]
     init_seed = model.spec.seed + index
+    mode = model.spec.attention_mode
 
     if mode == "dkm":
         res = core.dkm_forward(sub_node, warm, cfg, seed=init_seed)
@@ -234,7 +225,7 @@ def _cluster_layer(
 
 
 def _layer_weight_nodes(
-    model: ToyModel, mode: str, gumbel_rng: np.random.Generator | None
+    model: ToyModel, gumbel_rng: np.random.Generator
 ) -> tuple[list[ad.Node], list[ad.Node], dict[int, DkmResult]]:
     """Leaf nodes for raw params plus the effective (possibly clustered) weights."""
     leaves: list[ad.Node] = []
@@ -244,14 +235,12 @@ def _layer_weight_nodes(
         w_leaf = ad.leaf(model.weights[i], checked=False)
         leaves.append(w_leaf)
         cfg = model.schemes[i]
-        if cfg is None or mode == "none":
+        if cfg is None or model.spec.attention_mode == "none":
             effective.append(w_leaf)
             continue
-        res = _cluster_layer(model, i, w_leaf, mode, gumbel_rng)
+        res = _cluster_layer(model, i, w_leaf, gumbel_rng)
         results[i] = res
-        n = model.weights[i].size
-        flat = ad.crop_rows(ad.reshape(res.w_tilde, res.w_tilde.shape[0] * cfg.dim, 1), n)
-        effective.append(ad.reshape(flat, *model.weights[i].shape))
+        effective.append(ad.regroup(res.w_tilde, *w_leaf.shape))
     return leaves, effective, results
 
 
@@ -265,18 +254,6 @@ def _forward_logits(effective, bias_nodes, x: np.ndarray) -> ad.Node:
     return h
 
 
-def _cross_entropy(logits: ad.Node, labels: np.ndarray, classes: int) -> ad.Node:
-    batch = logits.shape[0]
-    onehot = np.zeros((batch, classes))
-    onehot[np.arange(batch), labels] = 1.0
-    # max shift is gradient-transparent for logsumexp, so keep it constant
-    shifted = ad.sub(logits, ad.broadcast_col(ad.constant(logits.value.max(axis=1, keepdims=True), checked=False), classes))
-    log_norm = ad.log(ad.sum_rows(ad.exp(shifted)))
-    log_probs = ad.sub(shifted, ad.broadcast_col(log_norm, classes))
-    picked = ad.sum_all(ad.mul(log_probs, ad.constant(onehot, checked=False)))
-    return ad.scalar_mul(picked, -1.0 / batch)
-
-
 def _record_state(model: ToyModel, results: dict[int, DkmResult]):
     for i, res in results.items():
         model.warm_starts[i] = res.codebook
@@ -288,14 +265,19 @@ def _record_state(model: ToyModel, results: dict[int, DkmResult]):
         )
 
 
+def _clustered_weights(model: ToyModel, index: int, snapped: bool) -> np.ndarray:
+    """Layer ``index``'s soft or snapped weight matrix from its last clustering state."""
+    st = model.state[index]
+    n = model.weights[index].size
+    sub = SubvectorMatrix(st.w_tilde, n, (-n) % model.schemes[index].dim)
+    if snapped:
+        _, sub = snap(sub, st.attention, st.codebook)
+    return sub.flatten().reshape(model.weights[index].shape)
+
+
 def _train_inference_gap(model: ToyModel, index: int) -> float:
     """Frobenius distance between soft and snapped weights, padding excluded."""
-    st = model.state[index]
-    cfg = model.schemes[index]
-    n = model.weights[index].size
-    sub = SubvectorMatrix(st.w_tilde, n, (-n) % cfg.dim)
-    _, rec = snap(sub, st.attention, st.codebook)
-    return float(np.linalg.norm(sub.flatten() - rec.flatten()))
+    return float(np.linalg.norm(_clustered_weights(model, index, False) - _clustered_weights(model, index, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +295,13 @@ class BatchMetrics:
 
 
 def train(
-    model: ToyModel,
-    data: Dataset,
-    train_cfg: TrainConfig,
-    attention_mode: str | None = None,
+    model: ToyModel, data: Dataset, train_cfg: TrainConfig
 ) -> tuple[ToyModel, list[BatchMetrics]]:
     """SGD-momentum training; returns the model and the per-batch log.
 
     Deterministic given (model spec, data, train_cfg): batch order, noise
     draws, and updates all derive from the configured seeds.
     """
-    mode = attention_mode if attention_mode is not None else model.spec.attention_mode
-    if mode not in ATTENTION_MODES:
-        raise ParameterError(f"attention_mode must be one of {ATTENTION_MODES}")
-    # evaluate() and saving read the mode back off the model
-    model.spec = replace(model.spec, attention_mode=mode)
-
     shuffle_rng = np.random.default_rng(train_cfg.seed)
     gumbel_rng = np.random.default_rng(train_cfg.seed + 0x9E3779B9)
     velocity = [np.zeros_like(w) for w in model.weights] + [np.zeros_like(b) for b in model.biases]
@@ -340,10 +313,10 @@ def train(
         for batch_no, start in enumerate(range(0, n_train, train_cfg.batch_size)):
             idx = order[start : start + train_cfg.batch_size]
             try:
-                leaves, effective, results = _layer_weight_nodes(model, mode, gumbel_rng)
+                leaves, effective, results = _layer_weight_nodes(model, gumbel_rng)
                 bias_nodes = [ad.leaf(b, checked=False) for b in model.biases]
                 logits = _forward_logits(effective, bias_nodes, data.train_x[idx])
-                loss = _cross_entropy(logits, data.train_y[idx], data.classes)
+                loss = ad.softmax_cross_entropy(logits, data.train_y[idx])
             except NumericError as exc:
                 raise NumericError(
                     f"divergence at epoch {epoch} batch {batch_no}: {exc}"
@@ -378,31 +351,21 @@ def evaluate(model: ToyModel, data: Dataset, snapped: bool) -> float:
     """Validation accuracy with train-time soft weights or snapped weights."""
     weights = []
     for i in range(model.layers):
-        cfg = model.schemes[i]
-        if cfg is None or model.spec.attention_mode == "none":
+        if model.schemes[i] is None or model.spec.attention_mode == "none":
             weights.append(model.weights[i])
             continue
         if model.state[i] is None:
             # never trained: materialize clustering state once, without grads
-            leaves, _, results = _layer_weight_nodes(
-                model, model.spec.attention_mode, np.random.default_rng(model.spec.seed)
-            )
+            _, _, results = _layer_weight_nodes(model, np.random.default_rng(model.spec.seed))
             _record_state(model, results)
-        st = model.state[i]
-        n = model.weights[i].size
-        sub = SubvectorMatrix(st.w_tilde, n, (-n) % cfg.dim)
-        if snapped:
-            _, rec = snap(sub, st.attention, st.codebook)
-            weights.append(rec.flatten().reshape(model.weights[i].shape))
-        else:
-            weights.append(sub.flatten().reshape(model.weights[i].shape))
+        weights.append(_clustered_weights(model, i, snapped))
 
-    h = data.val_x
-    for i, (w, b) in enumerate(zip(weights, model.biases)):
-        h = h @ w + b
-        if i != model.layers - 1:
-            h = np.maximum(h, 0.0)
-    return float((np.argmax(h, axis=1) == data.val_y).mean())
+    logits = _forward_logits(
+        [ad.constant(w, checked=False) for w in weights],
+        [ad.constant(b, checked=False) for b in model.biases],
+        data.val_x,
+    )
+    return float((np.argmax(logits.value, axis=1) == data.val_y).mean())
 
 
 # ---------------------------------------------------------------------------

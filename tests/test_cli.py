@@ -286,6 +286,36 @@ def test_config_errors_are_exhaustive(tmp_path, capsys):
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("model.seed", "x"),
+        ("model.seed", -1),
+        ("dataset.seed", -3),
+        ("train.seed", "s"),
+        ("train.epochs", 1.5),
+        ("train.batch_size", 2.5),
+        ("compression.policy.small_layer_bits", "x"),
+        ("compression.policy.small_layer_bits", 20),
+        ("compression.policy.small_layer_threshold", "big"),
+        ("compression.policy.skip_last", "yes"),
+    ],
+)
+def test_malformed_config_value_is_one_config_error(tmp_path, capsys, key, value):
+    cfg = train_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    *sections, name = key.split(".")
+    sec = raw
+    for section in sections:
+        sec = sec.setdefault(section, {})
+    sec[name] = value
+    cfg.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error:ConfigError:") and err.count("\n") == 1
+    assert key in err
+
+
 def test_tau_search_trace(tmp_path, capsys):
     cfg = train_config(tmp_path)
     out_dir = tmp_path / "search"

@@ -576,15 +576,10 @@ def test_fused_backward_over_several_tiles_with_a_ragged_last_one():
 
 
 def test_fused_backward_through_a_non_leaf_input():
-    # the harness clusters reshape/pad_rows chains of its weight leaves
+    # the harness clusters regrouped (zero-padded) views of its weight leaves
     values = np.random.default_rng(75).normal(size=(7, 9))
     cfg = DkmConfig(bits=2, dim=2, temperature=0.2, epsilon=0.0)
-
-    def wrap(leaf):
-        flat = ad.reshape(leaf, 63, 1)
-        return ad.reshape(ad.pad_rows(flat, 1), 32, 2)
-
-    res, grad, ref_grad, _, _ = fused_and_composed(values, cfg, wrap=wrap)
+    res, grad, ref_grad, _, _ = fused_and_composed(values, cfg, wrap=lambda leaf: ad.regroup(leaf, 32, 2))
     assert grad.shape == values.shape
     assert rel_err(grad, ref_grad) <= 1e-10
 

@@ -193,6 +193,27 @@ def test_evaluate_soft_and_snapped_agree_after_training():
     assert abs(soft - hard) <= 0.05
 
 
+def test_evaluate_matches_a_numpy_forward_of_its_weights():
+    # dim 3 zero-pads both layers' last sub-vector (10 and 20 weights); at
+    # tau 1 the soft weights sit far enough from the snapped ones that the
+    # two accuracies differ
+    cfg = DkmConfig(bits=1, dim=3, temperature=1.0)
+    data = blobs(n=300)
+    model, _ = hz.train(
+        hz.ToyModel(mlp_spec((cfg, cfg), "dkm", dims=(2, 5, 4))), data, hz.TrainConfig(epochs=2, seed=0)
+    )
+    assert hz.evaluate(model, data, False) != hz.evaluate(model, data, True)
+    for snapped in (False, True):
+        h = data.val_x
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            st = model.state[i]
+            values = st.codebook.centroids[np.argmax(st.attention, axis=1)] if snapped else st.w_tilde
+            h = h @ values.reshape(-1)[: w.size].reshape(w.shape) + b
+            if i < model.layers - 1:
+                h = np.maximum(h, 0.0)
+        assert hz.evaluate(model, data, snapped) == np.mean(np.argmax(h, axis=1) == data.val_y)
+
+
 # ---------------------------------------------------------------------------
 # tau search
 # ---------------------------------------------------------------------------
