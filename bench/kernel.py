@@ -1,6 +1,6 @@
-"""Cost of the clustering loop's tile kernel, and of the battery trainings around it.
+"""Cost of the clustering loop's tile kernel, of the battery trainings, and of compress.
 
-Two measurements, written to one JSON file (default ``BENCH_kernel.json``
+Four measurements, written to one JSON file (default ``BENCH_kernel.json``
 at the repository root):
 
 - ``tile_passes``: microseconds per tile pass of each assignment rule
@@ -17,6 +17,16 @@ at the repository root):
   so two trees can be checked for identical results. ``nodes_per_batch``
   is the number of autodiff tape nodes built per training batch, counted
   by wrapping ``autodiff.Node.__init__`` during the untimed one-epoch run.
+- ``compress``: memory of one ``dkm compress`` of a fixed synthetic file
+  (seeded standard normal float32 weights; full size 1,048,576 weights at
+  bits 3, dim 8, as the benchmark's ``codec`` w1m file), each in a fresh
+  child process: the ``tracemalloc`` peak of the command, and the
+  process's ``ru_maxrss`` after imports and after the command (run
+  without tracemalloc).
+- ``attention_free``: one bits=12 layer (65,536 sub-vectors of dim 1,
+  max_iterations 1) clustered with ``keep_attention=False``: its
+  ``tracemalloc`` peak and seconds, next to the ``m * k * 8`` bytes its
+  (m, k) attention would take.
 
 Usage, from anywhere (the script puts this repository's ``src`` first on
 ``sys.path`` and pins BLAS to one thread unless the environment says
@@ -31,13 +41,18 @@ Standard library and numpy only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,7 +65,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from dkm import autodiff as ad  # noqa: E402
-from dkm import baselines, core, harness  # noqa: E402
+from dkm import baselines, cli, core, harness  # noqa: E402
 from dkm.core import DkmConfig, SubvectorMatrix  # noqa: E402
 
 ITERATIONS = 5
@@ -73,6 +88,14 @@ BATTERY = {
     "tiny": {"n": 200, "hidden": (8, 8), "epochs": 1},
 }
 SCHEME = DkmConfig(bits=2, dim=1, temperature=0.002, epsilon=1e-4)
+# weights, bits, dim, tau of the compressed file
+COMPRESS = {"full": (1_048_576, 3, 8, 0.5), "tiny": (8_192, 3, 8, 0.5)}
+# sub-vectors of the bits=12 layer (at least 2^12 to seed it)
+ATTENTION_FREE_ROWS = {"full": 65_536, "tiny": 4_096}
+# Linux keeps a process's ru_maxrss high-water mark across exec, so a child
+# starts from the RSS of the process that spawned it. The compress child is
+# spawned through a bare interpreter that imports nothing else.
+RELAY = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 MODES = ("dkm", "hard", "gumbel", "none")
 RULES = {
     "soft": core.dkm_forward,
@@ -160,11 +183,68 @@ def trainings(size: str) -> dict:
     return out
 
 
+def compress_child(argv: list[str], traced: bool) -> dict:
+    """Run ``dkm compress`` once in this process; its peak bytes as JSON fields."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if traced:
+        tracemalloc.start()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"dkm compress exited {code}")
+    if traced:
+        return {"traced_peak_bytes": tracemalloc.get_traced_memory()[1]}
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"ru_maxrss_after_imports_kib": before, "ru_maxrss_kib": after}
+
+
+def compress_memory(size: str) -> dict:
+    """Traced peak and ru_maxrss of ``dkm compress`` on a fixed synthetic file."""
+    weights, bits, dim, tau = COMPRESS[size]
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "weights.f32"
+        np.random.default_rng(11).standard_normal(weights).astype("<f4").tofile(source)
+        argv = ["compress", "--weights", str(source), "--bits", str(bits), "--dim", str(dim),
+                "--tau", str(tau), "--seed", "11", "--out", str(Path(tmp) / "weights.dkmz")]
+        out = {"weights": weights, "bits": bits, "dim": dim, "tau": tau}
+        for mode in ("plain", "traced"):
+            child = [sys.executable, __file__, "--compress-child", mode]
+            proc = subprocess.run([sys.executable, "-c", RELAY, *child], input=json.dumps(argv),
+                                  capture_output=True, text=True, check=True)
+            out.update(json.loads(proc.stdout))
+    return out
+
+
+def attention_free(size: str) -> dict:
+    """Traced peak of a bits=12 layer clustered without its (m, k) attention."""
+    m = ATTENTION_FREE_ROWS[size]
+    cfg = DkmConfig(bits=12, temperature=0.05, epsilon=0.0, max_iterations=1)
+    w = ad.constant(np.random.default_rng(12).standard_normal((m, 1)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "shape": [m, cfg.clusters],
+        "max_iterations": cfg.max_iterations,
+        "attention_bytes": m * cfg.clusters * 8,
+        "attention_free_peak_bytes": peak,
+        "forward_s": round(seconds, 3),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke run")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
+    # internal: one compress, its argv as JSON on stdin (see compress_memory)
+    parser.add_argument("--compress-child", choices=("plain", "traced"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.compress_child:
+        print(json.dumps(compress_child(json.load(sys.stdin), args.compress_child == "traced")))
+        return 0
     size = "tiny" if args.tiny else "full"
 
     # trainings first: large tile arrays freed earlier would raise glibc's
@@ -178,6 +258,10 @@ def main(argv=None) -> int:
             row = {"layer": label, **tile_pass(bits, dim, count, tau, scale, rule, REPEATS[size])}
             passes.append(row)
             print(json.dumps(row), flush=True)
+    compress = compress_memory(size)
+    print(json.dumps({"compress": compress}), flush=True)
+    free = attention_free(size)
+    print(json.dumps({"attention_free": free}), flush=True)
 
     report = {
         "size": size,
@@ -190,6 +274,8 @@ def main(argv=None) -> int:
         "iterations_per_call": ITERATIONS,
         "tile_passes": passes,
         "trainings": train,
+        "compress": compress,
+        "attention_free": free,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -23,6 +23,7 @@ from .core import (
     DkmResult,
     _TileWork,
     _cluster_loop,
+    _nearest_one_hot,
     _softmax_clusters,
     _values,
     kmeans_pp,
@@ -49,16 +50,8 @@ def hard_attention(dist) -> np.ndarray:
 
 
 def _hard_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
-    # one one-hot sample per (k, rows) tile, so centroids become cluster means.
-    # Where each column has one entry equal to its max, that entry is the
-    # argmax; a column with a tie (or a NaN) falls back to argmax, whose first
-    # maximum sends ties to the lowest index. The comparison costs about a
-    # quarter of numpy's argmax over axis 0.
-    one_hot = work.get("sample0", dist.shape, dist.dtype)
-    np.equal(dist, dist.max(axis=0), out=one_hot)
-    if not np.all(one_hot.sum(axis=0) == 1):
-        np.equal(np.argmax(dist, axis=0), np.arange(dist.shape[0])[:, None], out=one_hot)
-    return (one_hot,)
+    # one one-hot sample per (k, rows) tile, so centroids become cluster means
+    return (_nearest_one_hot(dist, work.get("sample0", dist.shape, dist.dtype)),)
 
 
 def straight_through_reconstruct(w: Node, indices: np.ndarray, codebook: np.ndarray) -> Node:
@@ -84,19 +77,21 @@ def hard_forward(
     warm_start: Codebook | None = None,
     config: DkmConfig | None = None,
     seed: int = 0,
+    keep_attention: bool = True,
 ) -> DkmResult:
     """Conventional iterative hard clustering, packaged like the soft loop.
 
     The shared clustering loop with one-hot attention: argmax assignment
     and per-cluster means (empty clusters keep their previous centroid)
     until the codebook moves at most epsilon or the iteration cap is hit.
-    Emits straight-through snapped weights; the loop itself builds no tape.
+    Emits straight-through snapped weights at the result's ``indices``; the
+    loop itself builds no tape. ``keep_attention`` as in ``dkm_forward``.
     """
-    w_node, start = loop_start(w, warm_start, config, seed)
-    res = _cluster_loop(ad.constant(w_node.value, checked=False), start, config, _hard_rule)
-    # one-hot rows, so this product reads each row's cluster index exactly
-    indices = (res.attention @ np.arange(config.clusters, dtype=res.attention.dtype)).astype(np.intp)
-    res.w_tilde = straight_through_reconstruct(w_node, indices, res.codebook.centroids)
+    w_node, start = loop_start(w, warm_start, config, seed, keep_attention)
+    res = _cluster_loop(
+        ad.constant(w_node.value, checked=False), start, config, _hard_rule, keep_attention=keep_attention
+    )
+    res.w_tilde = straight_through_reconstruct(w_node, res.indices, res.codebook.centroids)
     return res
 
 
@@ -147,23 +142,29 @@ def gumbel_forward(
     seed: int = 0,
     draws: int = 1,
     init_seed: int | None = None,
+    keep_attention: bool = True,
 ) -> DkmResult:
     """The clustering loop with Gumbel-softmax attention.
 
-    ``seed`` drives the noise draws; ``init_seed`` (defaulting to it) drives
-    centroid seeding when no warm start is given. The loop is one tape node,
-    like the soft one: backward replays each pass's noise from the
-    generator state saved at its start. Raises ResourceError before seeding
-    when one (m, k) array and a tile cannot fit in memory, and NumericError
-    naming the iteration whose centroids come out non-finite.
+    ``seed`` (>= 0) drives the noise draws; ``init_seed`` (defaulting to
+    it) drives centroid seeding when no warm start is given. The loop is one
+    tape node, like the soft one: backward replays each pass's noise from
+    the generator state saved at its start. ``indices`` are the nearest
+    centroids, not the argmax of a noisy sample. ``keep_attention``, the
+    ResourceError raised before seeding and the NumericError naming the
+    iteration whose centroids come out non-finite are as in ``dkm_forward``.
     """
-    w_node, start = loop_start(w, warm_start, config, seed if init_seed is None else init_seed)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    w_node, start = loop_start(
+        w, warm_start, config, seed if init_seed is None else init_seed, keep_attention
+    )
     rng = np.random.default_rng(seed)
 
     def rule(dist, tau, work):
         return gumbel_samples(dist, tau, rng, draws, work)
 
-    return _cluster_loop(w_node, start, config, rule, rng)
+    return _cluster_loop(w_node, start, config, rule, rng, keep_attention=keep_attention)
 
 
 # ---------------------------------------------------------------------------

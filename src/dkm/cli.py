@@ -63,22 +63,25 @@ def _dkm_config(args) -> core.DkmConfig:
     )
 
 
-def _cluster_weights(args) -> tuple[core.SubvectorMatrix, compression.CompressedLayer, core.DkmResult]:
-    flat = read_weights(args.weights)
+def _cluster_weights(args) -> tuple[core.SubvectorMatrix, compression.CompressedLayer, core.DkmTelemetry]:
+    """The weights as sub-vectors, their compressed layer, and the loop's telemetry.
+
+    Nothing here calls backward, so the loop runs on a constant and builds
+    no tape, and it never builds the (m, k) attention: the layer stores the
+    loop's nearest-centroid indices. The soft weights are dropped on return.
+    """
     cfg = _dkm_config(args)
-    sub = compression.reshape_to_subvectors(flat, cfg.dim)
-    # nothing here calls backward, so cluster on a constant and build no tape
-    res = core.dkm_forward(ad.constant(sub.values), config=cfg, seed=args.seed)
-    indices, _ = compression.snap(sub, res.attention, res.codebook)
+    sub = compression.reshape_to_subvectors(read_weights(args.weights), cfg.dim)
+    res = core.dkm_forward(ad.constant(sub.values), config=cfg, seed=args.seed, keep_attention=False)
     layer = compression.CompressedLayer(
         bits=cfg.bits,
         dim=cfg.dim,
         original_length=sub.original_length,
         pad_count=sub.pad_count,
         codebook=res.codebook.centroids.astype(np.float32),
-        indices=indices,
+        indices=res.indices,
     )
-    return sub, layer, res
+    return sub, layer, res.telemetry
 
 
 def _print_json(payload: dict) -> None:
@@ -86,15 +89,15 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_cluster(args) -> int:
-    sub, layer, res = _cluster_weights(args)
+    sub, layer, telemetry = _cluster_weights(args)
     report = compression.build_report(layer, sub.flatten())
     payload = {
         "codebook": layer.codebook.astype(np.float64).tolist(),
         "entropy_bits": report.empirical_entropy,
         "reconstruction_error": report.reconstruction_error,
-        "iterations_used": res.telemetry.iterations_used,
-        "converged": res.telemetry.converged,
-        "final_delta": res.telemetry.final_delta,
+        "iterations_used": telemetry.iterations_used,
+        "converged": telemetry.converged,
+        "final_delta": telemetry.final_delta,
         "subvectors": layer.count,
     }
     if args.out_dir:
@@ -107,13 +110,12 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    sub, layer, res = _cluster_weights(args)
-    blob = compression.serialize(layer)
-    Path(args.out).write_bytes(blob)
+    sub, layer, telemetry = _cluster_weights(args)
+    Path(args.out).write_bytes(compression.serialize(layer))
     report = compression.build_report(layer, sub.flatten())
     payload = report.to_dict()
-    payload["iterations_used"] = res.telemetry.iterations_used
-    payload["converged"] = res.telemetry.converged
+    payload["iterations_used"] = telemetry.iterations_used
+    payload["converged"] = telemetry.converged
     payload["output"] = str(args.out)
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -225,7 +225,10 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
     """Compare a compressed layer against the weights it encodes.
 
     measured_ratio divides the 32-bit baseline size by the actual container
-    size, so it always sits below the codebook-free formula ratio.
+    size, so it always sits below the codebook-free formula ratio. The
+    reconstruction error is the float64 norm of ``original - decoded``; the
+    float32 decoded weights are widened inside the subtraction, so the only
+    full-size arrays it makes are the decoded weights and the difference.
     """
     original_flat = np.asarray(original_flat, dtype=np.float64).reshape(-1)
     if original_flat.size != layer.original_length:
@@ -233,7 +236,8 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
             f"original has {original_flat.size} weights, layer encodes {layer.original_length}"
         )
     size = layer.serialized_size()
-    err = float(np.linalg.norm(original_flat - layer.decode_flat().astype(np.float64)))
+    decoded = layer.codebook[layer.indices].reshape(-1)[: layer.original_length]
+    err = float(np.linalg.norm(np.subtract(original_flat, decoded, dtype=np.float64)))
     return CompressionReport(
         bits=layer.bits,
         dim=layer.dim,

@@ -31,7 +31,10 @@ class RunSpec:
     train_cfg: TrainConfig
 
     def with_seed(self, seed: int) -> "RunSpec":
-        """Override the model and optimizer seeds (dataset stays fixed)."""
+        """Override the model and optimizer seeds (dataset stays fixed).
+
+        A negative seed raises ParameterError.
+        """
         from dataclasses import replace
 
         return RunSpec(
@@ -74,6 +77,11 @@ def _check_int(value, where: str, low: int, high: int | None, errors: list[str])
         errors.append(f"{where}: must be an integer {span}")
 
 
+def _check_number(value, where: str, errors: list[str]):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errors.append(f"{where}: must be a number")
+
+
 def _reject_unknown(sec: dict, section: str, allowed: set[str], errors: list[str]):
     for key in sec:
         if key not in allowed:
@@ -112,7 +120,7 @@ def parse_run_spec(raw: dict) -> RunSpec:
     train = _section(raw, "train", errors)
     compression = _section(raw, "compression", errors)
 
-    for name, sec in (("dataset", dataset), ("model", model), ("train", train)):
+    for name, sec in (("dataset", dataset), ("model", model)):
         if "seed" in sec:
             _check_int(sec["seed"], f"{name}.seed", 0, None, errors)
 
@@ -141,21 +149,30 @@ def parse_run_spec(raw: dict) -> RunSpec:
         train, "train", {"learning_rate", "momentum", "batch_size", "epochs", "seed"}, errors
     )
     _require(train, "train", "epochs", errors)
+    train_errors: list[str] = []
+    if "seed" in train:
+        _check_int(train["seed"], "train.seed", 0, None, train_errors)
     for key in ("epochs", "batch_size"):
         if key in train:
-            _check_int(train[key], f"train.{key}", 1, None, errors)
+            _check_int(train[key], f"train.{key}", 1, None, train_errors)
+    for key in ("learning_rate", "momentum"):
+        if key in train:
+            _check_number(train[key], f"train.{key}", train_errors)
+    errors += train_errors
     train_cfg = None
-    try:
-        train_cfg = TrainConfig(**train)
-    except (ParameterError, TypeError) as exc:
-        errors.append(f"train: {exc}")
+    if not train_errors:
+        # every value has its type: TrainConfig reports what is out of range
+        try:
+            train_cfg = TrainConfig(**train)
+        except (ParameterError, TypeError) as exc:
+            errors.append(f"train: {exc}")
 
     _reject_unknown(compression, "compression", {"mode", "draws", "groups", "policy"}, errors)
     mode = _require(compression, "compression", "mode", errors)
     if mode is not None and mode not in ATTENTION_MODES:
         errors.append(f"compression.mode: must be one of {ATTENTION_MODES}, got {mode!r}")
     draws = compression.get("draws", 1)
-    if not isinstance(draws, int) or draws < 1:
+    if isinstance(draws, bool) or not isinstance(draws, int) or draws < 1:
         errors.append("compression.draws: must be a positive integer")
         draws = 1
 

@@ -11,7 +11,10 @@ The whole loop is one tape node. It runs over row tiles of about
 TILE_BYTES, each laid out cluster-major (k, rows), and saves for backward
 only the input, each iteration's (k, dim) codebook and (k,) attention
 column sums. Backward recomputes every tile's distances and attention
-from those, so the tape does not grow with count * 2^bits. The same loop
+from those, so the tape does not grow with count * 2^bits. The final pass
+also writes each row's nearest centroid from its distance tile, so a
+caller that only snaps can skip the (count, 2^bits) attention array
+altogether (``keep_attention=False``). The same loop
 serves every assignment mode: only the rule turning a distance tile into
 attention changes (the softmax here; Gumbel-softmax draws and a one-hot
 argmax in ``baselines``). The public ``distance_matrix``, ``attention``
@@ -120,8 +123,8 @@ class SubvectorMatrix:
         return self.values.shape[1]
 
     def flatten(self) -> np.ndarray:
-        """Original flat weight vector, padding dropped."""
-        return self.values.reshape(-1)[: self.original_length].copy()
+        """Original flat weight vector, padding dropped: a view of ``values``."""
+        return self.values.reshape(-1)[: self.original_length]
 
 
 @dataclass
@@ -159,20 +162,26 @@ class DkmTelemetry:
 class DkmResult:
     """Everything one clustering pass produces.
 
-    w_tilde stays attached to the tape; attention and codebook are detached
-    values the caller owns (the codebook is the next batch's warm start).
-    In soft and Gumbel attention, an entry whose weight before
-    normalisation, exp((d - max_k d) / tau), would fall below the smallest
-    normal float is exactly 0, not a subnormal. Dividing by the column sum
-    (at most k) can still leave entries between tiny / k and tiny.
-    trajectory, when recorded, holds the initial centroids followed by each
-    iterate.
+    w_tilde stays attached to the tape; attention, indices and codebook are
+    detached values the caller owns (the codebook is the next batch's warm
+    start). indices is the (m,) intp array of each row's nearest centroid
+    of the final codebook, taken from the distances (ties go to the lowest
+    index), whatever the assignment rule. In soft and Gumbel attention, an
+    entry whose weight before normalisation, exp((d - max_k d) / tau), would
+    fall below the smallest normal float is exactly 0, not a subnormal.
+    Dividing by the column sum (at most k) can still leave entries between
+    tiny / k and tiny. When the attention is not kept, ``attention`` is a
+    read-only (m, k) view of one NaN with zero strides: it keeps the shape,
+    for callers that read only that, and holds none of the m * k entries.
+    trajectory, when recorded, holds
+    the initial centroids followed by each iterate.
     """
 
     w_tilde: Node
     attention: np.ndarray
     codebook: Codebook
     telemetry: DkmTelemetry
+    indices: np.ndarray
     trajectory: list[np.ndarray] = field(default_factory=list)
 
 
@@ -198,8 +207,10 @@ def init_centroids(w: SubvectorMatrix, config: DkmConfig, seed: int) -> Codebook
 
     With ``rng = np.random.default_rng(seed)``, random_sample draws k
     distinct rows (``rng.choice(count, k, replace=False)``) and kmeans_pp
-    returns ``kmeans_pp(values, k, rng)``.
+    returns ``kmeans_pp(values, k, rng)``. The seed must be >= 0.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     k = config.clusters
     if w.count < k:
         raise DataError(f"need at least {k} sub-vectors to seed {k} clusters, got {w.count}")
@@ -287,15 +298,19 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def loop_start(w, warm_start: Codebook | None, config: DkmConfig, seed: int) -> tuple[Node, np.ndarray]:
+def loop_start(
+    w, warm_start: Codebook | None, config: DkmConfig, seed: int, keep_attention: bool = True
+) -> tuple[Node, np.ndarray]:
     """Input node and starting centroids of the clustering loop.
 
     ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
     graph Node of shape (count, dim). Before seeding, raises ResourceError
-    when one (m, k) array plus one tile exceeds physical memory: that is
-    all the loop holds of that size, whatever the assignment rule, the
-    iteration count or ``requires_grad``. The warm start must be
-    (2^bits, dim); it is copied, never aliased.
+    when what the loop returns plus one tile exceeds physical memory:
+    ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept, else
+    ``m * (dim + 1) * itemsize + TILE_BYTES`` for the soft weights and the
+    indices. Nothing else the loop holds grows with m * k, whatever the
+    assignment rule, the iteration count or ``requires_grad``. The warm
+    start must be (2^bits, dim); it is copied, never aliased.
     """
     if config is None:
         raise ParameterError("config is required")
@@ -307,7 +322,8 @@ def loop_start(w, warm_start: Codebook | None, config: DkmConfig, seed: int) -> 
     if values.shape[1] != config.dim:
         raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
 
-    need = values.shape[0] * k * values.itemsize + TILE_BYTES
+    per_row = k if keep_attention else config.dim + 1
+    need = values.shape[0] * per_row * values.itemsize + TILE_BYTES
     available = physical_memory_bytes()
     if available is not None and need > available:
         raise ResourceError(
@@ -353,6 +369,20 @@ class _TileWork:
         if buf is None:
             buf = self.buffers[name] = np.empty(self.size, dtype)
         return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One-hot of each column's largest entry of a (k, rows) tile, into ``out``.
+
+    Where each column has one entry equal to its max, that entry is the
+    argmax; a column with a tie (or a NaN) falls back to argmax, whose first
+    maximum sends ties to the lowest index. The comparison costs about a
+    quarter of numpy's argmax over axis 0.
+    """
+    np.equal(dist, dist.max(axis=0), out=out)
+    if not np.all(out.sum(axis=0) == 1):
+        np.equal(np.argmax(dist, axis=0), np.arange(dist.shape[0])[:, None], out=out)
+    return out
 
 
 def _softmax_clusters(logits: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
@@ -508,6 +538,7 @@ def _cluster_loop(
     rule=_soft_rule,
     rng: np.random.Generator | None = None,
     record_trajectory: bool = False,
+    keep_attention: bool = True,
 ) -> DkmResult:
     """The clustering loop of every assignment mode, from centroids ``c``.
 
@@ -560,12 +591,25 @@ def _cluster_loop(
             converged = True
             break
 
-    attn = np.empty((m, k), dtype=w.dtype)
+    # the final pass: soft weights, the attention if kept, and the nearest
+    # centroid of each row from the distances (the rule may be noisy)
+    attn = np.empty((m, k), dtype=w.dtype) if keep_attention else None
     w_tilde = np.empty((m, d), dtype=w.dtype)
+    indices = np.empty(m, dtype=np.intp)
+    cluster_ids = np.arange(k, dtype=w.dtype)
     marks.append(None if rng is None else rng.bit_generator.state)
     for rows in tiles:
-        attn[rows] = attend(rows, c).T
-        w_tilde[rows] = attn[rows] @ c
+        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+        a = _attend(rule(dist, tau, work), tau, work)[0]
+        indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape, w.dtype))
+        # row-major either way, so w_tilde has the same bits with or without;
+        # the distances are spent, so their buffer takes the attention
+        tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1], w.dtype)
+        tile[...] = a.T
+        w_tilde[rows] = tile @ c
+    if attn is None:
+        attn = np.ndarray((m, k), w.dtype, np.full(1, np.nan, w.dtype), strides=(0, 0))
+        attn.flags.writeable = False
     backward = None
     if w_node.requires_grad:
         backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks)
@@ -575,6 +619,7 @@ def _cluster_loop(
         attention=attn,
         codebook=Codebook(c.copy()),
         telemetry=DkmTelemetry(iterations_used=len(col_sums), final_delta=delta, converged=converged),
+        indices=indices,
         trajectory=[b.copy() for b in codebooks] if record_trajectory else [],
     )
 
@@ -585,6 +630,7 @@ def dkm_forward(
     config: DkmConfig | None = None,
     seed: int = 0,
     record_trajectory: bool = False,
+    keep_attention: bool = True,
 ) -> DkmResult:
     """Run the soft clustering loop and return soft weights on the tape.
 
@@ -597,13 +643,17 @@ def dkm_forward(
     The loop is one tape node, ``w_tilde``, which holds only ``w``, each
     iteration's codebook and attention column sums; the attention is
     recomputed tile by tile in backward. ``attention`` is a fresh (m, k)
-    array filled tile by tile, which the tape does not hold. Raises
-    ResourceError before seeding when that array and one tile cannot fit
-    in physical memory, and NumericError naming the iteration whose
-    centroids come out non-finite.
+    array filled tile by tile, which the tape does not hold; with
+    ``keep_attention=False`` it is never built (see DkmResult), and a
+    caller that only snaps uses ``indices``. Raises ResourceError before
+    seeding when what the call returns and one tile cannot fit in physical
+    memory (see ``loop_start``), and NumericError naming the iteration
+    whose centroids come out non-finite.
     """
-    w_node, c = loop_start(w, warm_start, config, seed)
-    return _cluster_loop(w_node, c, config, record_trajectory=record_trajectory)
+    w_node, c = loop_start(w, warm_start, config, seed, keep_attention)
+    return _cluster_loop(
+        w_node, c, config, record_trajectory=record_trajectory, keep_attention=keep_attention
+    )
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,8 +4,9 @@ A small MLP on synthetic 2-d classification, trained with SGD momentum.
 Compressed layers route their weights through the clustering loop every
 batch (soft, hard, or Gumbel attention), carry codebook warm starts across
 batches, and log the train-vs-inference weight gap plus loop iteration
-counts per batch. A bracketing search over the softmax temperature drives
-repeated short runs.
+counts per batch. Layers are clustered without the (m, k) attention:
+snapping reads the loop's nearest-centroid indices. A bracketing search
+over the softmax temperature drives repeated short runs.
 
 On the tape, each clustered layer's weights reach the loop and come back
 through one ``autodiff.regroup`` node each way, and the loss is one
@@ -25,13 +26,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, core
-from .compression import snap
-from .core import Codebook, DkmConfig, DkmResult, SubvectorMatrix
+from .core import Codebook, DkmConfig, DkmResult
 from .errors import DataError, NumericError, ParameterError
 
 ATTENTION_MODES = ("dkm", "hard", "gumbel", "none")
 
 METRICS_SCHEMA = "dkm-metrics-v1"
+
+# model.npz layout: 2 stores each layer's nearest-centroid indices
+# (st{i}_idx); 1, which stored the (m, k) attention (st{i}_att), still loads
+MODEL_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +121,8 @@ class TrainConfig:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ParameterError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,8 @@ class ModelSpec:
             raise ParameterError(f"attention_mode must be one of {ATTENTION_MODES}")
         if self.draws < 1:
             raise ParameterError("draws must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def with_temperature(self, tau: float) -> "ModelSpec":
         return replace(
@@ -154,7 +162,7 @@ class LayerState:
     """Detached per-layer clustering state from the most recent forward."""
 
     w_tilde: np.ndarray
-    attention: np.ndarray
+    indices: np.ndarray
     codebook: Codebook
     iterations: int
 
@@ -211,13 +219,14 @@ def _cluster_layer(
     mode = model.spec.attention_mode
 
     if mode == "dkm":
-        res = core.dkm_forward(sub_node, warm, cfg, seed=init_seed)
+        res = core.dkm_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
     elif mode == "hard":
-        res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed)
+        res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
     elif mode == "gumbel":
         draw_seed = int(gumbel_rng.integers(2**62))
         res = baselines.gumbel_forward(
-            sub_node, warm, cfg, seed=draw_seed, draws=model.spec.draws, init_seed=init_seed
+            sub_node, warm, cfg, seed=draw_seed, draws=model.spec.draws, init_seed=init_seed,
+            keep_attention=False,
         )
     else:
         raise ParameterError(f"unknown clustering mode {mode!r}")
@@ -259,20 +268,21 @@ def _record_state(model: ToyModel, results: dict[int, DkmResult]):
         model.warm_starts[i] = res.codebook
         model.state[i] = LayerState(
             w_tilde=res.w_tilde.value.copy(),
-            attention=res.attention,
+            indices=res.indices,
             codebook=res.codebook,
             iterations=res.telemetry.iterations_used,
         )
 
 
 def _clustered_weights(model: ToyModel, index: int, snapped: bool) -> np.ndarray:
-    """Layer ``index``'s soft or snapped weight matrix from its last clustering state."""
+    """Layer ``index``'s soft or snapped weight matrix from its last clustering state.
+
+    Snapped sub-vectors are ``codebook[indices]``; padding is dropped.
+    """
     st = model.state[index]
-    n = model.weights[index].size
-    sub = SubvectorMatrix(st.w_tilde, n, (-n) % model.schemes[index].dim)
-    if snapped:
-        _, sub = snap(sub, st.attention, st.codebook)
-    return sub.flatten().reshape(model.weights[index].shape)
+    shape = model.weights[index].shape
+    values = st.codebook.centroids[st.indices] if snapped else st.w_tilde
+    return values.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
 def _train_inference_gap(model: ToyModel, index: int) -> float:
@@ -495,6 +505,7 @@ def save_model(model: ToyModel, path, dataset_args: dict | None = None) -> None:
     from dataclasses import asdict
 
     meta = {
+        "format_version": MODEL_FORMAT_VERSION,
         "layer_dims": list(model.spec.layer_dims),
         "schemes": [None if s is None else asdict(s) for s in model.spec.schemes],
         "seed": model.spec.seed,
@@ -511,16 +522,23 @@ def save_model(model: ToyModel, path, dataset_args: dict | None = None) -> None:
         st = model.state[i]
         if st is not None:
             arrays[f"st{i}_wt"] = st.w_tilde
-            arrays[f"st{i}_att"] = st.attention
+            arrays[f"st{i}_idx"] = st.indices
             arrays[f"st{i}_cb"] = st.codebook.centroids
             arrays[f"st{i}_it"] = np.array(st.iterations)
     np.savez(path, **arrays)
 
 
 def load_model(path) -> tuple[ToyModel, dict | None]:
-    """Inverse of save_model; returns the model and any saved dataset args."""
+    """Inverse of save_model; returns the model and any saved dataset args.
+
+    Reads format versions 1 and 2; a version-1 file's indices are the row
+    argmax of its stored attention.
+    """
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
+        version = meta.get("format_version", 1)
+        if version not in (1, MODEL_FORMAT_VERSION):
+            raise DataError(f"unsupported model format version {version!r}")
         schemes = tuple(
             None if s is None else DkmConfig(**s) for s in meta["schemes"]
         )
@@ -538,9 +556,13 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
             if f"warm{i}" in archive:
                 model.warm_starts[i] = Codebook(archive[f"warm{i}"].copy())
             if f"st{i}_wt" in archive:
+                if version == 1:
+                    indices = np.argmax(archive[f"st{i}_att"], axis=1)
+                else:
+                    indices = archive[f"st{i}_idx"].astype(np.intp)
                 model.state[i] = LayerState(
                     w_tilde=archive[f"st{i}_wt"].copy(),
-                    attention=archive[f"st{i}_att"].copy(),
+                    indices=indices,
                     codebook=Codebook(archive[f"st{i}_cb"].copy()),
                     iterations=int(archive[f"st{i}_it"]),
                 )

@@ -271,6 +271,16 @@ def test_gumbel_forward_runs_and_is_seeded():
     np.testing.assert_allclose(a.attention.sum(axis=1), 1.0, atol=1e-6)
 
 
+def test_gumbel_indices_are_the_nearest_centroids_not_the_noisy_argmax():
+    # at tau 0.5 the noise decides many rows' largest attention entry; the
+    # indices still come from the distances to the returned codebook
+    w = SubvectorMatrix(np.random.default_rng(86).normal(size=(512, 1)), 512)
+    res = baselines.gumbel_forward(w, config=DkmConfig(bits=3, temperature=0.5), seed=2)
+    nearest = np.argmin(pairwise_sq_dists(w.values, res.codebook.centroids), axis=1)
+    np.testing.assert_array_equal(res.indices, nearest)
+    assert np.any(np.argmax(res.attention, axis=1) != nearest)
+
+
 @pytest.mark.parametrize("forward", [baselines.hard_forward, baselines.gumbel_forward])
 def test_baseline_warm_start_shape_checked(forward):
     # 8 centroids offered to a bits=2 (4-cluster) layer

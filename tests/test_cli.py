@@ -155,11 +155,11 @@ def test_compress_report_formula_ratio(tmp_path, capsys, weights_txt):
     assert json.loads((tmp_path / "report.json").read_text()) == payload
 
 
-def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys):
-    # 131,072 weights at bits=16: one (m, k) float64 array is 64 GiB
-    available = core.physical_memory_bytes()
-    if available is None or available >= 2 * 131072 * 65536 * 8:
-        pytest.skip("this machine has room for the layer the test expects to be refused")
+def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys, monkeypatch):
+    # compress never builds the (m, k) attention: 131,072 weights at bits=16
+    # need their soft weights and indices, m * (dim + 1) float64s, plus a tile
+    need = 131072 * 2 * 8 + core.TILE_BYTES
+    monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
     path = tmp_path / "w.f32"
     np.zeros(131072, dtype="<f4").tofile(path)
     code, out, err = run_cli(
@@ -167,7 +167,7 @@ def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys):
         "--out", str(tmp_path / "w.dkmz"),
     )
     assert code == 2
-    assert err.startswith("error:ResourceError:")
+    assert err.startswith("error:ResourceError:") and f"needs about {need} bytes" in err
     assert out == "" and not (tmp_path / "w.dkmz").exists()
 
 
@@ -299,6 +299,10 @@ def test_config_errors_are_exhaustive(tmp_path, capsys):
         ("compression.policy.small_layer_bits", 20),
         ("compression.policy.small_layer_threshold", "big"),
         ("compression.policy.skip_last", "yes"),
+        ("train.learning_rate", "x"),
+        ("train.momentum", None),
+        ("train.epochs", 0),
+        ("compression.draws", True),
     ],
 )
 def test_malformed_config_value_is_one_config_error(tmp_path, capsys, key, value):
@@ -314,6 +318,24 @@ def test_malformed_config_value_is_one_config_error(tmp_path, capsys, key, value
     assert code == 2
     assert err.startswith("error:ConfigError:") and err.count("\n") == 1
     assert key in err
+    assert "; " not in err  # one problem, reported once
+
+
+@pytest.mark.parametrize("command", ["cluster", "compress", "train", "tau-search"])
+def test_negative_seed_is_one_runtime_error(tmp_path, capsys, weights_txt, command):
+    if command in ("cluster", "compress"):
+        argv = [command, "--weights", str(weights_txt), "--bits", "2", "--tau", "0.05"]
+        if command == "compress":
+            argv += ["--out", str(tmp_path / "w.dkmz")]
+    else:
+        argv = [command, "--config", str(train_config(tmp_path)), "--out-dir", str(tmp_path / "o")]
+        if command == "tau-search":
+            argv += ["--tau-low", "0.01", "--tau-high", "0.1", "--budget", "3"]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:ParameterError:") and err.count("\n") == 1
+    assert "seed must be >= 0" in err
+    assert not list(tmp_path.glob("w.dkmz")) and not (tmp_path / "o").exists()
 
 
 def test_tau_search_trace(tmp_path, capsys):

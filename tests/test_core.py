@@ -489,6 +489,89 @@ def test_forward_refuses_layer_larger_than_memory():
 
 
 # ---------------------------------------------------------------------------
+# indices and the attention-free path
+# ---------------------------------------------------------------------------
+
+# (values, config): a battery-sized hidden layer, and a bits=8 layer whose
+# 2,000 rows take four 512-row tiles
+ATTENTION_FREE_LAYERS = {
+    "battery": (
+        np.random.default_rng(81).normal(0.0, (2.0 / 64) ** 0.5, (4096, 1)),
+        DkmConfig(bits=2, temperature=0.002),
+    ),
+    "bits8_tiles": (
+        np.random.default_rng(82).normal(size=(2000, 1)),
+        DkmConfig(bits=8, temperature=0.05, epsilon=0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(ATTENTION_FREE_LAYERS))
+@pytest.mark.parametrize("forward", [core.dkm_forward, baselines.hard_forward])
+def test_attention_free_path_matches_default(forward, layer):
+    values, cfg = ATTENTION_FREE_LAYERS[layer]
+    target = np.random.default_rng(83).normal(size=values.shape)
+    runs = []
+    for keep in (True, False):
+        leaf = ad.leaf(values)
+        res = forward(leaf, config=cfg, seed=4, keep_attention=keep)
+        ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
+        runs.append((res, leaf.grad))
+    (full, full_grad), (free, free_grad) = runs
+    if layer == "bits8_tiles":
+        assert len(core._row_tiles(values.shape[0], cfg.clusters, 8)) == 4
+    np.testing.assert_array_equal(free.codebook.centroids, full.codebook.centroids)
+    np.testing.assert_array_equal(free.w_tilde.value, full.w_tilde.value)
+    assert free.telemetry == full.telemetry
+    np.testing.assert_array_equal(free_grad, full_grad)
+    for res in (full, free):
+        assert res.indices.dtype == np.intp and res.indices.shape == (values.shape[0],)
+        np.testing.assert_array_equal(res.indices, np.argmax(full.attention, axis=1))
+    # the attention is never built: a read-only NaN view that keeps the shape
+    assert free.attention.shape == full.attention.shape
+    assert free.attention.strides == (0, 0) and not free.attention.flags.writeable
+    assert np.isnan(free.attention[0, 0])
+
+
+def test_nearest_one_hot_sends_ties_to_the_lowest_index():
+    # a cluster-major (3, 3) tile: a tie of clusters 0 and 1, one of 1 and
+    # 2, and a column with one largest entry
+    dist = np.array([[1.0, 2.0, -1.0], [1.0, 3.0, -2.0], [0.0, 3.0, -3.0]])
+    one_hot = core._nearest_one_hot(dist, np.empty((3, 3)))
+    np.testing.assert_array_equal(one_hot, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "forward", [core.dkm_forward, baselines.hard_forward, baselines.gumbel_forward]
+)
+def test_attention_free_preflight_byte_count(forward, monkeypatch):
+    # 4,096 sub-vectors of dim 2 at bits=8: the attention is 8 MiB, the soft
+    # weights and indices 96 KiB
+    w, cfg = SubvectorMatrix(np.random.default_rng(84).normal(size=(4096, 2)), 8192), DkmConfig(bits=8, dim=2)
+    full_need = 4096 * 256 * 8 + core.TILE_BYTES
+    free_need = 4096 * (2 + 1) * 8 + core.TILE_BYTES
+    monkeypatch.setattr(core, "physical_memory_bytes", lambda: free_need)
+    with pytest.raises(ResourceError, match=f"needs about {full_need} bytes, more than the {free_need} bytes"):
+        forward(w, config=cfg, seed=0)
+    res = forward(w, config=cfg, seed=0, keep_attention=False)
+    assert res.indices.shape == (4096,)
+    monkeypatch.setattr(core, "physical_memory_bytes", lambda: free_need - 1)
+    with pytest.raises(ResourceError, match=f"needs about {free_need} bytes"):
+        forward(w, config=cfg, seed=0, keep_attention=False)
+
+
+def test_negative_seed_is_a_parameter_error():
+    w = subvectors(np.arange(8.0))
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        core.init_centroids(w, DkmConfig(bits=2), -1)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        core.dkm_forward(w, config=DkmConfig(bits=2), seed=-1)
+    # the noise seed of Gumbel draws, with a valid seed for the centroids
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        baselines.gumbel_forward(w, config=DkmConfig(bits=2), seed=-1, init_seed=0)
+
+
+# ---------------------------------------------------------------------------
 # the fused loop against the loop composed from the public per-step nodes
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -207,11 +208,80 @@ def test_evaluate_matches_a_numpy_forward_of_its_weights():
         h = data.val_x
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             st = model.state[i]
-            values = st.codebook.centroids[np.argmax(st.attention, axis=1)] if snapped else st.w_tilde
+            values = st.codebook.centroids[st.indices] if snapped else st.w_tilde
             h = h @ values.reshape(-1)[: w.size].reshape(w.shape) + b
             if i < model.layers - 1:
                 h = np.maximum(h, 0.0)
         assert hz.evaluate(model, data, snapped) == np.mean(np.argmax(h, axis=1) == data.val_y)
+
+
+# ---------------------------------------------------------------------------
+# model persistence
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trained_dkm_model():
+    data = blobs(n=300)
+    cfg = DkmConfig(bits=2, dim=3, temperature=0.05)
+    model, _ = hz.train(
+        hz.ToyModel(mlp_spec((cfg, None), "dkm", dims=(2, 5, 4))), data, hz.TrainConfig(epochs=2, seed=0)
+    )
+    return model, data
+
+
+def test_model_file_stores_indices_and_round_trips(tmp_path, trained_dkm_model):
+    model, data = trained_dkm_model
+    path = tmp_path / "model.npz"
+    hz.save_model(model, path, dataset_args={"kind": "blobs"})
+    with np.load(path) as archive:
+        assert json.loads(str(archive["meta"]))["format_version"] == 2
+        assert "st0_idx" in archive and "st0_att" not in archive and "st1_idx" not in archive
+    loaded, dataset_args = hz.load_model(path)
+    assert dataset_args == {"kind": "blobs"}
+    np.testing.assert_array_equal(loaded.state[0].indices, model.state[0].indices)
+    assert loaded.state[0].indices.dtype == np.intp
+    for snapped in (False, True):
+        assert hz.evaluate(loaded, data, snapped) == hz.evaluate(model, data, snapped)
+
+
+def test_model_file_version_1_with_attention_still_loads(tmp_path, trained_dkm_model):
+    # the old layout, written by hand: no format_version, and the (m, k)
+    # attention as st0_att, whose row argmax gives the indices
+    model, data = trained_dkm_model
+    st = model.state[0]
+    attention = np.full((st.indices.size, 4), 0.1)
+    attention[np.arange(st.indices.size), st.indices] = 0.7
+    meta = {
+        "layer_dims": [2, 5, 4],
+        "schemes": [dict(bits=2, dim=3, temperature=0.05, epsilon=1e-4, max_iterations=5,
+                         metric="squared_euclidean", init="random_sample"), None],
+        "seed": 0, "attention_mode": "dkm", "draws": 1, "dataset_args": None,
+    }
+    path = tmp_path / "old.npz"
+    np.savez(
+        path, meta=np.array(json.dumps(meta)), w0=model.weights[0], b0=model.biases[0],
+        w1=model.weights[1], b1=model.biases[1], warm0=model.warm_starts[0].centroids,
+        st0_wt=st.w_tilde, st0_att=attention, st0_cb=st.codebook.centroids, st0_it=np.array(st.iterations),
+    )
+    loaded, dataset_args = hz.load_model(path)
+    assert dataset_args is None
+    np.testing.assert_array_equal(loaded.state[0].indices, st.indices)
+    for snapped in (False, True):
+        assert hz.evaluate(loaded, data, snapped) == hz.evaluate(model, data, snapped)
+
+
+def test_model_file_of_unknown_version_is_a_data_error(tmp_path, trained_dkm_model):
+    path = tmp_path / "model.npz"
+    hz.save_model(trained_dkm_model[0], path)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    meta = json.loads(str(arrays["meta"]))
+    meta["format_version"] = 3
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match="format version 3"):
+        hz.load_model(path)
 
 
 # ---------------------------------------------------------------------------
