@@ -10,6 +10,9 @@ at the repository root):
   in the ``cluster_large`` workload. Each call runs the iteration cap
   (epsilon 0), so it makes max_iterations + 1 passes; forward and backward
   time are each divided by that count. Hard mode has no loop backward.
+  Every rule runs as training runs it, without the (m, k) attention
+  (``keep_attention=False`` for the soft loop; the other two never build
+  it).
 - ``trainings``: CPU seconds and minor page faults (``ru_minflt``) of one
   warm 15-epoch training per mode on the battery configuration (blobs, MLP
   (2, 64, 64, 4), bits 2, dim 1, tau 0.002), after every mode has trained
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -98,7 +102,7 @@ ATTENTION_FREE_ROWS = {"full": 65_536, "tiny": 4_096}
 RELAY = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 MODES = ("dkm", "hard", "gumbel", "none")
 RULES = {
-    "soft": core.dkm_forward,
+    "soft": functools.partial(core.dkm_forward, keep_attention=False),
     "gumbel": baselines.gumbel_forward,
     "hard": baselines.hard_forward,
 }

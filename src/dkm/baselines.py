@@ -77,7 +77,6 @@ def hard_forward(
     warm_start: Codebook | None = None,
     config: DkmConfig | None = None,
     seed: int = 0,
-    keep_attention: bool = True,
 ) -> DkmResult:
     """Conventional iterative hard clustering, packaged like the soft loop.
 
@@ -85,11 +84,12 @@ def hard_forward(
     and per-cluster means (empty clusters keep their previous centroid)
     until the codebook moves at most epsilon or the iteration cap is hit.
     Emits straight-through snapped weights at the result's ``indices``; the
-    loop itself builds no tape. ``keep_attention`` as in ``dkm_forward``.
+    loop itself builds no tape, and no (m, k) attention: ``attention`` is
+    the placeholder of ``dkm_forward(..., keep_attention=False)``.
     """
-    w_node, start = loop_start(w, warm_start, config, seed, keep_attention)
+    w_node, start = loop_start(w, warm_start, config, seed, keep_attention=False)
     res = _cluster_loop(
-        ad.constant(w_node.value, checked=False), start, config, _hard_rule, keep_attention=keep_attention
+        ad.constant(w_node.value, checked=False), start, config, _hard_rule, keep_attention=False
     )
     res.w_tilde = straight_through_reconstruct(w_node, res.indices, res.codebook.centroids)
     return res
@@ -142,7 +142,6 @@ def gumbel_forward(
     seed: int = 0,
     draws: int = 1,
     init_seed: int | None = None,
-    keep_attention: bool = True,
 ) -> DkmResult:
     """The clustering loop with Gumbel-softmax attention.
 
@@ -150,21 +149,22 @@ def gumbel_forward(
     it) drives centroid seeding when no warm start is given. The loop is one
     tape node, like the soft one: backward replays each pass's noise from
     the generator state saved at its start. ``indices`` are the nearest
-    centroids, not the argmax of a noisy sample. ``keep_attention``, the
-    ResourceError raised before seeding and the NumericError naming the
-    iteration whose centroids come out non-finite are as in ``dkm_forward``.
+    centroids, not the argmax of a noisy sample. No (m, k) attention is
+    built: the result is that of ``dkm_forward(..., keep_attention=False)``,
+    as are the ResourceError raised before seeding and the NumericError
+    naming the iteration whose centroids come out non-finite.
     """
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     w_node, start = loop_start(
-        w, warm_start, config, seed if init_seed is None else init_seed, keep_attention
+        w, warm_start, config, seed if init_seed is None else init_seed, keep_attention=False
     )
     rng = np.random.default_rng(seed)
 
     def rule(dist, tau, work):
         return gumbel_samples(dist, tau, rng, draws, work)
 
-    return _cluster_loop(w_node, start, config, rule, rng, keep_attention=keep_attention)
+    return _cluster_loop(w_node, start, config, rule, rng, keep_attention=False)
 
 
 # ---------------------------------------------------------------------------

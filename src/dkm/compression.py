@@ -12,12 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Codebook, DkmConfig, SubvectorMatrix
+from .core import Codebook, DkmConfig, SubvectorMatrix, attention_kept
 from .errors import (
     BadMagicError,
     DataError,
     FormatError,
     IndexRangeError,
+    ParameterError,
     ShapeError,
     TruncatedStreamError,
     VersionMismatchError,
@@ -51,8 +52,12 @@ def snap(w: SubvectorMatrix, attention: np.ndarray, codebook: Codebook) -> tuple
 
     Softmax is monotone in negated distance, so the argmax row of the
     attention is also the nearest centroid; ties go to the lowest index.
+    Raises ParameterError for the attention of a clustering that did not
+    keep it, whose result's ``indices`` are the snap.
     """
     attention = np.asarray(attention)
+    if not attention_kept(attention):
+        raise ParameterError("the clustering kept no attention to snap; use its indices")
     if attention.shape[0] != w.count:
         raise ShapeError(f"attention rows {attention.shape[0]} != sub-vector count {w.count}")
     if attention.shape[1] != codebook.clusters:
@@ -135,7 +140,7 @@ class CompressedLayer:
 
     def decode_flat(self) -> np.ndarray:
         """Reconstructed flat weights at float32, padding dropped."""
-        return self.codebook[self.indices].reshape(-1)[: self.original_length].copy()
+        return self.codebook[self.indices].reshape(-1)[: self.original_length]
 
 
 def _pack_indices(indices: np.ndarray, bits: int) -> bytes:
@@ -236,8 +241,7 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
             f"original has {original_flat.size} weights, layer encodes {layer.original_length}"
         )
     size = layer.serialized_size()
-    decoded = layer.codebook[layer.indices].reshape(-1)[: layer.original_length]
-    err = float(np.linalg.norm(np.subtract(original_flat, decoded, dtype=np.float64)))
+    err = float(np.linalg.norm(np.subtract(original_flat, layer.decode_flat(), dtype=np.float64)))
     return CompressionReport(
         bits=layer.bits,
         dim=layer.dim,

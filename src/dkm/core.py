@@ -14,8 +14,9 @@ column sums. Backward recomputes every tile's distances and attention
 from those, so the tape does not grow with count * 2^bits. The final pass
 also writes each row's nearest centroid from its distance tile, so a
 caller that only snaps can skip the (count, 2^bits) attention array
-altogether (``keep_attention=False``). The same loop
-serves every assignment mode: only the rule turning a distance tile into
+altogether (``keep_attention=False`` in ``dkm_forward``; the Gumbel and
+hard loops of ``baselines`` never build it). The same loop serves every
+assignment mode: only the rule turning a distance tile into
 attention changes (the softmax here; Gumbel-softmax draws and a one-hot
 argmax in ``baselines``). The public ``distance_matrix``, ``attention``
 and ``centroid_update`` build the soft steps as separate tape nodes.
@@ -171,10 +172,11 @@ class DkmResult:
     fall below the smallest normal float is exactly 0, not a subnormal.
     Dividing by the column sum (at most k) can still leave entries between
     tiny / k and tiny. When the attention is not kept, ``attention`` is a
-    read-only (m, k) view of one NaN with zero strides: it keeps the shape,
-    for callers that read only that, and holds none of the m * k entries.
-    trajectory, when recorded, holds
-    the initial centroids followed by each iterate.
+    read-only (m, k) broadcast of one NaN (zero strides, see
+    ``attention_kept``): it keeps the shape, for callers that read only
+    that, holds none of the m * k entries, and ``compression.snap``
+    refuses it. trajectory, when recorded, holds the initial centroids
+    followed by each iterate.
     """
 
     w_tilde: Node
@@ -183,6 +185,11 @@ class DkmResult:
     telemetry: DkmTelemetry
     indices: np.ndarray
     trajectory: list[np.ndarray] = field(default_factory=list)
+
+
+def attention_kept(attention: np.ndarray) -> bool:
+    """False for the NaN broadcast a loop returns when it built no attention."""
+    return not (attention.size and attention.strides == (0, 0) and np.isnan(attention.flat[0]))
 
 
 def _values(x) -> np.ndarray:
@@ -307,10 +314,10 @@ def loop_start(
     graph Node of shape (count, dim). Before seeding, raises ResourceError
     when what the loop returns plus one tile exceeds physical memory:
     ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept, else
-    ``m * (dim + 1) * itemsize + TILE_BYTES`` for the soft weights and the
-    indices. Nothing else the loop holds grows with m * k, whatever the
-    assignment rule, the iteration count or ``requires_grad``. The warm
-    start must be (2^bits, dim); it is copied, never aliased.
+    ``m * (dim * itemsize + intp itemsize) + TILE_BYTES`` for the soft
+    weights and the indices. Nothing else the loop holds grows with m * k,
+    whatever the assignment rule, the iteration count or ``requires_grad``.
+    The warm start must be (2^bits, dim); it is copied, never aliased.
     """
     if config is None:
         raise ParameterError("config is required")
@@ -322,8 +329,11 @@ def loop_start(
     if values.shape[1] != config.dim:
         raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
 
-    per_row = k if keep_attention else config.dim + 1
-    need = values.shape[0] * per_row * values.itemsize + TILE_BYTES
+    if keep_attention:
+        per_row = k * values.itemsize
+    else:
+        per_row = config.dim * values.itemsize + np.dtype(np.intp).itemsize
+    need = values.shape[0] * per_row + TILE_BYTES
     available = physical_memory_bytes()
     if available is not None and need > available:
         raise ResourceError(
@@ -608,8 +618,7 @@ def _cluster_loop(
         tile[...] = a.T
         w_tilde[rows] = tile @ c
     if attn is None:
-        attn = np.ndarray((m, k), w.dtype, np.full(1, np.nan, w.dtype), strides=(0, 0))
-        attn.flags.writeable = False
+        attn = np.broadcast_to(np.array(np.nan, w.dtype), (m, k))
     backward = None
     if w_node.requires_grad:
         backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks)

@@ -221,12 +221,11 @@ def _cluster_layer(
     if mode == "dkm":
         res = core.dkm_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
     elif mode == "hard":
-        res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
+        res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed)
     elif mode == "gumbel":
         draw_seed = int(gumbel_rng.integers(2**62))
         res = baselines.gumbel_forward(
-            sub_node, warm, cfg, seed=draw_seed, draws=model.spec.draws, init_seed=init_seed,
-            keep_attention=False,
+            sub_node, warm, cfg, seed=draw_seed, draws=model.spec.draws, init_seed=init_seed
         )
     else:
         raise ParameterError(f"unknown clustering mode {mode!r}")
@@ -532,7 +531,9 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
     """Inverse of save_model; returns the model and any saved dataset args.
 
     Reads format versions 1 and 2; a version-1 file's indices are the row
-    argmax of its stored attention.
+    argmax of its stored attention. Raises DataError for an unknown version
+    and for indices that are not one integer in [0, clusters) per row of
+    the stored soft weights.
     """
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
@@ -556,14 +557,25 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
             if f"warm{i}" in archive:
                 model.warm_starts[i] = Codebook(archive[f"warm{i}"].copy())
             if f"st{i}_wt" in archive:
+                w_tilde = archive[f"st{i}_wt"].copy()
+                codebook = Codebook(archive[f"st{i}_cb"].copy())
                 if version == 1:
                     indices = np.argmax(archive[f"st{i}_att"], axis=1)
                 else:
-                    indices = archive[f"st{i}_idx"].astype(np.intp)
+                    indices = archive[f"st{i}_idx"]
+                    if indices.dtype.kind not in "iu":
+                        raise DataError(f"layer {i} indices have dtype {indices.dtype}, not integer")
+                if indices.shape != (w_tilde.shape[0],):
+                    raise DataError(
+                        f"layer {i} indices have shape {indices.shape}, "
+                        f"not one per sub-vector ({w_tilde.shape[0]},)"
+                    )
+                if indices.size and not (0 <= indices.min() and indices.max() < codebook.clusters):
+                    raise DataError(f"layer {i} indices fall outside [0, {codebook.clusters})")
                 model.state[i] = LayerState(
-                    w_tilde=archive[f"st{i}_wt"].copy(),
-                    indices=indices,
-                    codebook=Codebook(archive[f"st{i}_cb"].copy()),
+                    w_tilde=w_tilde,
+                    indices=indices.astype(np.intp),
+                    codebook=codebook,
                     iterations=int(archive[f"st{i}_it"]),
                 )
     return model, meta.get("dataset_args")

@@ -75,7 +75,8 @@ def test_hard_forward_reconstruction_is_cluster_means():
     snapped = sorted(set(res.w_tilde.value.ravel().tolist()))
     np.testing.assert_allclose(snapped, [0.1, 10.1], atol=1e-12)
     assert res.telemetry.iterations_used <= 5
-    np.testing.assert_allclose(res.attention.sum(axis=1), 1.0)
+    assert res.indices[0] == res.indices[1] != res.indices[2] == res.indices[3]
+    np.testing.assert_array_equal(res.w_tilde.value, res.codebook.centroids[res.indices])
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,16 @@ def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, d
     return ad.matmul(final, c), final.value, c.value
 
 
+def gumbel_attention(values, start, cfg, seed, draws=1):
+    """The (m, k) attention of gumbel_forward's loop, which it does not keep."""
+    rng = np.random.default_rng(seed)
+
+    def rule(dist, tau, work):
+        return baselines.gumbel_samples(dist, tau, rng, draws, work)
+
+    return core._cluster_loop(ad.constant(values), start.copy(), cfg, rule, rng).attention
+
+
 @pytest.mark.parametrize(
     "m, bits, draws, metric",
     [
@@ -255,7 +266,7 @@ def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
 
     assert res.telemetry.iterations_used == 3
     assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-10
-    assert rel_err(res.attention, ref_attention) <= 1e-10
+    assert rel_err(gumbel_attention(values, start, cfg, 11, draws), ref_attention) <= 1e-10
     assert rel_err(res.w_tilde.value, ref_w_tilde.value) <= 1e-10
     assert rel_err(leaf.grad, ref_leaf.grad) <= 1e-10
     assert np.any(leaf.grad != 0)
@@ -268,17 +279,20 @@ def test_gumbel_forward_runs_and_is_seeded():
     a = baselines.gumbel_forward(w, config=cfg, seed=9, draws=2)
     b = baselines.gumbel_forward(w, config=cfg, seed=9, draws=2)
     assert np.array_equal(a.w_tilde.value, b.w_tilde.value)
-    np.testing.assert_allclose(a.attention.sum(axis=1), 1.0, atol=1e-6)
+    assert np.array_equal(a.indices, b.indices)
+    start = core.init_centroids(w, cfg, 9).centroids
+    np.testing.assert_allclose(gumbel_attention(w.values, start, cfg, 9, 2).sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_gumbel_indices_are_the_nearest_centroids_not_the_noisy_argmax():
     # at tau 0.5 the noise decides many rows' largest attention entry; the
     # indices still come from the distances to the returned codebook
-    w = SubvectorMatrix(np.random.default_rng(86).normal(size=(512, 1)), 512)
-    res = baselines.gumbel_forward(w, config=DkmConfig(bits=3, temperature=0.5), seed=2)
+    w, cfg = SubvectorMatrix(np.random.default_rng(86).normal(size=(512, 1)), 512), DkmConfig(bits=3, temperature=0.5)
+    res = baselines.gumbel_forward(w, config=cfg, seed=2)
     nearest = np.argmin(pairwise_sq_dists(w.values, res.codebook.centroids), axis=1)
     np.testing.assert_array_equal(res.indices, nearest)
-    assert np.any(np.argmax(res.attention, axis=1) != nearest)
+    attention = gumbel_attention(w.values, core.init_centroids(w, cfg, 2).centroids, cfg, 2)
+    assert np.any(np.argmax(attention, axis=1) != nearest)
 
 
 @pytest.mark.parametrize("forward", [baselines.hard_forward, baselines.gumbel_forward])
@@ -298,14 +312,13 @@ def test_gumbel_forward_nonfinite_iterate_names_iteration():
 
 
 @pytest.mark.parametrize("forward", [baselines.gumbel_forward, baselines.hard_forward])
-def test_gumbel_forward_refuses_layer_larger_than_memory(forward):
-    # every mode holds one (m, k) array plus a tile: 64 GiB here
+def test_gumbel_forward_refuses_layer_larger_than_memory(forward, monkeypatch):
+    # neither mode builds the (m, k) attention (64 GiB here): each needs the
+    # soft weights, the intp indices and one tile, and is refused one byte short
     w = SubvectorMatrix(np.zeros((131072, 1)), 131072)
-    need = 131072 * 65536 * 8 + core.TILE_BYTES
-    available = core.physical_memory_bytes()
-    if available is None or available >= need:
-        pytest.skip("this machine has room for the layer the test expects to be refused")
-    with pytest.raises(ResourceError, match=f"needs about {need} bytes, more than the {available} bytes"):
+    need = 131072 * (8 + np.dtype(np.intp).itemsize) + core.TILE_BYTES
+    monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ResourceError, match=f"needs about {need} bytes, more than the {need - 1} bytes"):
         forward(w, config=DkmConfig(bits=16), seed=0)
 
 

@@ -12,6 +12,7 @@ from dkm.errors import (
     DkmError,
     FormatError,
     IndexRangeError,
+    ParameterError,
     ShapeError,
     TruncatedStreamError,
     VersionMismatchError,
@@ -108,6 +109,19 @@ def test_snap_reconstruction_is_rowwise_optimal():
     chosen = ((w.values - rec.values) ** 2).sum(axis=1)
     all_d2 = pairwise_sq_dists(w.values, book.centroids)
     np.testing.assert_allclose(chosen, all_d2.min(axis=1), atol=1e-12)
+
+
+def test_snap_refuses_an_attention_that_was_not_kept():
+    # the NaN broadcast of an attention-free clustering passes every shape
+    # check; snapping it would send every row to centroid 0
+    w = SubvectorMatrix(np.random.default_rng(204).normal(size=(64, 1)), 64)
+    cfg = DkmConfig(bits=2, temperature=0.3)
+    res = core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
+    with pytest.raises(ParameterError, match="kept no attention"):
+        comp.snap(w, res.attention, res.codebook)
+    kept = core.dkm_forward(w, config=cfg, seed=0)
+    indices, _ = comp.snap(w, kept.attention, kept.codebook)
+    np.testing.assert_array_equal(indices, res.indices)
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,10 @@ def test_forward_tape_holds_no_attention_sized_buffer():
         res = forward(w_node, config=cfg, seed=0)
         assert tape_arrays(res.w_tilde, mk) == []
         assert res.attention.shape == (4096, cfg.clusters)
-        assert res.attention.flags.c_contiguous and res.attention.flags.writeable
+        if forward is core.dkm_forward:
+            assert res.attention.flags.c_contiguous and res.attention.flags.writeable
+        else:  # the Gumbel loop builds no attention at all
+            assert not core.attention_kept(res.attention)
 
         loss = ad.sum_all(ad.square(res.w_tilde))
         ad.backward(loss)
@@ -509,28 +512,39 @@ ATTENTION_FREE_LAYERS = {
 @pytest.mark.parametrize("layer", sorted(ATTENTION_FREE_LAYERS))
 @pytest.mark.parametrize("forward", [core.dkm_forward, baselines.hard_forward])
 def test_attention_free_path_matches_default(forward, layer):
+    # dkm_forward with and without the attention; hard_forward, which never
+    # keeps it, against its loop run directly with the attention kept
     values, cfg = ATTENTION_FREE_LAYERS[layer]
     target = np.random.default_rng(83).normal(size=values.shape)
-    runs = []
-    for keep in (True, False):
+
+    def run(keep):
         leaf = ad.leaf(values)
-        res = forward(leaf, config=cfg, seed=4, keep_attention=keep)
+        if forward is baselines.hard_forward:
+            if keep:
+                _, start = core.loop_start(leaf, None, cfg, 4)
+                return core._cluster_loop(ad.constant(values), start, cfg, baselines._hard_rule), None
+            res = forward(leaf, config=cfg, seed=4)
+        else:
+            res = forward(leaf, config=cfg, seed=4, keep_attention=keep)
         ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
-        runs.append((res, leaf.grad))
-    (full, full_grad), (free, free_grad) = runs
+        return res, leaf.grad
+
+    (full, full_grad), (free, free_grad) = run(True), run(False)
     if layer == "bits8_tiles":
         assert len(core._row_tiles(values.shape[0], cfg.clusters, 8)) == 4
     np.testing.assert_array_equal(free.codebook.centroids, full.codebook.centroids)
     np.testing.assert_array_equal(free.w_tilde.value, full.w_tilde.value)
     assert free.telemetry == full.telemetry
-    np.testing.assert_array_equal(free_grad, full_grad)
+    if full_grad is not None:
+        np.testing.assert_array_equal(free_grad, full_grad)
+    assert core.attention_kept(full.attention)
     for res in (full, free):
         assert res.indices.dtype == np.intp and res.indices.shape == (values.shape[0],)
         np.testing.assert_array_equal(res.indices, np.argmax(full.attention, axis=1))
-    # the attention is never built: a read-only NaN view that keeps the shape
+    # the attention is never built: a read-only NaN broadcast that keeps the shape
     assert free.attention.shape == full.attention.shape
     assert free.attention.strides == (0, 0) and not free.attention.flags.writeable
-    assert np.isnan(free.attention[0, 0])
+    assert np.isnan(free.attention[0, 0]) and not core.attention_kept(free.attention)
 
 
 def test_nearest_one_hot_sends_ties_to_the_lowest_index():
@@ -541,23 +555,29 @@ def test_nearest_one_hot_sends_ties_to_the_lowest_index():
     np.testing.assert_array_equal(one_hot, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize(
     "forward", [core.dkm_forward, baselines.hard_forward, baselines.gumbel_forward]
 )
-def test_attention_free_preflight_byte_count(forward, monkeypatch):
-    # 4,096 sub-vectors of dim 2 at bits=8: the attention is 8 MiB, the soft
-    # weights and indices 96 KiB
-    w, cfg = SubvectorMatrix(np.random.default_rng(84).normal(size=(4096, 2)), 8192), DkmConfig(bits=8, dim=2)
-    full_need = 4096 * 256 * 8 + core.TILE_BYTES
-    free_need = 4096 * (2 + 1) * 8 + core.TILE_BYTES
+def test_attention_free_preflight_byte_count(forward, dtype, monkeypatch):
+    # 4,096 sub-vectors of dim 2 at bits=8: the float64 attention is 8 MiB,
+    # the soft weights and the intp indices 96 KiB (64 KiB at float32)
+    values = np.random.default_rng(84).normal(size=(4096, 2)).astype(dtype)
+    w, cfg = SubvectorMatrix(values, 8192), DkmConfig(bits=8, dim=2)
+    size, index_size = np.dtype(dtype).itemsize, np.dtype(np.intp).itemsize
+    full_need = 4096 * 256 * size + core.TILE_BYTES
+    free_need = 4096 * (2 * size + index_size) + core.TILE_BYTES
+    # only dkm_forward can keep the attention; the baselines never do
+    kwargs = {"keep_attention": False} if forward is core.dkm_forward else {}
     monkeypatch.setattr(core, "physical_memory_bytes", lambda: free_need)
-    with pytest.raises(ResourceError, match=f"needs about {full_need} bytes, more than the {free_need} bytes"):
-        forward(w, config=cfg, seed=0)
-    res = forward(w, config=cfg, seed=0, keep_attention=False)
+    if forward is core.dkm_forward:
+        with pytest.raises(ResourceError, match=f"needs about {full_need} bytes, more than the {free_need} bytes"):
+            forward(w, config=cfg, seed=0)
+    res = forward(w, config=cfg, seed=0, **kwargs)
     assert res.indices.shape == (4096,)
     monkeypatch.setattr(core, "physical_memory_bytes", lambda: free_need - 1)
     with pytest.raises(ResourceError, match=f"needs about {free_need} bytes"):
-        forward(w, config=cfg, seed=0, keep_attention=False)
+        forward(w, config=cfg, seed=0, **kwargs)
 
 
 def test_negative_seed_is_a_parameter_error():
@@ -771,19 +791,25 @@ def test_two_forwards_then_one_backward_match_separate_runs(mode):
     def loss(w_tilde, target):
         return ad.sum_all(ad.mul(w_tilde, ad.constant(target)))
 
+    def outputs(res):
+        # the Gumbel loop keeps no attention: its result is the NaN broadcast
+        return res.w_tilde.value, res.indices, res.codebook.centroids, res.attention
+
     alone = []
     for (values, cfg), target in zip(layers, targets):
         leaf = ad.leaf(values)
         res = forward(leaf, config=cfg, seed=5)
         ad.backward(loss(res.w_tilde, target))
-        alone.append((leaf.grad, res.attention))
+        alone.append((leaf.grad, outputs(res)))
 
     leaves = [ad.leaf(values) for values, _ in layers]
     results = [forward(leaf, config=cfg, seed=5) for leaf, (_, cfg) in zip(leaves, layers)]
-    first_attention = results[0].attention.copy()
+    first_outputs = [a.copy() for a in outputs(results[0])]
     ad.backward(ad.add(*(loss(res.w_tilde, t) for res, t in zip(results, targets))))
-    for leaf, res, (grad, attention) in zip(leaves, results, alone):
+    for leaf, res, (grad, arrays) in zip(leaves, results, alone):
         np.testing.assert_array_equal(leaf.grad, grad)
-        np.testing.assert_array_equal(res.attention, attention)
-    # a later call and a backward leave the first call's attention alone
-    np.testing.assert_array_equal(results[0].attention, first_attention)
+        for got, want in zip(outputs(res), arrays):
+            np.testing.assert_array_equal(got, want)
+    # a later call and a backward leave the first call's outputs alone
+    for got, want in zip(outputs(results[0]), first_outputs):
+        np.testing.assert_array_equal(got, want)

@@ -284,6 +284,27 @@ def test_model_file_of_unknown_version_is_a_data_error(tmp_path, trained_dkm_mod
         hz.load_model(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda idx: np.where(idx == idx[0], -1, idx), r"outside \[0, 4\)"),
+        (lambda idx: np.full_like(idx, 4), r"outside \[0, 4\)"),
+        (lambda idx: idx[:-1], r"shape \(\d+,\), not one per sub-vector"),
+        (lambda idx: idx.astype(np.float64), "not integer"),
+    ],
+    ids=["negative", "past_the_codebook", "short", "float"],
+)
+def test_model_file_with_bad_indices_is_a_data_error(tmp_path, trained_dkm_model, corrupt, message):
+    path = tmp_path / "model.npz"
+    hz.save_model(trained_dkm_model[0], path)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays["st0_idx"] = corrupt(arrays["st0_idx"])
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=message):
+        hz.load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # tau search
 # ---------------------------------------------------------------------------
