@@ -30,6 +30,8 @@ def read_weights(path: str | Path) -> np.ndarray:
     if path.suffix in TEXT_EXTENSIONS:
         values = np.loadtxt(path, dtype=np.float64, ndmin=1).reshape(-1)
     elif path.suffix in RAW_EXTENSIONS:
+        if (size := path.stat().st_size) % 4:
+            raise DataError(f"{path} holds {size} bytes, not a whole number of float32 weights")
         values = np.fromfile(path, dtype="<f4").astype(np.float64)
     else:
         raise ParameterError(

@@ -23,6 +23,7 @@ from .errors import (
     TruncatedStreamError,
     VersionMismatchError,
 )
+from .errors import check_fields, flag, integer
 
 MAGIC = b"DKMZ"
 VERSION = 1
@@ -259,14 +260,22 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
 class LayerPolicy:
     """Per-layer scheme overrides applied on top of a base config.
 
-    Layers under the parameter threshold are clustered at ``small_layer_bits``
-    (8 by default); the first and last layers can be left uncompressed.
+    Layers with fewer than ``small_layer_threshold`` weights (10,000) are clustered
+    at ``small_layer_bits`` (8); the first and last layers can be left uncompressed.
     """
 
     small_layer_threshold: int = 10_000
     small_layer_bits: int = 8
     skip_first: bool = False
     skip_last: bool = False
+
+    def __post_init__(self):
+        check_fields(
+            small_layer_threshold=integer(self.small_layer_threshold, 0),
+            small_layer_bits=integer(self.small_layer_bits, 1, 16),
+            skip_first=flag(self.skip_first),
+            skip_last=flag(self.skip_last),
+        )
 
     def apply(
         self,

@@ -40,6 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
+from .errors import check_fields, choice, integer, real
 
 SQUARED_EUCLIDEAN = "squared_euclidean"
 EUCLIDEAN = "euclidean"
@@ -74,20 +75,15 @@ class DkmConfig:
     init: str = RANDOM_SAMPLE
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 16:
-            raise ParameterError(f"bits must be in [1, 16], got {self.bits}")
-        if self.dim < 1:
-            raise ParameterError(f"dim must be >= 1, got {self.dim}")
-        if self.temperature <= 0:
-            raise ParameterError(f"temperature must be > 0, got {self.temperature}")
-        if self.epsilon < 0:
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.metric not in METRICS:
-            raise ParameterError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.init not in INITS:
-            raise ParameterError(f"init must be one of {INITS}, got {self.init!r}")
+        check_fields(
+            bits=integer(self.bits, 1, 16),
+            dim=integer(self.dim, 1),
+            temperature=real(self.temperature, 0, above=True),
+            epsilon=real(self.epsilon, 0),
+            max_iterations=integer(self.max_iterations, 1),
+            metric=choice(self.metric, METRICS),
+            init=choice(self.init, INITS),
+        )
 
     @property
     def clusters(self) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines, core
 from .core import Codebook, DkmConfig, DkmResult
-from .errors import DataError, NumericError, ParameterError
+from .errors import DataError, NumericError, ParameterError, check_fields, choice, integer, real
 
 ATTENTION_MODES = ("dkm", "hard", "gumbel", "none")
 
@@ -115,19 +115,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ParameterError("batch_size and epochs must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_fields(
+            learning_rate=real(self.learning_rate, 0, above=True),
+            momentum=real(self.momentum, 0, below=1),
+            batch_size=integer(self.batch_size, 1),
+            epochs=integer(self.epochs, 1),
+            seed=integer(self.seed, 0),
+        )
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Blueprint for a ToyModel: dims, per-layer schemes, assignment mode."""
+    """Blueprint for a ToyModel: dims, per-layer schemes, assignment mode.
+
+    One DataError names every clustered layer with fewer than 2^bits sub-vectors.
+    """
 
     layer_dims: tuple[int, ...]
     schemes: tuple[DkmConfig | None, ...]
@@ -136,19 +138,35 @@ class ModelSpec:
     draws: int = 1
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise ParameterError("need at least input and output dims")
-        if len(self.schemes) != len(self.layer_dims) - 1:
-            raise ParameterError(
-                f"{len(self.layer_dims) - 1} weight layers need {len(self.layer_dims) - 1} "
-                f"schemes, got {len(self.schemes)}"
-            )
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ParameterError(f"attention_mode must be one of {ATTENTION_MODES}")
-        if self.draws < 1:
-            raise ParameterError("draws must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        dims, layers = self.layer_dims, len(self.layer_dims) - 1
+        dims_ok = layers >= 1 and not any(integer(d, 1) for d in dims)
+        schemes_ok = len(self.schemes) == layers and all(
+            s is None or isinstance(s, DkmConfig) for s in self.schemes
+        )
+        check_fields(
+            layer_dims=None if dims_ok else f"must be two or more positive integers, got {dims!r}",
+            schemes=None if schemes_ok else f"must hold a DkmConfig or None for each of {layers} weight layers",
+            **self.setting_problems(self.seed, self.attention_mode, self.draws),
+        )
+        infeasible = [
+            f"layer {i}: {self.subvectors(i)} sub-vectors cannot seed {cfg.clusters} clusters "
+            f"(bits={cfg.bits}, dim={cfg.dim})"
+            for i, cfg in enumerate(self.schemes)
+            if cfg is not None and self.subvectors(i) < cfg.clusters
+        ]
+        if infeasible:
+            raise DataError("; ".join(infeasible))
+
+    @staticmethod
+    def setting_problems(seed, attention_mode, draws) -> dict[str, str | None]:
+        """Why each setting that does not depend on the layers is bad (None if fine)."""
+        return dict(
+            seed=integer(seed, 0), attention_mode=choice(attention_mode, ATTENTION_MODES), draws=integer(draws, 1)
+        )
+
+    def subvectors(self, layer: int) -> int:
+        """Sub-vector count of a clustered layer under its scheme, the last one zero-padded."""
+        return -(-self.layer_dims[layer] * self.layer_dims[layer + 1] // self.schemes[layer].dim)
 
     def with_temperature(self, tau: float) -> "ModelSpec":
         return replace(
@@ -171,8 +189,8 @@ class ToyModel:
     """MLP with relu hidden layers; weight matrices optionally clustered.
 
     Raw weights stay the trainable parameters; the clustered view exists
-    only on the tape. Warm-start codebooks and the last soft weights are
-    per-layer state owned by the model.
+    only on the tape. Each layer's last clustering state, whose codebook
+    warm-starts the next batch, is per-layer state owned by the model.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -184,9 +202,7 @@ class ToyModel:
             scale = math.sqrt(2.0 / fan_in)
             self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
             self.biases.append(np.zeros((1, fan_out)))
-        self.warm_starts: list[Codebook | None] = [None] * self.layers
         self.state: list[LayerState | None] = [None] * self.layers
-        self._validate_schemes()
 
     @property
     def layers(self) -> int:
@@ -196,25 +212,13 @@ class ToyModel:
     def schemes(self) -> tuple[DkmConfig | None, ...]:
         return self.spec.schemes
 
-    def _validate_schemes(self):
-        for i, cfg in enumerate(self.schemes):
-            if cfg is None:
-                continue
-            n = self.weights[i].size
-            count = (n + (-n) % cfg.dim) // cfg.dim
-            if count < cfg.clusters:
-                raise DataError(
-                    f"layer {i}: {count} sub-vectors cannot seed {cfg.clusters} clusters"
-                )
-
 
 def _cluster_layer(
     model: ToyModel, index: int, w_node: ad.Node, gumbel_rng: np.random.Generator
 ) -> DkmResult:
     cfg = model.schemes[index]
-    count = -(-w_node.value.size // cfg.dim)  # the last sub-vector zero-padded
-    sub_node = ad.regroup(w_node, count, cfg.dim)
-    warm = model.warm_starts[index]
+    sub_node = ad.regroup(w_node, model.spec.subvectors(index), cfg.dim)
+    warm = None if model.state[index] is None else model.state[index].codebook
     init_seed = model.spec.seed + index
     mode = model.spec.attention_mode
 
@@ -222,13 +226,11 @@ def _cluster_layer(
         res = core.dkm_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
     elif mode == "hard":
         res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed)
-    elif mode == "gumbel":
+    else:  # gumbel; "none" never clusters
         draw_seed = int(gumbel_rng.integers(2**62))
         res = baselines.gumbel_forward(
             sub_node, warm, cfg, seed=draw_seed, draws=model.spec.draws, init_seed=init_seed
         )
-    else:
-        raise ParameterError(f"unknown clustering mode {mode!r}")
     return res
 
 
@@ -264,7 +266,6 @@ def _forward_logits(effective, bias_nodes, x: np.ndarray) -> ad.Node:
 
 def _record_state(model: ToyModel, results: dict[int, DkmResult]):
     for i, res in results.items():
-        model.warm_starts[i] = res.codebook
         model.state[i] = LayerState(
             w_tilde=res.w_tilde.value.copy(),
             indices=res.indices,
@@ -516,8 +517,6 @@ def save_model(model: ToyModel, path, dataset_args: dict | None = None) -> None:
     for i in range(model.layers):
         arrays[f"w{i}"] = model.weights[i]
         arrays[f"b{i}"] = model.biases[i]
-        if model.warm_starts[i] is not None:
-            arrays[f"warm{i}"] = model.warm_starts[i].centroids
         st = model.state[i]
         if st is not None:
             arrays[f"st{i}_wt"] = st.w_tilde
@@ -531,9 +530,11 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
     """Inverse of save_model; returns the model and any saved dataset args.
 
     Reads format versions 1 and 2; a version-1 file's indices are the row
-    argmax of its stored attention. Raises DataError for an unknown version
-    and for indices that are not one integer in [0, clusters) per row of
-    the stored soft weights.
+    argmax of its stored attention; the copy of ``st{i}_cb`` older files hold
+    as ``warm{i}`` is ignored. Raises DataError for an unknown version, for
+    state that is not (2^bits, dim) codebook and (count, dim) soft weights
+    under the layer's scheme, and for indices that are not one integer in
+    [0, clusters) per sub-vector.
     """
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
@@ -554,9 +555,14 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
         for i in range(model.layers):
             model.weights[i] = archive[f"w{i}"].copy()
             model.biases[i] = archive[f"b{i}"].copy()
-            if f"warm{i}" in archive:
-                model.warm_starts[i] = Codebook(archive[f"warm{i}"].copy())
             if f"st{i}_wt" in archive:
+                cfg = schemes[i]
+                if cfg is None:
+                    raise DataError(f"layer {i} has clustering state but no scheme")
+                shapes = {f"st{i}_cb": (cfg.clusters, cfg.dim), f"st{i}_wt": (spec.subvectors(i), cfg.dim)}
+                for key, shape in shapes.items():
+                    if archive[key].shape != shape:
+                        raise DataError(f"layer {i} {key} has shape {archive[key].shape}, not {shape}")
                 w_tilde = archive[f"st{i}_wt"].copy()
                 codebook = Codebook(archive[f"st{i}_cb"].copy())
                 if version == 1:

@@ -62,6 +62,19 @@ def test_weight_io_rejects_unknown_extension(tmp_path):
         read_weights(tmp_path / "w.csv")
 
 
+def test_truncated_raw_weight_file_is_one_data_error(tmp_path, capsys):
+    path = tmp_path / "w.f32"
+    path.write_bytes(np.arange(64, dtype="<f4").tobytes() + b"\x00\x01")  # 258 bytes
+    out = tmp_path / "w.dkmz"
+    code, stdout, err = run_cli(
+        capsys, "compress", "--weights", str(path), "--bits", "2", "--tau", "0.05", "--out", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:DataError:") and err.count("\n") == 1
+    assert "258 bytes" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cluster
 # ---------------------------------------------------------------------------
@@ -303,6 +316,14 @@ def test_config_errors_are_exhaustive(tmp_path, capsys):
         ("train.momentum", None),
         ("train.epochs", 0),
         ("compression.draws", True),
+        ("compression.groups.all.bits", 2.5),
+        ("compression.groups.all.bits", True),
+        ("compression.groups.all.dim", 1.5),
+        ("compression.groups.all.max_iterations", 2.5),
+        ("compression.groups.all.temperature", True),
+        ("dataset.n", True),
+        ("dataset.noise", True),
+        ("model.hidden", [True, 8]),
     ],
 )
 def test_malformed_config_value_is_one_config_error(tmp_path, capsys, key, value):
@@ -319,6 +340,28 @@ def test_malformed_config_value_is_one_config_error(tmp_path, capsys, key, value
     assert err.startswith("error:ConfigError:") and err.count("\n") == 1
     assert key in err
     assert "; " not in err  # one problem, reported once
+
+
+def test_section_with_two_bad_fields_reports_both(tmp_path, capsys):
+    cfg = train_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["compression"]["groups"]["all"].update(bits=2.5, dim=0)
+    raw["train"].update(epochs=1.5, momentum=True)
+    cfg.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error:ConfigError:") and err.count("\n") == 1
+    for key in ("compression.groups.all.bits", "compression.groups.all.dim", "train.epochs", "train.momentum"):
+        assert key in err
+
+
+def test_layers_too_small_for_their_schemes_are_one_config_error(tmp_path, capsys):
+    cfg = train_config(tmp_path, compression={"mode": "dkm", "groups": {"all": {"bits": 6, "temperature": 0.01}}})
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error:ConfigError:") and err.count("\n") == 1
+    assert "layer 0: 16 sub-vectors cannot seed 64 clusters" in err
+    assert "layer 1: 32 sub-vectors cannot seed 64 clusters" in err
 
 
 @pytest.mark.parametrize("command", ["cluster", "compress", "train", "tau-search"])

@@ -300,6 +300,16 @@ def test_policy_small_layer_gets_eight_bits():
     assert got.bits == 2
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"small_layer_bits": 20}, {"small_layer_bits": 0}, {"small_layer_bits": 4.0},
+     {"small_layer_threshold": "big"}, {"small_layer_threshold": -1}, {"skip_first": "yes"}, {"skip_last": 1}],
+)
+def test_policy_rejects_bad_values(kwargs):
+    with pytest.raises(ParameterError):
+        comp.LayerPolicy(**kwargs)
+
+
 def test_policy_skips_first_and_last():
     base = DkmConfig(bits=2, dim=1)
     policy = comp.LayerPolicy(skip_first=True, skip_last=True)

@@ -41,11 +41,26 @@ def test_config_defaults():
         {"bits": 2, "max_iterations": 0},
         {"bits": 2, "metric": "manhattan"},
         {"bits": 2, "init": "zeros"},
+        {"bits": 2.5},
+        {"bits": True},
+        {"bits": 2, "dim": 1.5},
+        {"bits": 2, "max_iterations": 2.5},
+        {"bits": 2, "temperature": True},
+        {"bits": 2, "temperature": float("nan")},
+        {"bits": 2, "epsilon": "0"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ParameterError):
         DkmConfig(**kwargs)
+
+
+def test_config_reports_every_bad_field_at_once():
+    with pytest.raises(ParameterError) as info:
+        DkmConfig(bits=2.5, dim=0, temperature=-1.0, metric="manhattan")
+    assert set(info.value.fields) == {"bits", "dim", "temperature", "metric"}
+    assert "bits must be an integer, got 2.5" in str(info.value)
+    assert "dim must be >= 1, got 0" in str(info.value)
 
 
 def test_subvector_matrix_bookkeeping():

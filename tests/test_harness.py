@@ -148,6 +148,15 @@ def test_model_rejects_undersized_layers():
         hz.ToyModel(mlp_spec((scheme(bits=8), None, None), "dkm"))
 
 
+def test_spec_names_every_layer_too_small_for_its_scheme():
+    with pytest.raises(DataError) as info:
+        hz.ModelSpec((2, 8, 4), (scheme(bits=5), scheme(bits=6)))
+    message = str(info.value)
+    assert "layer 0: 16 sub-vectors cannot seed 32 clusters" in message
+    assert "layer 1: 32 sub-vectors cannot seed 64 clusters" in message
+    hz.ModelSpec((2, 8, 4), (scheme(bits=4), scheme(bits=5)))  # exactly enough
+
+
 def test_spec_validation():
     with pytest.raises(ParameterError):
         hz.ModelSpec((2,), (), seed=0)
@@ -159,6 +168,13 @@ def test_spec_validation():
         hz.TrainConfig(momentum=1.0)
     with pytest.raises(ParameterError):
         hz.TrainConfig(learning_rate=0.0)
+    for kwargs in ({"epochs": 1.5}, {"batch_size": True}, {"seed": -1}, {"learning_rate": "x"}, {"momentum": None}):
+        with pytest.raises(ParameterError):
+            hz.TrainConfig(**kwargs)
+    with pytest.raises(ParameterError):
+        hz.ModelSpec((2, 4.0), (None,))
+    with pytest.raises(ParameterError):
+        hz.ModelSpec((2, 4), ({"bits": 2},))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +277,7 @@ def test_model_file_version_1_with_attention_still_loads(tmp_path, trained_dkm_m
     path = tmp_path / "old.npz"
     np.savez(
         path, meta=np.array(json.dumps(meta)), w0=model.weights[0], b0=model.biases[0],
-        w1=model.weights[1], b1=model.biases[1], warm0=model.warm_starts[0].centroids,
+        w1=model.weights[1], b1=model.biases[1], warm0=model.state[0].codebook.centroids,
         st0_wt=st.w_tilde, st0_att=attention, st0_cb=st.codebook.centroids, st0_it=np.array(st.iterations),
     )
     loaded, dataset_args = hz.load_model(path)
@@ -303,6 +319,39 @@ def test_model_file_with_bad_indices_is_a_data_error(tmp_path, trained_dkm_model
     np.savez(path, **arrays)
     with pytest.raises(DataError, match=message):
         hz.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, shape, message",
+    [
+        ("st0_cb", (4, 0), r"st0_cb has shape \(4, 0\), not \(4, 3\)"),
+        ("st0_cb", (8, 3), r"st0_cb has shape \(8, 3\), not \(4, 3\)"),
+        ("st0_wt", (4, 2), r"st0_wt has shape \(4, 2\), not \(4, 3\)"),
+        ("st0_wt", (12,), r"st0_wt has shape \(12,\), not \(4, 3\)"),
+    ],
+    ids=["empty_codebook", "codebook_of_other_bits", "soft_weights_of_other_dim", "flat_soft_weights"],
+)
+def test_model_file_with_misshapen_state_is_a_data_error(tmp_path, trained_dkm_model, key, shape, message):
+    path = tmp_path / "model.npz"
+    hz.save_model(trained_dkm_model[0], path)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays[key] = np.zeros(shape)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=message):
+        hz.load_model(path)
+
+
+def test_model_file_keeps_one_copy_of_each_codebook(tmp_path, trained_dkm_model):
+    model, data = trained_dkm_model
+    path = tmp_path / "model.npz"
+    hz.save_model(model, path)
+    with np.load(path) as archive:
+        assert not [name for name in archive.files if name.startswith("warm")]
+    loaded, _ = hz.load_model(path)
+    np.testing.assert_array_equal(loaded.state[0].codebook.centroids, model.state[0].codebook.centroids)
+    for snapped in (False, True):
+        assert hz.evaluate(loaded, data, snapped) == hz.evaluate(model, data, snapped)
 
 
 # ---------------------------------------------------------------------------
