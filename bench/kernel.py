@@ -31,6 +31,10 @@ at the repository root):
   ``tracemalloc`` peak and seconds, next to the ``m * k * 8`` bytes its
   (m, k) attention would take.
 
+The ``machine`` block also names the tree measured, as perfbench's results
+do: ``git_commit`` (null without a ``.git`` directory) and
+``source_sha256``, a digest of the package sources under ``src``.
+
 Usage, from anywhere (the script puts this repository's ``src`` first on
 ``sys.path`` and pins BLAS to one thread unless the environment says
 otherwise)::
@@ -71,6 +75,9 @@ import numpy as np  # noqa: E402
 from dkm import autodiff as ad  # noqa: E402
 from dkm import baselines, cli, core, harness  # noqa: E402
 from dkm.core import DkmConfig, SubvectorMatrix  # noqa: E402
+
+sys.path.insert(0, str(ROOT))
+from perfbench.run import source_commit, source_digest  # noqa: E402
 
 ITERATIONS = 5
 # label, bits, dim, sub-vectors, tau, weight scale; each fills one tile
@@ -274,6 +281,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "git_commit": source_commit(ROOT),
+            "source_sha256": source_digest(ROOT),
         },
         "iterations_per_call": ITERATIONS,
         "tile_passes": passes,

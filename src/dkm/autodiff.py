@@ -11,9 +11,10 @@ The tape holds only what backward reads:
   a forward pass on constants builds no tape at all;
 - ``transpose``, ``broadcast_row`` and ``broadcast_col`` return read-only
   views of their input, not copies;
-- ``neg_sq_distance`` is one fused node whose value is a read-only view
-  of the cluster-major (k, m) distance kernel, and it and ``row_softmax``
-  save only their outputs;
+- ``neg_sq_distance`` and ``row_softmax`` save only their outputs. They
+  are the three plain-array cluster-major (k, m) kernels that
+  ``dkm.core``'s loop runs tile by tile, ``neg_distance_cluster_major``,
+  ``neg_distance_vjp`` and ``softmax_cluster_major``, with a tape entry;
 - ``softmax_cross_entropy`` is the whole classification loss in one node,
   saving the row exponentials and their sums, and ``regroup`` lays a
   matrix's row-major entries out in a new shape, zero-padded or cut short,
@@ -218,19 +219,16 @@ def regroup(a: Node, rows: int, cols: int) -> Node:
 
 
 def row_softmax(x: Node, temperature: float) -> Node:
-    """Row-wise softmax of x / temperature, max-subtracted for stability.
+    """Row-wise softmax of x / temperature: ``softmax_cluster_major`` of x's transpose.
 
-    Backward uses the softmax Jacobian: dx = y * (g - sum(g*y)) / tau, so
-    only the output y is saved.
+    So an entry whose shifted logit is below log(finfo.tiny) is exactly 0,
+    as in the clustering loop. Backward uses the softmax Jacobian:
+    dx = y * (g - sum(g*y)) / tau, so only the output y is saved.
     """
     if temperature <= 0:
         raise ParameterError(f"row_softmax: temperature must be > 0, got {temperature}")
-    v = x.value
-    tau = v.dtype.type(temperature)
-    y = v - v.max(axis=1, keepdims=True)
-    y /= tau
-    np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
+    tau = x.value.dtype.type(temperature)
+    y = softmax_cluster_major(x.value.T, tau).T
 
     def backward(g):
         dx = g - (g * y).sum(axis=1, keepdims=True)
@@ -311,13 +309,74 @@ def neg_distance_cluster_major(
     return out
 
 
+def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the clusters of a cluster-major (k, rows) tile, max-subtracted.
+
+    Entries whose shifted logit ``(logit - column max) / tau`` is below
+    log(finfo.tiny) are exactly 0: exp is not evaluated there, because its
+    subnormal and underflowing results take libm's slow path. Every other
+    entry has the bits of the plain softmax. ``out`` may be ``logits``.
+    """
+    y = np.subtract(logits, logits.max(axis=0), out=out)
+    y /= tau
+    floor = np.log(np.finfo(y.dtype).tiny, dtype=np.float64)
+    # one reduction decides; tiles with nothing to flush pay nothing more
+    if y.min() < floor:
+        low = y < floor
+        if np.count_nonzero(low) * 32 <= low.size:
+            # a few entries (a large layer at a moderate tau): masked copies
+            # cost little more than reading the mask
+            np.copyto(y, 0.0, where=low)
+            np.exp(y, out=y)
+            np.copyto(y, 0.0, where=low)
+        else:
+            # many (Gumbel noise at a small tau), where masked copies cost
+            # over ten times a multiply: multiply by the complement
+            keep = np.logical_not(low, out=low)
+            np.maximum(y, floor, out=y)  # so the product meets no -inf
+            y *= keep
+            np.exp(y, out=y)
+            y *= keep
+    else:
+        np.exp(y, out=y)
+    y /= y.sum(axis=0)
+    return y
+
+
+def neg_distance_vjp(
+    g: np.ndarray, dist: np.ndarray, w: np.ndarray, c: np.ndarray, euclidean: bool = False,
+    need_c: bool = True, tmp: np.ndarray | None = None, clamp: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients reaching w (m, d) and c (k, d) from ``g`` = d(loss)/d(dist).
+
+    ``dist`` is the (k, m) output of ``neg_distance_cluster_major`` and ``g``
+    has its layout; ``g`` is overwritten. A clamped entry (a row that
+    coincides with a centroid) passes no gradient. The c gradient is None
+    unless ``need_c``. ``tmp`` (float, like ``dist``) and ``clamp`` (bool)
+    are optional (k, m) work arrays.
+    """
+    # g becomes gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), zero where clamped
+    if euclidean:
+        # d(-sqrt(s))/ds = -0.5 / sqrt(s), with sqrt(s) = -dist floored so
+        # a clamped entry stays finite before its mask zeroes it
+        g *= -0.5
+        root = np.negative(dist, out=tmp)
+        g /= np.maximum(root, np.finfo(dist.dtype).tiny ** 0.5, out=root)
+    else:
+        np.negative(g, out=g)
+    if not dist.max() < 0:  # a clamped entry is 0; most tiles have none
+        g *= np.less(dist, 0, out=clamp)
+    gw = 2.0 * w * g.sum(axis=0)[:, None] - 2.0 * (g.T @ c)
+    gc = 2.0 * c * g.sum(axis=1)[:, None] - 2.0 * (g @ w) if need_c else None
+    return gw, gc
+
+
 def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
     """Negated pairwise distances between the rows of w (m, d) and c (k, d).
 
     The value is a read-only (m, k) transposed view of
-    ``neg_distance_cluster_major``. One node saves only its output:
-    backward rebuilds the clamp mask as ``out < 0``. A clamped entry (a row
-    that coincides with a centroid) passes no gradient.
+    ``neg_distance_cluster_major``, and backward is ``neg_distance_vjp`` on
+    the saved output, so one node saves only that.
     """
     wv, cv = w.value, c.value
     if wv.shape[1] != cv.shape[1]:
@@ -326,25 +385,9 @@ def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
     out.flags.writeable = False
 
     def backward(g):
-        # gs = dL/d(|w|^2 + |c|^2 - 2 w.c), zero where the clamp was active
-        if euclidean:
-            # d(-sqrt(s))/ds = -0.5 / sqrt(s), with sqrt(s) = -out floored
-            # so a clamped entry stays finite before its mask zeroes it
-            gs = -0.5 * g
-            gs /= np.maximum(-out, np.finfo(out.dtype).tiny ** 0.5)
-            gs *= out < 0
-        else:
-            gs = -g * (out < 0)
-        gw = gc = None
-        if w.requires_grad:
-            gw = gs @ cv
-            gw *= -2.0
-            gw += 2.0 * wv * gs.sum(axis=1, keepdims=True)
-        if c.requires_grad:
-            gc = gs.T @ wv
-            gc *= -2.0
-            gc += 2.0 * cv * gs.sum(axis=0)[:, None]
-        return gw, gc
+        # g may be shared with another node's gradient: hand the VJP a copy
+        gw, gc = neg_distance_vjp(g.T.copy(), out.T, wv, cv, euclidean, c.requires_grad)
+        return (gw if w.requires_grad else None), gc
 
     return Node(out, (w, c), backward)
 

@@ -24,10 +24,8 @@ from .core import (
     _TileWork,
     _cluster_loop,
     _nearest_one_hot,
-    _softmax_clusters,
     _values,
     kmeans_pp,
-    loop_start,
 )
 from .errors import DataError, ParameterError
 
@@ -87,9 +85,9 @@ def hard_forward(
     loop itself builds no tape, and no (m, k) attention: ``attention`` is
     the placeholder of ``dkm_forward(..., keep_attention=False)``.
     """
-    w_node, start = loop_start(w, warm_start, config, seed, keep_attention=False)
+    w_node = w if isinstance(w, Node) else ad.leaf(w.values)
     res = _cluster_loop(
-        ad.constant(w_node.value, checked=False), start, config, _hard_rule, keep_attention=False
+        ad.constant(w_node.value, checked=False), warm_start, config, seed, _hard_rule, keep_attention=False
     )
     res.w_tilde = straight_through_reconstruct(w_node, res.indices, res.codebook.centroids)
     return res
@@ -130,7 +128,7 @@ def gumbel_samples(
         np.negative(u, out=u)
         np.log(u, out=u)
         y = np.subtract(dist, u.T, out=work.get(f"sample{i}", dist.shape, dist.dtype), dtype=dist.dtype)
-        return _softmax_clusters(y, temperature, out=y)
+        return ad.softmax_cluster_major(y, temperature, out=y)
 
     return [sample(i) for i in range(draws)]
 
@@ -156,15 +154,13 @@ def gumbel_forward(
     """
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    w_node, start = loop_start(
-        w, warm_start, config, seed if init_seed is None else init_seed, keep_attention=False
-    )
     rng = np.random.default_rng(seed)
 
     def rule(dist, tau, work):
         return gumbel_samples(dist, tau, rng, draws, work)
 
-    return _cluster_loop(w_node, start, config, rule, rng, keep_attention=False)
+    init = seed if init_seed is None else init_seed
+    return _cluster_loop(w, warm_start, config, init, rule, rng, keep_attention=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,10 @@ from dataclasses import dataclass, fields, replace
 
 from .compression import LayerPolicy
 from .core import DkmConfig
-from .errors import ConfigError, DataError, ParameterError, choice, integer, real
-from .harness import ModelSpec, TrainConfig
+from .errors import ConfigError, DataError, ParameterError, integer
+from .harness import ModelSpec, TrainConfig, dataset_problems
 
 GROUP_NAMES = ("hidden", "output", "all")
-
-# The dataset section builds no dataclass, so its rules live here.
-_DATASET_RULES = {
-    "kind": lambda v: choice(v, ("blobs", "moons")),
-    "n": lambda v: integer(v, 1),
-    "classes": lambda v: integer(v, 2),
-    "noise": lambda v: real(v, 0),
-    "seed": lambda v: integer(v, 0),
-}
 
 # The config key of each ModelSpec setting that does not depend on the layers.
 _SPEC_KEYS = {"seed": "model.seed", "attention_mode": "compression.mode", "draws": "compression.draws"}
@@ -55,7 +46,7 @@ def load_run_spec(path) -> RunSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_run_spec(raw)
 
@@ -120,9 +111,12 @@ def parse_run_spec(raw: dict) -> RunSpec:
     train = _section(raw, "train", errors)
     compression = _section(raw, "compression", errors)
 
-    _reject_unknown(dataset, "dataset", _DATASET_RULES, errors)
+    # make_dataset's rules, each reported only for a key the section has
+    problems = dataset_problems(**{key: dataset.get(key) for key in ("kind", "n", "classes", "noise")},
+                                seed=dataset.get("seed", 0))
+    _reject_unknown(dataset, "dataset", problems, errors)
     _require(dataset, "dataset", ("kind", "n", "classes", "noise"), errors)
-    _report({key: rule(dataset[key]) for key, rule in _DATASET_RULES.items() if key in dataset}, "dataset", errors)
+    _report({key: why for key, why in problems.items() if key in dataset}, "dataset", errors)
 
     _reject_unknown(model, "model", {"hidden", "seed"}, errors)
     _require(model, "model", ("hidden",), errors)

@@ -18,16 +18,17 @@ altogether (``keep_attention=False`` in ``dkm_forward``; the Gumbel and
 hard loops of ``baselines`` never build it). The same loop serves every
 assignment mode: only the rule turning a distance tile into
 attention changes (the softmax here; Gumbel-softmax draws and a one-hot
-argmax in ``baselines``). The public ``distance_matrix``, ``attention``
-and ``centroid_update`` build the soft steps as separate tape nodes.
+argmax in ``baselines``), and ``_cluster_loop`` is its only entry. The
+public ``distance_matrix``, ``attention`` and ``centroid_update`` build
+the soft steps as separate tape nodes from the same ``autodiff`` kernels.
 
 Each call allocates its tile work arrays (distances, softmax samples,
 noise) once and reuses them for every tile and pass; they are freed when
-the call returns. The loop's softmax flushes subnormal tails: an entry
-whose shifted logit ``(d - max_k d) / tau`` is below log(finfo.tiny), so
-that its unnormalised weight would fall below the smallest normal float,
-is exactly 0 instead of a subnormal. Every other entry keeps the bits of
-the plain max-subtracted softmax.
+the call returns. The softmax, the loop's and ``attention``'s alike,
+flushes subnormal tails: an entry whose shifted logit ``(d - max_k d) / tau``
+is below log(finfo.tiny), so that its unnormalised weight would fall below
+the smallest normal float, is exactly 0 instead of a subnormal. Every other
+entry keeps the bits of the plain max-subtracted softmax.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def distance_matrix(w, c, metric: str = SQUARED_EUCLIDEAN) -> Node:
 
 
 def attention(dist: Node, temperature: float) -> Node:
-    """Row-stochastic soft assignments from negated distances."""
+    """Row-stochastic soft assignments from negated distances, flushed as in the loop."""
     return ad.row_softmax(_as_node(dist), temperature)
 
 
@@ -299,52 +300,6 @@ def physical_memory_bytes() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-
-
-def loop_start(
-    w, warm_start: Codebook | None, config: DkmConfig, seed: int, keep_attention: bool = True
-) -> tuple[Node, np.ndarray]:
-    """Input node and starting centroids of the clustering loop.
-
-    ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
-    graph Node of shape (count, dim). Before seeding, raises ResourceError
-    when what the loop returns plus one tile exceeds physical memory:
-    ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept, else
-    ``m * (dim * itemsize + intp itemsize) + TILE_BYTES`` for the soft
-    weights and the indices. Nothing else the loop holds grows with m * k,
-    whatever the assignment rule, the iteration count or ``requires_grad``.
-    The warm start must be (2^bits, dim); it is copied, never aliased.
-    """
-    if config is None:
-        raise ParameterError("config is required")
-    if isinstance(w, Node):
-        w_node, values = w, w.value
-    else:
-        w_node, values = ad.leaf(w.values), w.values
-    k = config.clusters
-    if values.shape[1] != config.dim:
-        raise ShapeError(f"sub-vector dim {values.shape[1]} != config dim {config.dim}")
-
-    if keep_attention:
-        per_row = k * values.itemsize
-    else:
-        per_row = config.dim * values.itemsize + np.dtype(np.intp).itemsize
-    need = values.shape[0] * per_row + TILE_BYTES
-    available = physical_memory_bytes()
-    if available is not None and need > available:
-        raise ResourceError(
-            f"clustering {values.shape[0]} sub-vectors into {k} clusters needs about {need} bytes, "
-            f"more than the {available} bytes of physical memory"
-        )
-
-    if warm_start is not None:
-        if warm_start.centroids.shape != (k, config.dim):
-            raise ShapeError(
-                f"warm start shape {warm_start.centroids.shape} != ({k}, {config.dim})"
-            )
-        return w_node, warm_start.centroids.astype(values.dtype, copy=True)
-    sub = w if isinstance(w, SubvectorMatrix) else SubvectorMatrix(values, values.size)
-    return w_node, init_centroids(sub, config, seed).centroids.astype(values.dtype, copy=True)
 
 
 def _row_tiles(m: int, k: int, itemsize: int) -> list[slice]:
@@ -391,43 +346,9 @@ def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_clusters(logits: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the clusters of a cluster-major (k, rows) tile, max-subtracted.
-
-    Entries whose shifted logit ``(logit - column max) / tau`` is below
-    log(finfo.tiny) are exactly 0: exp is not evaluated there, because its
-    subnormal and underflowing results take libm's slow path. Every other
-    entry has the bits of the plain softmax. ``out`` may be ``logits``.
-    """
-    y = np.subtract(logits, logits.max(axis=0), out=out)
-    y /= tau
-    floor = np.log(np.finfo(y.dtype).tiny, dtype=np.float64)
-    # one reduction decides; tiles with nothing to flush pay nothing more
-    if y.min() < floor:
-        low = y < floor
-        if np.count_nonzero(low) * 32 <= low.size:
-            # a few entries (a large layer at a moderate tau): masked copies
-            # cost little more than reading the mask
-            np.copyto(y, 0.0, where=low)
-            np.exp(y, out=y)
-            np.copyto(y, 0.0, where=low)
-        else:
-            # many (Gumbel noise at a small tau), where masked copies cost
-            # over ten times a multiply: multiply by the complement
-            keep = np.logical_not(low, out=low)
-            np.maximum(y, floor, out=y)  # so the product meets no -inf
-            y *= keep
-            np.exp(y, out=y)
-            y *= keep
-    else:
-        np.exp(y, out=y)
-    y /= y.sum(axis=0)
-    return y
-
-
 def _soft_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
     """The DKM assignment rule: one temperature softmax over the clusters."""
-    return (_softmax_clusters(dist, tau, work.get("sample0", dist.shape, dist.dtype)),)
+    return (ad.softmax_cluster_major(dist, tau, work.get("sample0", dist.shape, dist.dtype)),)
 
 
 def _attend(samples, tau, work: _TileWork, ga: np.ndarray | None = None):
@@ -519,18 +440,14 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                     g_c += a @ gr
                 else:
                     gw[rows] += a.T @ g_weighted
-                # ... to gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), zero where clamped
-                if euclidean:
-                    ga *= -0.5
-                    root = np.negative(dist, out=work.get("tmp", dist.shape, dist.dtype))
-                    ga /= np.maximum(root, np.finfo(dist.dtype).tiny ** 0.5, out=root)
-                else:
-                    np.negative(ga, out=ga)
-                if not dist.max() < 0:  # a clamped entry is 0; most tiles have none
-                    ga *= np.less(dist, 0, out=work.get("clamp", dist.shape, bool))
-                gw[rows] += 2.0 * wr * ga.sum(axis=0)[:, None] - 2.0 * (ga.T @ c)
+                # ... to the rows and the centroids
+                gw_rows, gc = ad.neg_distance_vjp(
+                    ga, dist, wr, c, euclidean, g_c is not None,
+                    work.get("tmp", dist.shape, dist.dtype), work.get("clamp", dist.shape, bool),
+                )
+                gw[rows] += gw_rows
                 if g_c is not None:
-                    g_c += 2.0 * c * ga.sum(axis=1)[:, None] - 2.0 * (ga @ wr)
+                    g_c += gc
             g_next = g_c
         return (gw,)
 
@@ -538,15 +455,26 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
 
 
 def _cluster_loop(
-    w_node: Node,
-    c: np.ndarray,
+    w,
+    warm_start: Codebook | None,
     config: DkmConfig,
+    seed: int,
     rule=_soft_rule,
     rng: np.random.Generator | None = None,
     record_trajectory: bool = False,
     keep_attention: bool = True,
 ) -> DkmResult:
-    """The clustering loop of every assignment mode, from centroids ``c``.
+    """The clustering loop of every assignment mode, and its only entry.
+
+    ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
+    graph Node of shape (count, dim). Before seeding, raises ResourceError
+    when what the loop returns plus one tile exceeds physical memory:
+    ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept, else
+    ``m * (dim * itemsize + intp itemsize) + TILE_BYTES`` for the soft
+    weights and the indices. Nothing else the loop holds grows with m * k,
+    whatever the assignment rule, the iteration count or ``requires_grad``.
+    The loop starts from ``warm_start``, which must be (2^bits, dim) and is
+    copied, never aliased, or else from ``init_centroids(..., seed)``.
 
     ``rule(dist, tau, work)`` maps a cluster-major (k, rows) tile of negated
     distances to the list of samples whose mean is its attention tile: one
@@ -557,19 +485,38 @@ def _cluster_loop(
     state saved at the start of each pass. Otherwise as ``dkm_forward``
     describes.
     """
+    if config is None:
+        raise ParameterError("config is required")
+    w_node = w if isinstance(w, Node) else ad.leaf(w.values)
     w = w_node.value
     m, d = w.shape
     k = config.clusters
+    if d != config.dim:
+        raise ShapeError(f"sub-vector dim {d} != config dim {config.dim}")
+
+    per_row = k * w.itemsize if keep_attention else d * w.itemsize + np.dtype(np.intp).itemsize
+    need = m * per_row + TILE_BYTES
+    available = physical_memory_bytes()
+    if available is not None and need > available:
+        raise ResourceError(
+            f"clustering {m} sub-vectors into {k} clusters needs about {need} bytes, "
+            f"more than the {available} bytes of physical memory"
+        )
+
+    if warm_start is None:
+        c = init_centroids(SubvectorMatrix(w, w.size), config, seed).centroids
+    elif warm_start.centroids.shape != (k, d):
+        raise ShapeError(f"warm start shape {warm_start.centroids.shape} != ({k}, {d})")
+    else:
+        c = warm_start.centroids
+    c = c.astype(w.dtype, copy=True)
+
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
     marks = []  # generator state at the start of each pass
     w_sq = (w * w).sum(axis=1)
     work = _TileWork(k * tiles[0].stop)  # the first tile is the largest
-
-    def attend(rows, c):
-        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-        return _attend(rule(dist, tau, work), tau, work)[0]
 
     codebooks = [c]
     col_sums = []
@@ -580,7 +527,8 @@ def _cluster_loop(
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
         for rows in tiles:
-            a = attend(rows, c)
+            dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+            a = _attend(rule(dist, tau, work), tau, work)[0]
             sums += a.sum(axis=1)
             weighted += a @ w[rows]
         # masked arithmetic, not np.where, so a NaN column sum poisons the
@@ -652,12 +600,11 @@ def dkm_forward(
     ``keep_attention=False`` it is never built (see DkmResult), and a
     caller that only snaps uses ``indices``. Raises ResourceError before
     seeding when what the call returns and one tile cannot fit in physical
-    memory (see ``loop_start``), and NumericError naming the iteration
-    whose centroids come out non-finite.
+    memory, and NumericError naming the iteration whose centroids come out
+    non-finite.
     """
-    w_node, c = loop_start(w, warm_start, config, seed, keep_attention)
     return _cluster_loop(
-        w_node, c, config, record_trajectory=record_trajectory, keep_attention=keep_attention
+        w, warm_start, config, seed, record_trajectory=record_trajectory, keep_attention=keep_attention
     )
 
 

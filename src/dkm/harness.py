@@ -53,14 +53,28 @@ class Dataset:
     centers: np.ndarray | None = None
 
 
+def dataset_problems(kind, n, classes, noise, seed) -> dict[str, str | None]:
+    """Why each ``make_dataset`` argument is bad (None if fine)."""
+    problems = dict(
+        kind=choice(kind, ("blobs", "moons")), n=integer(n, 1), classes=integer(classes, 2),
+        noise=real(noise, 0), seed=integer(seed, 0),
+    )
+    if problems["classes"] is None:
+        if kind == "moons" and classes != 2:
+            problems["classes"] = f"must be 2 for moons, got {classes}"
+        elif problems["n"] is None and n < classes:
+            problems["n"] = f"must be >= classes ({classes}), one point per class, got {n}"
+    return problems
+
+
 def make_dataset(kind: str, n: int, classes: int, noise: float, seed: int) -> Dataset:
     """Deterministic synthetic 2-d classification data, split 80/20.
 
     blobs: isotropic Gaussian clusters around class centers on a circle.
-    moons: two interleaved half-circles (classes must be 2).
+    moons: two interleaved half-circles (classes must be 2). Raises
+    ParameterError naming every argument ``dataset_problems`` rejects.
     """
-    if n < classes:
-        raise ParameterError(f"need at least one point per class: n={n}, classes={classes}")
+    check_fields(**dataset_problems(kind, n, classes, noise, seed))
     rng = np.random.default_rng(seed)
 
     if kind == "blobs":
@@ -68,9 +82,7 @@ def make_dataset(kind: str, n: int, classes: int, noise: float, seed: int) -> Da
         centers = 2.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         y = np.arange(n) % classes
         x = centers[y] + noise * rng.standard_normal((n, 2))
-    elif kind == "moons":
-        if classes != 2:
-            raise ParameterError("moons supports exactly 2 classes")
+    else:  # moons
         y = np.arange(n) % 2
         t = rng.uniform(0.0, np.pi, n)
         x = np.where(
@@ -80,8 +92,6 @@ def make_dataset(kind: str, n: int, classes: int, noise: float, seed: int) -> Da
         )
         x += noise * rng.standard_normal((n, 2))
         centers = None
-    else:
-        raise ParameterError(f"unknown dataset kind {kind!r}")
 
     order = rng.permutation(n)
     x, y = x[order], y[order]
@@ -531,44 +541,50 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
 
     Reads format versions 1 and 2; a version-1 file's indices are the row
     argmax of its stored attention; the copy of ``st{i}_cb`` older files hold
-    as ``warm{i}`` is ignored. Raises DataError for an unknown version, for
-    state that is not (2^bits, dim) codebook and (count, dim) soft weights
-    under the layer's scheme, and for indices that are not one integer in
-    [0, clusters) per sub-vector.
+    as ``warm{i}`` is ignored. Raises DataError for an unknown version, a
+    missing array or meta key, a scheme of other fields than DkmConfig's,
+    any array of another shape than the model's, and indices that are not
+    one integer in [0, clusters) per sub-vector.
     """
     with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
+
+        def read(key: str, shape: tuple | None = None) -> np.ndarray:
+            if key not in archive:
+                raise DataError(f"model file has no {key} array")
+            value = archive[key]
+            if shape is not None and value.shape != shape:
+                raise DataError(f"{key} has shape {value.shape}, not {shape}")
+            return value
+
+        meta = json.loads(str(read("meta")))
         version = meta.get("format_version", 1)
         if version not in (1, MODEL_FORMAT_VERSION):
             raise DataError(f"unsupported model format version {version!r}")
-        schemes = tuple(
-            None if s is None else DkmConfig(**s) for s in meta["schemes"]
-        )
-        spec = ModelSpec(
-            layer_dims=tuple(meta["layer_dims"]),
-            schemes=schemes,
-            seed=meta["seed"],
-            attention_mode=meta["attention_mode"],
-            draws=meta["draws"],
-        )
+        try:
+            schemes = tuple(None if s is None else DkmConfig(**s) for s in meta["schemes"])
+            spec = ModelSpec(
+                layer_dims=tuple(meta["layer_dims"]),
+                schemes=schemes,
+                seed=meta["seed"],
+                attention_mode=meta["attention_mode"],
+                draws=meta["draws"],
+            )
+        except (KeyError, TypeError) as exc:  # a key missing, or a scheme of other fields
+            raise DataError(f"model file meta is malformed: {exc!r}") from None
         model = ToyModel(spec)
         for i in range(model.layers):
-            model.weights[i] = archive[f"w{i}"].copy()
-            model.biases[i] = archive[f"b{i}"].copy()
+            model.weights[i] = read(f"w{i}", spec.layer_dims[i : i + 2]).copy()
+            model.biases[i] = read(f"b{i}", (1, spec.layer_dims[i + 1])).copy()
             if f"st{i}_wt" in archive:
                 cfg = schemes[i]
                 if cfg is None:
                     raise DataError(f"layer {i} has clustering state but no scheme")
-                shapes = {f"st{i}_cb": (cfg.clusters, cfg.dim), f"st{i}_wt": (spec.subvectors(i), cfg.dim)}
-                for key, shape in shapes.items():
-                    if archive[key].shape != shape:
-                        raise DataError(f"layer {i} {key} has shape {archive[key].shape}, not {shape}")
-                w_tilde = archive[f"st{i}_wt"].copy()
-                codebook = Codebook(archive[f"st{i}_cb"].copy())
+                w_tilde = read(f"st{i}_wt", (spec.subvectors(i), cfg.dim)).copy()
+                codebook = Codebook(read(f"st{i}_cb", (cfg.clusters, cfg.dim)).copy())
                 if version == 1:
-                    indices = np.argmax(archive[f"st{i}_att"], axis=1)
+                    indices = np.argmax(read(f"st{i}_att"), axis=1)
                 else:
-                    indices = archive[f"st{i}_idx"]
+                    indices = read(f"st{i}_idx")
                     if indices.dtype.kind not in "iu":
                         raise DataError(f"layer {i} indices have dtype {indices.dtype}, not integer")
                 if indices.shape != (w_tilde.shape[0],):
@@ -582,7 +598,7 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
                     w_tilde=w_tilde,
                     indices=indices.astype(np.intp),
                     codebook=codebook,
-                    iterations=int(archive[f"st{i}_it"]),
+                    iterations=int(read(f"st{i}_it", ())),
                 )
     return model, meta.get("dataset_args")
 

@@ -233,7 +233,7 @@ def gumbel_attention(values, start, cfg, seed, draws=1):
     def rule(dist, tau, work):
         return baselines.gumbel_samples(dist, tau, rng, draws, work)
 
-    return core._cluster_loop(ad.constant(values), start.copy(), cfg, rule, rng).attention
+    return core._cluster_loop(ad.constant(values), Codebook(start), cfg, 0, rule, rng).attention
 
 
 @pytest.mark.parametrize(

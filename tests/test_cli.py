@@ -8,6 +8,8 @@ import pytest
 from dkm import compression as comp
 from dkm import core
 from dkm.cli import main, read_weights, write_weights
+from dkm.config import load_run_spec
+from dkm.errors import ConfigError
 
 
 @pytest.fixture
@@ -353,6 +355,60 @@ def test_section_with_two_bad_fields_reports_both(tmp_path, capsys):
     assert err.startswith("error:ConfigError:") and err.count("\n") == 1
     for key in ("compression.groups.all.bits", "compression.groups.all.dim", "train.epochs", "train.momentum"):
         assert key in err
+
+
+def test_config_that_is_not_utf8_is_one_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{" + "}".encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:ConfigError: config is not valid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "dataset, key",
+    [({"kind": "moons", "classes": 3}, "dataset.classes"), ({"n": 3}, "dataset.n")],
+    ids=["moons_of_three_classes", "fewer_points_than_classes"],
+)
+def test_dataset_rules_across_keys_are_one_config_error(tmp_path, capsys, dataset, key):
+    cfg = train_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["dataset"].update(dataset)
+    cfg.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error:ConfigError:") and err.count("\n") == 1
+    assert f"{key}: " in err and "; " not in err
+
+
+def drop_train(raw):
+    del raw["train"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("{not json", "config is not valid JSON"),
+        ("[1, 2]", "config root must be an object"),
+        (drop_train, "train: missing section"),
+        (lambda raw: raw.update(model=[8]), "model: must be an object"),
+        (lambda raw: raw.update(extra=1), "config.extra: unknown key"),
+        (lambda raw: raw["dataset"].update(colour="red"), "dataset.colour: unknown key"),
+        (lambda raw: raw["compression"].update(groups=[]), "compression.groups: must be an object"),
+    ],
+    ids=["not_json", "root_not_object", "missing_section", "section_not_object", "unknown_section",
+         "unknown_key", "groups_not_object"],
+)
+def test_load_run_spec_reports_malformed_files(tmp_path, edit, message):
+    cfg = train_config(tmp_path)
+    if isinstance(edit, str):
+        cfg.write_text(edit)
+    else:
+        raw = json.loads(cfg.read_text())
+        edit(raw)
+        cfg.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=message):
+        load_run_spec(cfg)
 
 
 def test_layers_too_small_for_their_schemes_are_one_config_error(tmp_path, capsys):

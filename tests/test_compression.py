@@ -222,6 +222,39 @@ def test_deserialize_error_cases():
         comp.deserialize(blob + b"\x00")
 
 
+def test_deserialize_rejects_nonzero_padding_bits():
+    # three 2-bit indices fill 6 bits of the last byte; set one of the other 2
+    layer = comp.CompressedLayer(
+        bits=2, dim=1, original_length=3, pad_count=0,
+        codebook=np.zeros((4, 1), dtype=np.float32), indices=np.array([1, 2, 3]),
+    )
+    blob = comp.serialize(layer)
+    with pytest.raises(FormatError, match="nonzero padding bits"):
+        comp.deserialize(blob[:-1] + bytes([blob[-1] | 0x80]))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bits", 0, r"bits must be in \[1, 16\], got 0"),
+        ("bits", 17, r"bits must be in \[1, 16\], got 17"),
+        ("dim", 0, "dim out of range: 0"),
+        ("original_length", 0, "original_length must be >= 1, got 0"),
+        ("pad_count", 2, r"pad_count must be in \[0, dim\), got 2"),
+        ("codebook", np.zeros((4, 1)), r"codebook shape \(4, 1\) != \(4, 2\)"),
+        ("indices", np.zeros(2, dtype=int), r"expected 3 indices, got \(2,\)"),
+    ],
+)
+def test_layer_rejects_each_bad_field(field, value, message):
+    fields = dict(
+        bits=2, dim=2, original_length=5, pad_count=1,
+        codebook=np.zeros((4, 2), dtype=np.float32), indices=np.zeros(3, dtype=int),
+    )
+    comp.CompressedLayer(**fields)  # the layer the cases spoil one field of
+    with pytest.raises(FormatError, match=message):
+        comp.CompressedLayer(**{**fields, field: value})
+
+
 def test_layer_rejects_out_of_range_indices():
     with pytest.raises(IndexRangeError):
         comp.CompressedLayer(

@@ -278,6 +278,13 @@ def test_centroid_update_empty_cluster_keeps_previous():
     np.testing.assert_allclose(got, [[2.0], [42.0]], atol=1e-12)
 
 
+def test_centroid_update_empty_cluster_without_prev_is_zero():
+    w = ad.constant(np.array([[1.0], [3.0]]))
+    a = ad.constant(np.array([[1.0, 0.0], [1.0, 0.0]]))  # cluster 1 empty
+    got = core.centroid_update(a, w).value
+    np.testing.assert_array_equal(got, [[2.0], [0.0]])
+
+
 # ---------------------------------------------------------------------------
 # dkm_forward
 # ---------------------------------------------------------------------------
@@ -536,8 +543,7 @@ def test_attention_free_path_matches_default(forward, layer):
         leaf = ad.leaf(values)
         if forward is baselines.hard_forward:
             if keep:
-                _, start = core.loop_start(leaf, None, cfg, 4)
-                return core._cluster_loop(ad.constant(values), start, cfg, baselines._hard_rule), None
+                return core._cluster_loop(ad.constant(values), None, cfg, 4, baselines._hard_rule), None
             res = forward(leaf, config=cfg, seed=4)
         else:
             res = forward(leaf, config=cfg, seed=4, keep_attention=keep)
@@ -736,7 +742,7 @@ def test_softmax_clusters_flushes_logits_below_log_tiny(dtype, plain_columns):
     plain = -np.random.default_rng(90).uniform(0, 3, (7, plain_columns))
     tau = dtype(0.5)
     dist = np.column_stack([shifted, shifted[::-1], plain]).astype(dtype) * tau - dtype(2.0)
-    y = core._softmax_clusters(dist, tau)
+    y = ad.softmax_cluster_major(dist, tau)
     assert y.dtype == dtype
     logits = (dist - dist.max(axis=0)) / tau
     below = logits < floor
@@ -755,7 +761,7 @@ def test_softmax_clusters_is_the_plain_softmax_when_nothing_flushes(dtype):
     dist = -rng.uniform(0, 3, (16, 300)).astype(dtype)
     tau = dtype(0.05)  # shifted logits reach -60, far above log(tiny)
     out = np.empty_like(dist)
-    y = core._softmax_clusters(dist, tau, out=out)
+    y = ad.softmax_cluster_major(dist, tau, out=out)
     assert y is out
     np.testing.assert_array_equal(y, plain_softmax_clusters(dist, tau))
     np.testing.assert_allclose(y.sum(axis=0), 1.0, rtol=1e-6)
@@ -763,9 +769,21 @@ def test_softmax_clusters_is_the_plain_softmax_when_nothing_flushes(dtype):
 
 def test_softmax_clusters_columns_sum_to_one_at_a_near_hard_temperature():
     dist = -np.random.default_rng(92).uniform(0, 3, (4, 500))
-    y = core._softmax_clusters(dist, 1e-4)
+    y = ad.softmax_cluster_major(dist, 1e-4)
     assert np.all((y == 0.0) | (y >= np.finfo(np.float64).tiny / 4))
     np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-15)
+
+
+def test_public_attention_is_the_loops_attention_bit_for_bit():
+    # a cluster_large b5d2 layer (eight tiles), where tau 0.05 flushes a few
+    # entries of the final attention to 0
+    values = np.random.default_rng(0).standard_normal(65_536).reshape(-1, 2)
+    sub = SubvectorMatrix(values, values.size)
+    cfg = DkmConfig(bits=5, dim=2, temperature=0.05, epsilon=0.0)
+    res = core.dkm_forward(sub, config=cfg, seed=3)
+    public = core.attention(core.distance_matrix(sub, res.codebook), cfg.temperature).value
+    assert np.count_nonzero(res.attention == 0.0) > 0
+    np.testing.assert_array_equal(public, res.attention)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -65,6 +65,15 @@ def test_unknown_dataset_kind():
         hz.make_dataset("spirals", 100, 2, 0.1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "args, field", [(("moons", 100, 3, 0.1, 0), "classes"), (("blobs", 3, 4, 0.1, 0), "n")]
+)
+def test_dataset_rules_across_arguments_name_one_field(args, field):
+    with pytest.raises(ParameterError) as info:
+        hz.make_dataset(*args)
+    assert list(info.value.fields) == [field]
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -134,6 +143,16 @@ def test_divergence_aborts_with_diagnostic():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="epoch 0 batch 0"):
             hz.train(model, data, hz.TrainConfig(epochs=1, seed=0))
+
+
+def test_divergence_in_the_clustering_loop_names_epoch_batch_and_iteration():
+    data = blobs(n=200)
+    model = hz.ToyModel(mlp_spec((scheme(), None, None), "dkm"))
+    model.weights[0][0, 0] = 1e300  # its square overflows the distances
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as info:
+            hz.train(model, data, hz.TrainConfig(epochs=1, seed=0))
+    assert str(info.value) == "divergence at epoch 0 batch 0: non-finite centroids at iteration 1"
 
 
 def test_iteration_counts_respect_cap():
@@ -337,6 +356,39 @@ def test_model_file_with_misshapen_state_is_a_data_error(tmp_path, trained_dkm_m
     with np.load(path) as archive:
         arrays = dict(archive)
     arrays[key] = np.zeros(shape)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=message):
+        hz.load_model(path)
+
+
+def edit_meta(arrays, edit):
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = np.array(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda arrays: arrays.pop("st0_it"), "model file has no st0_it array"),
+        (lambda arrays: arrays.update(st0_it=np.zeros(3)), r"st0_it has shape \(3,\), not \(\)"),
+        (lambda arrays: arrays.pop("b1"), "model file has no b1 array"),
+        (lambda arrays: edit_meta(arrays, lambda meta: meta.pop("draws")), "model file meta is malformed: KeyError..draws"),
+        (
+            lambda arrays: edit_meta(arrays, lambda meta: meta["schemes"][0].update(colour="red")),
+            "model file meta is malformed: TypeError",
+        ),
+        (lambda arrays: arrays.update(w0=np.zeros((3, 3))), r"w0 has shape \(3, 3\), not \(2, 5\)"),
+        (lambda arrays: arrays.update(b1=np.zeros(4)), r"b1 has shape \(4,\), not \(1, 4\)"),
+    ],
+    ids=["no_iterations", "iterations_not_scalar", "no_bias", "no_draws", "unknown_scheme_key", "weights_of_other_shape", "flat_bias"],
+)
+def test_malformed_model_file_is_a_data_error(tmp_path, trained_dkm_model, edit, message):
+    path = tmp_path / "model.npz"
+    hz.save_model(trained_dkm_model[0], path)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    edit(arrays)
     np.savez(path, **arrays)
     with pytest.raises(DataError, match=message):
         hz.load_model(path)
