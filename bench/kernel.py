@@ -1,13 +1,13 @@
 """Cost of the clustering loop's tile kernel, of the battery trainings, and of compress.
 
-Four measurements, written to one JSON file (default ``BENCH_kernel.json``
+Five measurements, written to one JSON file (default ``BENCH_kernel.json``
 at the repository root):
 
 - ``tile_passes``: microseconds per tile pass of each assignment rule
   (soft ``dkm_forward``, Gumbel ``gumbel_forward``, hard ``hard_forward``)
-  on layers that fill exactly one cluster-major tile: (k, rows) =
-  (4, 4096) as in the acceptance battery, and (16, 8192) and (32, 4096) as
-  in the ``cluster_large`` workload. Each call runs the iteration cap
+  on one-tile layers: (k, rows) = (4, 4096) as in the acceptance battery,
+  and layers at the ``cluster_large`` workload's k = 16 and k = 32 whose
+  rows fill exactly one ``core.TILE_BYTES`` tile. Each call runs the iteration cap
   (epsilon 0), so it makes max_iterations + 1 passes; forward and backward
   time are each divided by that count. Hard mode has no loop backward.
   Every rule runs as training runs it, without the (m, k) attention
@@ -26,10 +26,15 @@ at the repository root):
   child process: the ``tracemalloc`` peak of the command, and the
   process's ``ru_maxrss`` after imports and after the command (run
   without tracemalloc).
+- ``multi_tile``: median wall seconds of forward and of backward of one
+  65,536-weight layer at bits 4/dim 1 and at bits 5/dim 2, as in the
+  ``cluster_large`` workload (tau 0.05, epsilon 0, 5 iterations, attention
+  kept), with the tile workers limited to one and with all of them (the
+  machine block's ``workers``), the two runs alternating.
 - ``attention_free``: one bits=12 layer (65,536 sub-vectors of dim 1,
-  max_iterations 1) clustered with ``keep_attention=False``: its
-  ``tracemalloc`` peak and seconds, next to the ``m * k * 8`` bytes its
-  (m, k) attention would take.
+  max_iterations 1) clustered with ``keep_attention=False``: the
+  ``tracemalloc`` peak of one call and the seconds of another, untraced,
+  next to the ``m * k * 8`` bytes its (m, k) attention would take.
 
 The ``machine`` block also names the tree measured, as perfbench's results
 do: ``git_commit`` (null without a ``.git`` directory) and
@@ -80,12 +85,13 @@ sys.path.insert(0, str(ROOT))
 from perfbench.run import source_commit, source_digest  # noqa: E402
 
 ITERATIONS = 5
-# label, bits, dim, sub-vectors, tau, weight scale; each fills one tile
+# label, bits, dim, sub-vectors, tau, weight scale; each is one tile, and
+# the cluster layers fill it exactly
 TILES = {
     "full": (
         ("battery", 2, 1, 4096, 0.002, (2.0 / 64) ** 0.5),
-        ("cluster_b4d1", 4, 1, 8192, 0.05, 1.0),
-        ("cluster_b5d2", 5, 2, 4096, 0.05, 1.0),
+        ("cluster_b4d1", 4, 1, core.TILE_BYTES // (16 * 8), 0.05, 1.0),
+        ("cluster_b5d2", 5, 2, core.TILE_BYTES // (32 * 8), 0.05, 1.0),
     ),
     "tiny": (
         ("battery", 2, 1, 256, 0.002, (2.0 / 64) ** 0.5),
@@ -101,6 +107,9 @@ BATTERY = {
 SCHEME = DkmConfig(bits=2, dim=1, temperature=0.002, epsilon=1e-4)
 # weights, bits, dim, tau of the compressed file
 COMPRESS = {"full": (1_048_576, 3, 8, 0.5), "tiny": (8_192, 3, 8, 0.5)}
+# weights of the multi-tile layer, and its (label, bits, dim) shapes
+MULTI_TILE_WEIGHTS = {"full": 65_536, "tiny": 2_048}
+MULTI_TILE_LAYERS = (("b4d1", 4, 1), ("b5d2", 5, 2))
 # sub-vectors of the bits=12 layer (at least 2^12 to seed it)
 ATTENTION_FREE_ROWS = {"full": 65_536, "tiny": 4_096}
 # Linux keeps a process's ru_maxrss high-water mark across exec, so a child
@@ -145,6 +154,46 @@ def tile_pass(bits: int, dim: int, count: int, tau: float, scale: float, rule: s
     if rule != "hard":
         out["backward_us_per_pass"] = round(statistics.median(bwd), 1)
     return out
+
+
+def multi_tile(size: str, repeats: int) -> list[dict]:
+    """Median forward and backward wall seconds of a multi-tile layer, at one and at all workers."""
+    weights = np.random.default_rng(13).standard_normal(MULTI_TILE_WEIGHTS[size])
+    count_workers = core._max_workers
+    all_workers = count_workers()
+    rows = []
+    for label, bits, dim in MULTI_TILE_LAYERS:
+        values = weights.reshape(-1, dim)
+        target = np.random.default_rng(14).standard_normal(values.shape)
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0, max_iterations=ITERATIONS)
+        times = {1: ([], []), all_workers: ([], [])}
+        for rep in range(repeats + 1):  # the first round warms up
+            for workers in (1, all_workers) if rep % 2 else (all_workers, 1):
+                core._max_workers = lambda: workers
+                try:
+                    leaf = ad.leaf(values)
+                    t0 = time.perf_counter()
+                    res = core.dkm_forward(leaf, config=cfg, seed=0)
+                    t1 = time.perf_counter()
+                    ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
+                    t2 = time.perf_counter()
+                finally:
+                    core._max_workers = count_workers
+                if rep:
+                    times[workers][0].append(t1 - t0)
+                    times[workers][1].append(t2 - t1)
+        for workers, (fwd, bwd) in times.items():
+            rows.append({
+                "layer": label,
+                "weights": weights.size,
+                "bits": bits,
+                "dim": dim,
+                "tiles": len(core._row_tiles(values.shape[0], cfg.clusters, values.itemsize)),
+                "workers": workers,
+                "forward_s": round(statistics.median(fwd), 4),
+                "backward_s": round(statistics.median(bwd), 4),
+            })
+    return rows
 
 
 def trainings(size: str) -> dict:
@@ -231,10 +280,12 @@ def attention_free(size: str) -> dict:
     m = ATTENTION_FREE_ROWS[size]
     cfg = DkmConfig(bits=12, temperature=0.05, epsilon=0.0, max_iterations=1)
     w = ad.constant(np.random.default_rng(12).standard_normal((m, 1)))
-    tracemalloc.start()
+    # timed untraced: tracemalloc's lock makes the tile threads take turns
     start = time.perf_counter()
     core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
     seconds = time.perf_counter() - start
+    tracemalloc.start()
+    core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {
@@ -269,6 +320,9 @@ def main(argv=None) -> int:
             row = {"layer": label, **tile_pass(bits, dim, count, tau, scale, rule, REPEATS[size])}
             passes.append(row)
             print(json.dumps(row), flush=True)
+    tiled = multi_tile(size, REPEATS[size])
+    for row in tiled:
+        print(json.dumps({"multi_tile": row}), flush=True)
     compress = compress_memory(size)
     print(json.dumps({"compress": compress}), flush=True)
     free = attention_free(size)
@@ -281,11 +335,13 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "workers": core._max_workers(),
             "git_commit": source_commit(ROOT),
             "source_sha256": source_digest(ROOT),
         },
         "iterations_per_call": ITERATIONS,
         "tile_passes": passes,
+        "multi_tile": tiled,
         "trainings": train,
         "compress": compress,
         "attention_free": free,

@@ -22,18 +22,33 @@ argmax in ``baselines``), and ``_cluster_loop`` is its only entry. The
 public ``distance_matrix``, ``attention`` and ``centroid_update`` build
 the soft steps as separate tape nodes from the same ``autodiff`` kernels.
 
-Each call allocates its tile work arrays (distances, softmax samples,
-noise) once and reuses them for every tile and pass; they are freed when
-the call returns. The softmax, the loop's and ``attention``'s alike,
-flushes subnormal tails: an entry whose shifted logit ``(d - max_k d) / tau``
-is below log(finfo.tiny), so that its unnormalised weight would fall below
-the smallest normal float, is exactly 0 instead of a subnormal. Every other
+Tiles hold about TILE_BYTES (512 KiB). A pass runs its tiles on
+min(usable CPUs, tiles) threads of one process-wide pool, built at the
+first pass that uses it (the CPUs are ``os.sched_getaffinity``, or
+``os.cpu_count`` where that is missing); each thread takes the next tile
+not yet started. Each thread writes its own rows of the outputs, and the
+tiles' partial sums (attention column sums, weighted rows, codebook
+gradient terms) are added in tile order, so every result is bit-identical
+whatever the number of CPUs. A
+call with one tile, and a rule that draws from a generator (Gumbel, whose
+random stream must stay in tile order), runs inline on the calling
+thread. Each call allocates one set of tile work arrays (distances,
+softmax samples, noise) per thread, in the calling thread, and reuses it
+for every tile and pass; they are freed when the call returns. A forked
+child drops the parent's pool and builds its own.
+
+The softmax, the loop's and ``attention``'s alike, flushes subnormal
+tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below
+log(finfo.tiny), so that its unnormalised weight would fall below the
+smallest normal float, is exactly 0 instead of a subnormal. Every other
 entry keeps the bits of the plain max-subtracted softmax.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,8 +71,8 @@ INITS = (RANDOM_SAMPLE, KMEANS_PP)
 EMPTY_CLUSTER_THRESHOLD = 1e-30
 
 # The soft loop works on row tiles whose (k, rows) arrays hold about this
-# many bytes (at least one row).
-TILE_BYTES = 1 << 20
+# many bytes (at least one row); each tile worker holds one tile's arrays.
+TILE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -313,23 +328,129 @@ def _occupied(col_sums: np.ndarray, dtype) -> np.ndarray:
 
 
 class _TileWork:
-    """Work arrays of one forward or backward call, reused by every tile and pass.
+    """Work arrays of one tile worker in a forward or backward call.
 
-    Each name owns one flat buffer of ``size`` entries, allocated at its
-    first use and freed with this object; ``get`` returns a C-contiguous
-    view of its leading entries. Reuse keeps the loop from allocating (and
-    page-faulting in) fresh tile-sized temporaries on every pass.
+    Each name owns one flat buffer of ``size`` entries, freed with this
+    object; ``get`` returns a C-contiguous view of its leading entries.
+    The names in ``reserve`` (name -> dtype) are allocated here, any other
+    at its first use. Reuse keeps the loop from allocating (and
+    page-faulting in) fresh tile-sized temporaries on every pass; reserving
+    in the calling thread keeps the buffers out of the worker threads' own
+    malloc arenas, which would hold on to their pages.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, reserve: dict | None = None):
         self.size = size
-        self.buffers: dict[str, np.ndarray] = {}
+        self.buffers = {name: np.empty(size, dtype) for name, dtype in (reserve or {}).items()}
 
     def get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
         buf = self.buffers.get(name)
         if buf is None:
             buf = self.buffers[name] = np.empty(self.size, dtype)
         return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _max_workers() -> int:
+    """The CPUs this process may run on: the most tile workers a pass uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None  # the tile workers' ThreadPoolExecutor, built at its first use
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _tile_pool(workers: int):
+    """The process-wide tile pool, rebuilt larger when it has fewer threads than ``workers``."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < workers:
+            # imported here: most processes never run a multi-tile pass
+            from concurrent.futures import ThreadPoolExecutor
+
+            # a replaced pool's idle threads exit once nothing refers to it
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="dkm-tiles")
+            _pool_size = workers
+        return _pool
+
+
+def _drop_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _tile_works(k: int, tiles: list[slice], rng, reserve: dict) -> list[_TileWork]:
+    """One set of work arrays per tile worker of a call, ``reserve`` allocated.
+
+    One tile, or a rule that draws from ``rng`` (its draws must follow
+    tile order), gets one set; otherwise min(usable CPUs, tiles) sets.
+    """
+    workers = 1 if rng is not None or len(tiles) == 1 else min(_max_workers(), len(tiles))
+    size = k * (tiles[0].stop - tiles[0].start)  # the first tile is the largest
+    return [_TileWork(size, reserve) for _ in range(workers)]
+
+
+def _run_tiles(task, tiles: list[slice], works: list[_TileWork], totals: tuple = ()) -> None:
+    """Run ``task(rows, work)`` on every tile, adding its results into ``totals`` in tile order.
+
+    ``task`` returns one array per total, and ``totals[j] += result[j]``
+    runs for tile 0, then tile 1, and so on, whichever thread ran each, so
+    the sums have the same bits at any thread count. With n sets of work
+    arrays, n pool threads each take the next tile not yet started, in
+    tile order, and run it with their own set, in a copy of the caller's
+    context (numpy's error state included). A thread that finishes a tile
+    adds its results and those of any later tiles already done, or, while
+    an earlier tile still runs, leaves them for the thread that finishes
+    it. No thread waits for another, so callers on several threads can
+    share the pool, and results wait only while one tile outlasts the
+    tiles started after it (at k = 4096 one tile's partial sums are as
+    large as the tile). The caller waits for every thread, and re-raises
+    a thread's exception after all have stopped. One set runs inline.
+    """
+    n = len(works)
+    if n == 1:
+        for rows in tiles:
+            parts = task(rows, works[0])
+            if totals:
+                for total, part in zip(totals, parts):
+                    total += part
+        return
+    from concurrent.futures import wait  # on first use, as in _tile_pool
+
+    lock = threading.Lock()
+    started = [0]  # tiles handed to a thread
+    added = [0]  # tiles whose results are in totals
+    finished = {}  # tile -> results that wait for an earlier tile's
+
+    def share(work):
+        while True:
+            with lock:
+                t = started[0]
+                if t == len(tiles):
+                    return
+                started[0] += 1
+            parts = task(tiles[t], work)
+            if totals:
+                with lock:
+                    finished[t] = parts
+                    while added[0] in finished:
+                        for total, part in zip(totals, finished.pop(added[0])):
+                            total += part
+                        added[0] += 1
+
+    pool = _tile_pool(n)
+    futures = [pool.submit(contextvars.copy_context().run, share, work) for work in works]
+    wait(futures)
+    for f in futures:
+        f.result()  # re-raises a thread's exception
 
 
 def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -408,7 +529,9 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
     def backward(g):
         gw = np.zeros_like(w)
         w_sq = (w * w).sum(axis=1)
-        work = _TileWork(codebooks[0].shape[0] * tiles[0].stop)
+        # a forward tile's buffers, the attention gradient and the clamp mask
+        reserve = {**dict.fromkeys(("dist", "tmp", "sample0", "ga"), w.dtype), "clamp": bool}
+        works = _tile_works(codebooks[0].shape[0], tiles, rng, reserve)
         steps = len(col_sums)
         g_next = None  # gradient reaching codebooks[p + 1]
         for p in range(steps, -1, -1):
@@ -423,7 +546,9 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                 g_sums = -(g_weighted * codebooks[p + 1]).sum(axis=1)
                 if g_c is not None:
                     g_c += g_next * (1.0 - mask)
-            for rows in tiles:
+
+            def tile(rows, work):
+                # writes the tile's rows of gw; returns its terms of g_c
                 wr = w[rows]
                 dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
                 samples = rule(dist, tau, work)
@@ -436,8 +561,9 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                     ga += g_sums[:, None]
                 # through the softmax over clusters ...
                 a, ga = _attend(samples, tau, work, ga)
+                terms = ()
                 if p == steps:
-                    g_c += a @ gr
+                    terms = (a @ gr,)
                 else:
                     gw[rows] += a.T @ g_weighted
                 # ... to the rows and the centroids
@@ -446,8 +572,12 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                     work.get("tmp", dist.shape, dist.dtype), work.get("clamp", dist.shape, bool),
                 )
                 gw[rows] += gw_rows
-                if g_c is not None:
-                    g_c += gc
+                return (*terms, gc)
+
+            # g_c takes, tile by tile, a @ gr then the distance term at the
+            # output pass, the distance term at an update, nothing at p = 0
+            totals = () if g_c is None else (g_c, g_c) if p == steps else (g_c,)
+            _run_tiles(tile, tiles, works, totals)
             g_next = g_c
         return (gw,)
 
@@ -481,9 +611,10 @@ def _cluster_loop(
     softmax for the soft rule, one per draw for Gumbel, one one-hot for
     hard. Samples live in the call's work arrays (``work.get``) and are
     only valid until the next tile. Only softmax samples have a backward. A
-    rule that draws from ``rng`` is replayed in backward from the generator
-    state saved at the start of each pass. Otherwise as ``dkm_forward``
-    describes.
+    rule that draws from ``rng`` runs on the calling thread and is replayed
+    in backward from the generator state saved at the start of each pass;
+    any other rule may run on several tile workers at once, each with its
+    own ``work``. Otherwise as ``dkm_forward`` describes.
     """
     if config is None:
         raise ParameterError("config is required")
@@ -516,7 +647,14 @@ def _cluster_loop(
     tiles = _row_tiles(m, k, w.itemsize)
     marks = []  # generator state at the start of each pass
     w_sq = (w * w).sum(axis=1)
-    work = _TileWork(k * tiles[0].stop)  # the first tile is the largest
+    # the distances, the kernel's cross term and the rule's first sample
+    works = _tile_works(k, tiles, rng, dict.fromkeys(("dist", "tmp", "sample0"), w.dtype))
+
+    def tile_mass(rows, work):
+        # c is rebound only after every tile of the pass has run
+        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+        a = _attend(rule(dist, tau, work), tau, work)[0]
+        return a.sum(axis=1), a @ w[rows]
 
     codebooks = [c]
     col_sums = []
@@ -526,11 +664,7 @@ def _cluster_loop(
         marks.append(None if rng is None else rng.bit_generator.state)
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
-        for rows in tiles:
-            dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-            a = _attend(rule(dist, tau, work), tau, work)[0]
-            sums += a.sum(axis=1)
-            weighted += a @ w[rows]
+        _run_tiles(tile_mass, tiles, works, (sums, weighted))
         # masked arithmetic, not np.where, so a NaN column sum poisons the
         # iterate and is reported instead of silently keeping the old row
         mask = _occupied(sums, w.dtype)
@@ -552,7 +686,8 @@ def _cluster_loop(
     indices = np.empty(m, dtype=np.intp)
     cluster_ids = np.arange(k, dtype=w.dtype)
     marks.append(None if rng is None else rng.bit_generator.state)
-    for rows in tiles:
+
+    def final_tile(rows, work):
         dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
         a = _attend(rule(dist, tau, work), tau, work)[0]
         indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape, w.dtype))
@@ -560,7 +695,11 @@ def _cluster_loop(
         # the distances are spent, so their buffer takes the attention
         tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1], w.dtype)
         tile[...] = a.T
-        w_tilde[rows] = tile @ c
+        # straight into the output: a (rows, dim) temporary made on a pool
+        # thread would stay in that thread's malloc arena
+        np.matmul(tile, c, out=w_tilde[rows])
+
+    _run_tiles(final_tile, tiles, works)
     if attn is None:
         attn = np.broadcast_to(np.array(np.nan, w.dtype), (m, k))
     backward = None

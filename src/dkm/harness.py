@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -536,17 +537,29 @@ def save_model(model: ToyModel, path, dataset_args: dict | None = None) -> None:
     np.savez(path, **arrays)
 
 
+def _model_archive(fh, path) -> np.lib.npyio.NpzFile:
+    """The .npz archive read from ``fh`` (opened from ``path``); DataError if it is not one."""
+    try:
+        archive = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # ValueError: numpy takes it for a pickle
+        raise DataError(f"{path} is not a model file (an .npz archive)") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{path} is not a model file (an .npz archive)")
+    return archive
+
+
 def load_model(path) -> tuple[ToyModel, dict | None]:
     """Inverse of save_model; returns the model and any saved dataset args.
 
     Reads format versions 1 and 2; a version-1 file's indices are the row
     argmax of its stored attention; the copy of ``st{i}_cb`` older files hold
-    as ``warm{i}`` is ignored. Raises DataError for an unknown version, a
+    as ``warm{i}`` is ignored. Raises DataError for a file that is not an
+    .npz archive, a meta that is not a JSON object, an unknown version, a
     missing array or meta key, a scheme of other fields than DkmConfig's,
     any array of another shape than the model's, and indices that are not
     one integer in [0, clusters) per sub-vector.
     """
-    with np.load(path, allow_pickle=False) as archive:
+    with open(path, "rb") as fh, _model_archive(fh, path) as archive:
 
         def read(key: str, shape: tuple | None = None) -> np.ndarray:
             if key not in archive:
@@ -556,7 +569,12 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
                 raise DataError(f"{key} has shape {value.shape}, not {shape}")
             return value
 
-        meta = json.loads(str(read("meta")))
+        try:
+            meta = json.loads(str(read("meta")))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"model file meta is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"model file meta is a JSON {type(meta).__name__}, not an object")
         version = meta.get("format_version", 1)
         if version not in (1, MODEL_FORMAT_VERSION):
             raise DataError(f"unsupported model format version {version!r}")

@@ -226,6 +226,12 @@ def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, d
     return ad.matmul(final, c), final.value, c.value
 
 
+# rows of one float64 tile at bits=8, and a layer of three such tiles,
+# the last one partial
+BITS8_TILE_ROWS = core.TILE_BYTES // (256 * 8)
+THREE_TILE_ROWS = 2 * BITS8_TILE_ROWS + BITS8_TILE_ROWS // 2 + 20
+
+
 def gumbel_attention(values, start, cfg, seed, draws=1):
     """The (m, k) attention of gumbel_forward's loop, which it does not keep."""
     rng = np.random.default_rng(seed)
@@ -243,12 +249,12 @@ def gumbel_attention(values, start, cfg, seed, draws=1):
         (120, 2, 3, core.SQUARED_EUCLIDEAN),
         (120, 3, 1, core.EUCLIDEAN),
         (120, 3, 3, core.EUCLIDEAN),
-        (1300, 8, 2, core.SQUARED_EUCLIDEAN),  # three tiles, the last one partial
+        (THREE_TILE_ROWS, 8, 2, core.SQUARED_EUCLIDEAN),
     ],
 )
 def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
     cfg = DkmConfig(bits=bits, temperature=0.3, epsilon=0.0, max_iterations=3, metric=metric)
-    if m > 1000:
+    if bits == 8:
         rows = core.TILE_BYTES // (cfg.clusters * 8)
         assert 2 * rows < m < 3 * rows
     rng = np.random.default_rng(86)
@@ -270,6 +276,33 @@ def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
     assert rel_err(res.w_tilde.value, ref_w_tilde.value) <= 1e-10
     assert rel_err(leaf.grad, ref_leaf.grad) <= 1e-10
     assert np.any(leaf.grad != 0)
+
+
+def test_gumbel_draws_its_noise_inline_in_tile_order(monkeypatch):
+    # however many CPUs there are, the Gumbel loop runs on the calling
+    # thread and draws its stream tile by tile, as the composed loop does
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+
+    def no_pool(workers):
+        raise AssertionError("the Gumbel loop handed its tiles to the pool")
+
+    monkeypatch.setattr(core, "_tile_pool", no_pool)
+    m = THREE_TILE_ROWS
+    cfg = DkmConfig(bits=8, temperature=0.3, epsilon=0.0, max_iterations=2)
+    rng = np.random.default_rng(97)
+    values, target = rng.normal(size=(m, 1)), rng.normal(size=(m, 1))
+    start = core.init_centroids(SubvectorMatrix(values, m), cfg, seed=2).centroids
+
+    leaf = ad.leaf(values)
+    res = baselines.gumbel_forward(leaf, Codebook(start), cfg, seed=11, draws=2)
+    ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
+    ref_leaf = ad.leaf(values)
+    ref_w_tilde, _, ref_codebook = composed_gumbel_loop(ref_leaf, start, cfg, 11, 2, 2)
+    ad.backward(ad.sum_all(ad.square(ad.sub(ref_w_tilde, ad.constant(target)))))
+
+    assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-10
+    assert rel_err(res.w_tilde.value, ref_w_tilde.value) <= 1e-10
+    assert rel_err(leaf.grad, ref_leaf.grad) <= 1e-10
 
 
 def test_gumbel_forward_runs_and_is_seeded():

@@ -1,4 +1,7 @@
 import functools
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -517,15 +520,18 @@ def test_forward_refuses_layer_larger_than_memory():
 # indices and the attention-free path
 # ---------------------------------------------------------------------------
 
+# rows of one float64 tile at bits=8
+BITS8_TILE_ROWS = core.TILE_BYTES // (256 * 8)
+
 # (values, config): a battery-sized hidden layer, and a bits=8 layer whose
-# 2,000 rows take four 512-row tiles
+# rows take four tiles, the last one ragged
 ATTENTION_FREE_LAYERS = {
     "battery": (
         np.random.default_rng(81).normal(0.0, (2.0 / 64) ** 0.5, (4096, 1)),
         DkmConfig(bits=2, temperature=0.002),
     ),
     "bits8_tiles": (
-        np.random.default_rng(82).normal(size=(2000, 1)),
+        np.random.default_rng(82).normal(size=(4 * BITS8_TILE_ROWS - 48, 1)),
         DkmConfig(bits=8, temperature=0.05, epsilon=0.0),
     ),
 }
@@ -689,7 +695,8 @@ def test_fused_backward_after_epsilon_early_exit():
 
 
 def test_fused_backward_over_several_tiles_with_a_ragged_last_one():
-    m, cfg = 1300, DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=3)
+    m = 2 * BITS8_TILE_ROWS + BITS8_TILE_ROWS // 2 + 20
+    cfg = DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=3)
     rows = core.TILE_BYTES // (cfg.clusters * 8)
     assert 2 * rows < m < 3 * rows  # three tiles, the last one partial
     values = np.random.default_rng(74).normal(size=(m, 1))
@@ -814,7 +821,7 @@ FORWARDS = {
 def test_two_forwards_then_one_backward_match_separate_runs(mode):
     forward = FORWARDS[mode]
     rng = np.random.default_rng(94)
-    # the second layer spans three tiles, the last one ragged
+    # the second layer spans several tiles, the last one ragged
     layers = [
         (rng.normal(size=(200, 1)), DkmConfig(bits=2, temperature=0.05, epsilon=0.0)),
         (rng.normal(size=(1300, 1)), DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)),
@@ -846,3 +853,128 @@ def test_two_forwards_then_one_backward_match_separate_runs(mode):
     # a later call and a backward leave the first call's outputs alone
     for got, want in zip(outputs(results[0]), first_outputs):
         np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# tile workers
+# ---------------------------------------------------------------------------
+
+# a bits=8 layer of six tiles, the last one ragged
+WORKER_ROWS = 5 * BITS8_TILE_ROWS + 20
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+@pytest.mark.parametrize("mode", ["dkm_kept", "dkm_free", "hard"])
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, mode, epsilon):
+    cfg = DkmConfig(bits=8, temperature=0.05, epsilon=epsilon, max_iterations=6)
+    assert len(core._row_tiles(WORKER_ROWS, cfg.clusters, 8)) == 6
+    rng = np.random.default_rng(95)
+    values, target = rng.normal(size=(WORKER_ROWS, 1)), rng.normal(size=(WORKER_ROWS, 1))
+    forward = {
+        "dkm_kept": core.dkm_forward,
+        "dkm_free": functools.partial(core.dkm_forward, keep_attention=False),
+        "hard": baselines.hard_forward,
+    }[mode]
+
+    def run(workers):
+        monkeypatch.setattr(core, "_max_workers", lambda: workers)
+        leaf = ad.leaf(values)
+        res = forward(leaf, config=cfg, seed=3)
+        ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
+        return res.telemetry, [res.w_tilde.value, res.codebook.centroids, res.indices, res.attention, leaf.grad]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        # four workers: more than most test machines have cores, and an
+        # uneven share of the six tiles
+        (telemetry, want), *others = [run(n) for n in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(switch)
+    if epsilon:  # the early exit ran
+        assert telemetry.iterations_used < cfg.max_iterations
+    for got_telemetry, got in others:
+        assert got_telemetry == telemetry
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+def test_forked_child_runs_multi_tile_passes_after_its_parent(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    values = np.random.default_rng(96).normal(size=(WORKER_ROWS, 1))
+    cfg = DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)
+    want = core.dkm_forward(ad.constant(values), config=cfg, seed=1).w_tilde.value
+    assert core._pool is not None  # the parent's pool threads are running
+
+    def child():
+        got = core.dkm_forward(ad.constant(values), config=cfg, seed=1).w_tilde.value
+        sys.exit(0 if np.array_equal(got, want) else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child hung on its multi-tile pass")
+    assert proc.exitcode == 0
+
+
+def test_a_tile_workers_error_reaches_the_caller_under_its_error_state(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    values = np.random.default_rng(98).normal(size=(WORKER_ROWS, 1))
+    cfg = DkmConfig(bits=8, temperature=1.0, epsilon=0.0, max_iterations=2)
+    warm = values[:256].copy()
+    # a row and a centroid whose squares sum past the largest float: only
+    # tile 1 overflows, on a pool thread, under the caller's error state
+    values[BITS8_TILE_ROWS + 5] = warm[0] = 1e154
+    raised = []
+
+    def call():
+        with np.errstate(over="raise"):
+            try:
+                core.dkm_forward(ad.constant(values), Codebook(warm), cfg)
+            except FloatingPointError:
+                raised.append(True)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the pass hung after a tile thread failed"
+    assert raised
+    # the pool serves the next call
+    values[BITS8_TILE_ROWS + 5] = 0.0
+    got = core.dkm_forward(ad.constant(values), config=cfg, seed=1).w_tilde.value
+    monkeypatch.setattr(core, "_max_workers", lambda: 1)
+    np.testing.assert_array_equal(got, core.dkm_forward(ad.constant(values), config=cfg, seed=1).w_tilde.value)
+
+
+def test_a_pass_completes_on_fewer_pool_threads_than_shares(monkeypatch):
+    # as when other callers hold all but one pool thread: a pass's shares
+    # then run one after another, so none may wait for another's tiles
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(99)
+    values, target = rng.normal(size=(WORKER_ROWS, 1)), rng.normal(size=(WORKER_ROWS, 1))
+    cfg = DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=3)
+
+    def run():
+        leaf = ad.leaf(values)
+        res = core.dkm_forward(leaf, config=cfg, seed=2)
+        ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
+        return res.w_tilde.value, leaf.grad
+
+    monkeypatch.setattr(core, "_max_workers", lambda: 1)
+    want = run()
+    one_thread = ThreadPoolExecutor(1)
+    monkeypatch.setattr(core, "_max_workers", lambda: 3)
+    monkeypatch.setattr(core, "_tile_pool", lambda workers: one_thread)
+    got = []
+    caller = threading.Thread(target=lambda: got.append(run()), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "a share waited for one queued behind it"
+    one_thread.shutdown()
+    for a, b in zip(got[0], want):
+        np.testing.assert_array_equal(a, b)

@@ -380,8 +380,13 @@ def edit_meta(arrays, edit):
         ),
         (lambda arrays: arrays.update(w0=np.zeros((3, 3))), r"w0 has shape \(3, 3\), not \(2, 5\)"),
         (lambda arrays: arrays.update(b1=np.zeros(4)), r"b1 has shape \(4,\), not \(1, 4\)"),
+        (lambda arrays: arrays.update(meta=np.array("{not json")), "model file meta is not JSON"),
+        (lambda arrays: arrays.update(meta=np.array("[1]")), "model file meta is a JSON list, not an object"),
     ],
-    ids=["no_iterations", "iterations_not_scalar", "no_bias", "no_draws", "unknown_scheme_key", "weights_of_other_shape", "flat_bias"],
+    ids=[
+        "no_iterations", "iterations_not_scalar", "no_bias", "no_draws", "unknown_scheme_key",
+        "weights_of_other_shape", "flat_bias", "meta_not_json", "meta_not_an_object",
+    ],
 )
 def test_malformed_model_file_is_a_data_error(tmp_path, trained_dkm_model, edit, message):
     path = tmp_path / "model.npz"
@@ -391,6 +396,22 @@ def test_malformed_model_file_is_a_data_error(tmp_path, trained_dkm_model, edit,
     edit(arrays)
     np.savez(path, **arrays)
     with pytest.raises(DataError, match=message):
+        hz.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"layer_dims: [2, 5, 4]\n", b"", b"PK\x03\x04 truncated", None],
+    ids=["text", "empty", "broken_zip", "npy_array"],
+)
+def test_model_path_that_is_not_an_npz_archive_is_a_data_error(tmp_path, content):
+    path = tmp_path / "model.npz"
+    if content is None:
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=r"is not a model file \(an \.npz archive\)"):
         hz.load_model(path)
 
 
