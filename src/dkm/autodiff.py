@@ -9,12 +9,14 @@ The tape holds only what backward reads:
 
 - a node computed from constants alone keeps no parents and no closure, so
   a forward pass on constants builds no tape at all;
-- ``transpose``, ``broadcast_row`` and ``broadcast_col`` return read-only
-  views of their input, not copies;
-- ``neg_sq_distance`` and ``row_softmax`` save only their outputs. They
-  are the three plain-array cluster-major (k, m) kernels that
-  ``dkm.core``'s loop runs tile by tile, ``neg_distance_cluster_major``,
-  ``neg_distance_vjp`` and ``softmax_cluster_major``, with a tape entry;
+- ``broadcast_row`` returns a read-only view of its input, not a copy;
+- ``neg_sq_distance``, ``row_softmax`` and ``centroid_update`` keep for
+  backward at most their inputs' values, their output and (the update)
+  the (k,) column sums. They are the
+  plain-array kernels that ``dkm.core``'s loop writes its step with, with
+  a tape entry: the cluster-major (k, m) ``neg_distance_cluster_major``,
+  ``neg_distance_vjp`` and ``softmax_cluster_major`` it runs tile by tile,
+  and the update ``masked_mean`` with its VJP ``masked_mean_vjp``;
 - ``softmax_cross_entropy`` is the whole classification loss in one node,
   saving the row exponentials and their sums, and ``regroup`` lays a
   matrix's row-major entries out in a new shape, zero-padded or cut short,
@@ -44,6 +46,10 @@ from .errors import NumericError, ParameterError, ShapeError
 F64 = np.float64
 
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# Attention column sums below this keep the previous centroid for that row
+# instead of dividing by dust.
+EMPTY_CLUSTER_THRESHOLD = 1e-30
 
 
 def as_matrix(data, dtype=F64, checked: bool = True) -> np.ndarray:
@@ -139,12 +145,6 @@ def mul(a: Node, b: Node) -> Node:
     return Node(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
-def div(a: Node, b: Node) -> Node:
-    _check_same_shape(a, b, "div")
-    out = a.value / b.value
-    return Node(out, (a, b), lambda g: (g / b.value, -g * out / b.value))
-
-
 def square(a: Node) -> Node:
     return Node(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
@@ -155,32 +155,10 @@ def relu(a: Node) -> Node:
     return Node(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
-def scalar_mul(a: Node, s: float) -> Node:
-    s = a.value.dtype.type(s)
-    return Node(a.value * s, (a,), lambda g: (g * s,))
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ {a.value.shape} vs {b.value.shape}")
     return Node(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
-
-
-def transpose(a: Node) -> Node:
-    """Read-only transposed view of ``a``."""
-    view = a.value.T
-    view.flags.writeable = False
-    return Node(view, (a,), lambda g: (g.T,))
-
-
-def sum_rows(a: Node) -> Node:
-    """Per-row sum: (m, n) -> (m, 1)."""
-    return Node(a.value.sum(axis=1, keepdims=True), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
-
-
-def sum_cols(a: Node) -> Node:
-    """Per-column sum: (m, n) -> (1, n)."""
-    return Node(a.value.sum(axis=0, keepdims=True), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
 
 
 def broadcast_row(a: Node, m: int) -> Node:
@@ -188,13 +166,6 @@ def broadcast_row(a: Node, m: int) -> Node:
     if a.value.shape[0] != 1:
         raise ShapeError(f"broadcast_row: expected a single row, got {a.value.shape}")
     return Node(np.broadcast_to(a.value, (m, a.value.shape[1])), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
-
-
-def broadcast_col(a: Node, n: int) -> Node:
-    """Tile an (m, 1) column out to (m, n) as a read-only view."""
-    if a.value.shape[1] != 1:
-        raise ShapeError(f"broadcast_col: expected a single column, got {a.value.shape}")
-    return Node(np.broadcast_to(a.value, (a.value.shape[0], n)), (a,), lambda g: (g.sum(axis=1, keepdims=True),))
 
 
 def regroup(a: Node, rows: int, cols: int) -> Node:
@@ -392,9 +363,63 @@ def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:
     return Node(out, (w, c), backward)
 
 
+def masked_mean(weighted: np.ndarray, sums: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+    """The centroid update: row j of ``weighted`` (k, d) over ``sums[j]``, or ``prev``'s row.
+
+    ``weighted`` is A^T w and ``sums`` the (k,) attention column sums. A
+    cluster whose sum is below EMPTY_CLUSTER_THRESHOLD keeps its row of
+    ``prev`` (zero without it). Masked arithmetic, not np.where, so a NaN
+    column sum poisons its row instead of silently keeping the old one.
+    """
+    mask = (sums >= EMPTY_CLUSTER_THRESHOLD).astype(sums.dtype)[:, None]
+    out = weighted / (sums[:, None] + (1.0 - mask)) * mask
+    return out if prev is None else out + prev * (1.0 - mask)
+
+
+def masked_mean_vjp(
+    g: np.ndarray, sums: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients reaching ``weighted``, ``sums`` and ``prev`` from ``g`` = d(loss)/d(out).
+
+    ``out`` is ``masked_mean``'s result for these ``sums``: an occupied
+    row is weighted / s, so its s receives -(g / s) . out.
+    """
+    mask = (sums >= EMPTY_CLUSTER_THRESHOLD).astype(sums.dtype)[:, None]
+    g_weighted = g * mask / (sums[:, None] + (1.0 - mask))
+    g_sums = -(g_weighted * out).sum(axis=1)
+    return g_weighted, g_sums, g * (1.0 - mask)
+
+
+def centroid_update(a: Node, w: Node, prev: Node | None = None) -> Node:
+    """Attention-weighted means of the rows of w (m, d) under a (m, k) as one node.
+
+    The value is ``masked_mean(a^T w, column sums of a, prev)``, (k, d), and
+    backward is ``masked_mean_vjp`` on the saved output, carried on through
+    the product and the column sums.
+    """
+    av, wv = a.value, w.value
+    if av.shape[0] != wv.shape[0]:
+        raise ShapeError(f"attention rows {av.shape[0]} != sub-vector count {wv.shape[0]}")
+    shape = (av.shape[1], wv.shape[1])
+    if prev is not None and prev.value.shape != shape:
+        raise ShapeError(f"previous centroids shape {prev.value.shape} != {shape}")
+    sums = av.sum(axis=0)
+    out = masked_mean(av.T @ wv, sums, None if prev is None else prev.value)
+
+    def backward(g):
+        g_weighted, g_sums, g_prev = masked_mean_vjp(g, sums, out)
+        ga = wv @ g_weighted.T + g_sums if a.requires_grad else None
+        gw = av @ g_weighted if w.requires_grad else None
+        return ga, gw, g_prev
+
+    return Node(out, (a, w) if prev is None else (a, w, prev), backward)
+
+
 def sum_all(a: Node) -> Node:
-    """Sum every entry to a 1x1 node (composition of the axis sums)."""
-    return sum_cols(sum_rows(a))
+    """Sum every entry to a 1x1 node: the row sums, then their sum."""
+    shape = a.value.shape
+    total = a.value.sum(axis=1, keepdims=True).sum(axis=0, keepdims=True)
+    return Node(total, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 # ---------------------------------------------------------------------------

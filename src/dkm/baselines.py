@@ -35,18 +35,6 @@ from .errors import DataError, ParameterError
 # ---------------------------------------------------------------------------
 
 
-def hard_attention(dist) -> np.ndarray:
-    """One-hot rows at the nearest centroid (largest negated distance).
-
-    Ties go to the lowest index. Not differentiable; training uses the
-    straight-through rule below.
-    """
-    d = _values(dist)
-    out = np.zeros_like(d)
-    out[np.arange(d.shape[0]), np.argmax(d, axis=1)] = 1.0
-    return out
-
-
 def _hard_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
     # one one-hot sample per (k, rows) tile, so centroids become cluster means
     return (_nearest_one_hot(dist, work.get("sample0", dist.shape, dist.dtype)),)

@@ -28,7 +28,10 @@ def read_weights(path: str | Path) -> np.ndarray:
     """Flat float weights from .txt (one per line) or raw <f4 files."""
     path = Path(path)
     if path.suffix in TEXT_EXTENSIONS:
-        values = np.loadtxt(path, dtype=np.float64, ndmin=1).reshape(-1)
+        try:
+            values = np.loadtxt(path, dtype=np.float64, ndmin=1).reshape(-1)
+        except ValueError as exc:  # a token that is not a number, or ragged rows
+            raise DataError(f"{path} is not a table of numbers: {exc}") from exc
     elif path.suffix in RAW_EXTENSIONS:
         if (size := path.stat().st_size) % 4:
             raise DataError(f"{path} holds {size} bytes, not a whole number of float32 weights")

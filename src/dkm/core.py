@@ -20,7 +20,8 @@ assignment mode: only the rule turning a distance tile into
 attention changes (the softmax here; Gumbel-softmax draws and a one-hot
 argmax in ``baselines``), and ``_cluster_loop`` is its only entry. The
 public ``distance_matrix``, ``attention`` and ``centroid_update`` build
-the soft steps as separate tape nodes from the same ``autodiff`` kernels.
+the three soft steps as one tape node each, from the ``autodiff`` kernels
+the loop runs (``masked_mean`` and its VJP for the update).
 
 Tiles hold about TILE_BYTES (512 KiB). A pass runs its tiles on
 min(usable CPUs, tiles) threads of one process-wide pool, built at the
@@ -66,9 +67,7 @@ RANDOM_SAMPLE = "random_sample"
 KMEANS_PP = "kmeans_pp"
 INITS = (RANDOM_SAMPLE, KMEANS_PP)
 
-# Attention column sums below this keep the previous centroid for that row
-# instead of dividing by dust.
-EMPTY_CLUSTER_THRESHOLD = 1e-30
+EMPTY_CLUSTER_THRESHOLD = ad.EMPTY_CLUSTER_THRESHOLD
 
 # The soft loop works on row tiles whose (k, rows) arrays hold about this
 # many bytes (at least one row); each tile worker holds one tile's arrays.
@@ -286,27 +285,10 @@ def centroid_update(a, w, prev: Node | None = None) -> Node:
 
     Rows whose attention column-sum underflows keep the corresponding row of
     ``prev`` (required whenever that can happen; without ``prev`` such rows
-    come out zero).
+    come out zero). ``prev``, when given, must be (clusters, dim). One fused
+    tape node (``autodiff.centroid_update``), the loop's update step.
     """
-    an, wn = _as_node(a), _as_node(w)
-    if an.shape[0] != wn.shape[0]:
-        raise ShapeError(f"attention rows {an.shape[0]} != sub-vector count {wn.shape[0]}")
-    k, d = an.shape[1], wn.shape[1]
-
-    weighted = ad.matmul(ad.transpose(an), wn)
-    col_sums = ad.transpose(ad.sum_cols(an))
-    occupied = col_sums.value >= EMPTY_CLUSTER_THRESHOLD
-    if occupied.all():
-        return ad.div(weighted, ad.broadcast_col(col_sums, d))
-
-    mask = occupied.astype(an.value.dtype)
-    safe = ad.add(col_sums, ad.constant(1.0 - mask))
-    update = ad.div(weighted, ad.broadcast_col(safe, d))
-    keep = ad.broadcast_col(ad.constant(mask), d)
-    if prev is None:
-        return ad.mul(update, keep)
-    inv = ad.broadcast_col(ad.constant(1.0 - mask), d)
-    return ad.add(ad.mul(update, keep), ad.mul(_as_node(prev), inv))
+    return ad.centroid_update(_as_node(a), _as_node(w), None if prev is None else _as_node(prev))
 
 
 def physical_memory_bytes() -> int | None:
@@ -320,11 +302,6 @@ def physical_memory_bytes() -> int | None:
 def _row_tiles(m: int, k: int, itemsize: int) -> list[slice]:
     rows = max(1, TILE_BYTES // (k * itemsize))
     return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-
-
-def _occupied(col_sums: np.ndarray, dtype) -> np.ndarray:
-    """(k, 1) mask: 1 where a cluster's attention mass counts, else 0."""
-    return (col_sums >= EMPTY_CLUSTER_THRESHOLD).astype(dtype)[:, None]
 
 
 class _TileWork:
@@ -522,7 +499,8 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
     Pass p recomputes the attention to ``codebooks[p]``, replaying the
     rule's draws from ``marks[p]``. The last pass is the output
     ``w_tilde = A C``; every earlier one is the update
-    ``C' = (A^T w) / s * mask + C * (1 - mask)`` with ``s = col_sums[p]``.
+    ``C' = autodiff.masked_mean(A^T w, col_sums[p], C)``, whose VJP
+    ``autodiff.masked_mean_vjp`` reads ``C'`` from ``codebooks[p + 1]``.
     Only ``w`` receives a gradient: the starting codebook is a constant.
     """
 
@@ -540,12 +518,9 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                 rng.bit_generator.state = marks[p]
             g_c = np.zeros_like(c) if p > 0 else None
             if p < steps:
-                sums = col_sums[p]
-                mask = _occupied(sums, w.dtype)
-                g_weighted = g_next * mask / (sums[:, None] + (1.0 - mask))
-                g_sums = -(g_weighted * codebooks[p + 1]).sum(axis=1)
+                g_weighted, g_sums, g_prev = ad.masked_mean_vjp(g_next, col_sums[p], codebooks[p + 1])
                 if g_c is not None:
-                    g_c += g_next * (1.0 - mask)
+                    g_c += g_prev
 
             def tile(rows, work):
                 # writes the tile's rows of gw; returns its terms of g_c
@@ -665,10 +640,8 @@ def _cluster_loop(
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
         _run_tiles(tile_mass, tiles, works, (sums, weighted))
-        # masked arithmetic, not np.where, so a NaN column sum poisons the
-        # iterate and is reported instead of silently keeping the old row
-        mask = _occupied(sums, w.dtype)
-        candidate = weighted / (sums[:, None] + (1.0 - mask)) * mask + c * (1.0 - mask)
+        # a NaN column sum poisons the iterate, which is reported here
+        candidate = ad.masked_mean(weighted, sums, c)
         if not np.all(np.isfinite(candidate)):
             raise NumericError(f"non-finite centroids at iteration {it}")
         delta = float(np.linalg.norm(candidate - c))

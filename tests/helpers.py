@@ -39,3 +39,11 @@ def pairwise_sq_dists(w: np.ndarray, c: np.ndarray) -> np.ndarray:
             diff = w[i] - c[j]
             out[i, j] = float(np.dot(diff, diff))
     return out
+
+
+def hard_attention(dist: np.ndarray) -> np.ndarray:
+    """One-hot rows at the nearest centroid (largest negated distance); ties go to the lowest index."""
+    d = np.asarray(dist, dtype=np.float64)
+    out = np.zeros_like(d)
+    out[np.arange(d.shape[0]), np.argmax(d, axis=1)] = 1.0
+    return out

@@ -17,6 +17,8 @@ from dkm import baselines, compression, core, harness
 from dkm.cli import main as cli_main
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 
+from helpers import hard_attention
+
 
 @contextmanager
 def criterion(num: int, description: str):
@@ -136,7 +138,7 @@ def test_criterion_04_hard_limit():
             attn = core.attention(dist, temperature=tau).value
             clear = gaps > 1e-9
             assert clear.any()
-            hard = baselines.hard_attention(dist.value)
+            hard = hard_attention(dist.value)
             assert np.all(attn[clear].max(axis=1) >= 1.0 - 1e-6)
             np.testing.assert_array_equal(
                 np.argmax(attn[clear], axis=1), np.argmax(hard[clear], axis=1)

@@ -6,7 +6,7 @@ from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
-from helpers import pairwise_sq_dists, rel_err
+from helpers import hard_attention, pairwise_sq_dists, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -15,12 +15,12 @@ from helpers import pairwise_sq_dists, rel_err
 
 
 def test_hard_attention_picks_nearest():
-    a = baselines.hard_attention(np.array([[-1.0, -4.0]]))
+    a = hard_attention(np.array([[-1.0, -4.0]]))
     np.testing.assert_array_equal(a, [[1.0, 0.0]])
 
 
 def test_hard_attention_tie_goes_to_lowest_index():
-    a = baselines.hard_attention(np.array([[-2.0, -2.0]]))
+    a = hard_attention(np.array([[-2.0, -2.0]]))
     np.testing.assert_array_equal(a, [[1.0, 0.0]])
 
 
@@ -28,7 +28,7 @@ def test_hard_attention_matches_lloyd_assignment_step():
     rng = np.random.default_rng(71)
     w = rng.uniform(-1, 1, (30, 2))
     c = rng.uniform(-1, 1, (5, 2))
-    a = baselines.hard_attention(-pairwise_sq_dists(w, c))
+    a = hard_attention(-pairwise_sq_dists(w, c))
     np.testing.assert_array_equal(np.argmax(a, axis=1), np.argmin(pairwise_sq_dists(w, c), axis=1))
     np.testing.assert_allclose(a.sum(axis=1), 1.0)
 
@@ -43,7 +43,7 @@ def test_hard_attention_is_limit_of_soft_attention():
 
     scale = float(np.median(np.abs(d2)))
     soft = core.attention(ad.constant(-d2), temperature=1e-6 * scale).value
-    hard = baselines.hard_attention(-d2)
+    hard = hard_attention(-d2)
     assert np.abs(soft[clear] - hard[clear]).max() <= 1e-6
 
 
@@ -187,7 +187,7 @@ def test_hard_rule_matches_hard_attention_with_ties():
     for tile in (dist[:, :100], dist):
         tile = np.ascontiguousarray(tile)
         (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size))
-        np.testing.assert_array_equal(one_hot, baselines.hard_attention(tile.T).T)
+        np.testing.assert_array_equal(one_hot, hard_attention(tile.T).T)
 
 
 def gumbel_noise(rng, m: int, k: int, draws: int, tile_rows: int) -> np.ndarray:
@@ -217,7 +217,7 @@ def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, d
         for noise in gumbel_noise(rng, m, k, draws, tile_rows):
             sample = ad.row_softmax(ad.add(dist, ad.constant(noise)), cfg.temperature)
             total = sample if total is None else ad.add(total, sample)
-        return ad.scalar_mul(total, 1.0 / draws)
+        return ad.mul(total, ad.constant(np.full(total.shape, 1.0 / draws)))
 
     c = ad.constant(start)
     for _ in range(iterations):

@@ -145,6 +145,23 @@ def test_cluster_insufficient_points_fails(tmp_path, capsys):
     assert err.startswith("error:DataError:")
 
 
+@pytest.mark.parametrize("command", ["cluster", "compress"])
+@pytest.mark.parametrize("text", ["1.0\nabc\n2.0\n", "1 2\n3\n"])
+def test_unparsable_text_weights_are_one_data_error(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    extra = ["--out", str(tmp_path / "c.dkmz")] if command == "compress" else []
+    code, _, err = run_cli(capsys, command, "--weights", str(path), "--bits", "1", "--tau", "0.1", *extra)
+    assert code == 2
+    assert err.startswith("error:DataError:") and str(path) in err and err.count("\n") == 1
+
+
+def test_text_weights_with_consistent_columns_are_read_row_major(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("1 2\n3 4\n")
+    np.testing.assert_array_equal(read_weights(path), [1.0, 2.0, 3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # compress / decompress / inspect
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dkm import baselines, core
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
-from helpers import pairwise_sq_dists, rel_err
+from helpers import central_diff, pairwise_sq_dists, rel_err
 
 
 def subvectors(values) -> SubvectorMatrix:
@@ -286,6 +286,43 @@ def test_centroid_update_empty_cluster_without_prev_is_zero():
     a = ad.constant(np.array([[1.0, 0.0], [1.0, 0.0]]))  # cluster 1 empty
     got = core.centroid_update(a, w).value
     np.testing.assert_array_equal(got, [[2.0], [0.0]])
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (4, 2), (3, 1)])
+def test_centroid_update_rejects_wrong_prev_shape_with_every_cluster_occupied(shape):
+    a = np.full((6, 3), 1.0 / 3.0)
+    w = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ShapeError):
+        core.centroid_update(ad.constant(a), ad.constant(w), prev=ad.constant(np.zeros(shape)))
+
+
+def test_centroid_update_gradient_matches_finite_differences_with_an_empty_cluster():
+    rng = np.random.default_rng(44)
+    w0 = rng.normal(size=(7, 2))
+    a0 = rng.uniform(0.05, 1.0, (7, 4))
+    a0[:, 2] = 0.0  # cluster 2 is empty and keeps its row of prev
+    p0 = rng.normal(size=(4, 2))
+    t = rng.normal(size=(4, 2))
+    live = [0, 1, 3]
+
+    def f(av, wv, pv):
+        out = core.centroid_update(ad.constant(av), ad.constant(wv), prev=ad.constant(pv)).value
+        return float(np.sum(out * t))
+
+    def f_live(v):
+        # any step off zero would fill the empty cluster: vary the others only
+        full = a0.copy()
+        full[:, live] = v
+        return f(full, w0, p0)
+
+    a, w, prev = ad.leaf(a0), ad.leaf(w0), ad.leaf(p0)
+    ad.backward(ad.sum_all(ad.mul(core.centroid_update(a, w, prev=prev), ad.constant(t))))
+    assert rel_err(a.grad[:, live], central_diff(f_live, a0[:, live])) <= 1e-7
+    assert rel_err(w.grad, central_diff(lambda v: f(a0, v, p0), w0)) <= 1e-7
+    assert rel_err(prev.grad, central_diff(lambda v: f(a0, w0, v), p0)) <= 1e-7
+    # the empty cluster's output is prev's row: its attention mass gets nothing
+    np.testing.assert_array_equal(a.grad[:, 2], 0.0)
+    np.testing.assert_array_equal(prev.grad[live], 0.0)
 
 
 # ---------------------------------------------------------------------------
