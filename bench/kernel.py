@@ -1,6 +1,6 @@
 """Cost of the clustering loop's tile kernel, of the battery trainings, and of compress.
 
-Five measurements, written to one JSON file (default ``BENCH_kernel.json``
+Six measurements, written to one JSON file (default ``BENCH_kernel.json``
 at the repository root):
 
 - ``tile_passes``: microseconds per tile pass of each assignment rule
@@ -20,12 +20,21 @@ at the repository root):
   so two trees can be checked for identical results. ``nodes_per_batch``
   is the number of autodiff tape nodes built per training batch, counted
   by wrapping ``autodiff.Node.__init__`` during the untimed one-epoch run.
-- ``compress``: memory of one ``dkm compress`` of a fixed synthetic file
-  (seeded standard normal float32 weights; full size 1,048,576 weights at
-  bits 3, dim 8, as the benchmark's ``codec`` w1m file), each in a fresh
-  child process: the ``tracemalloc`` peak of the command, and the
-  process's ``ru_maxrss`` after imports and after the command (run
-  without tracemalloc).
+- ``compress``: time and memory of ``dkm compress`` on a fixed synthetic
+  file (seeded standard normal float32 weights; full size 1,048,576
+  weights at bits 3, dim 8, as the benchmark's ``codec`` w1m file), each
+  run in a fresh child process: the ``tracemalloc`` peak of the command
+  in one child; and, over several children run without tracemalloc, the
+  median wall seconds of the command and the median ``ru_maxrss`` after
+  imports and after the command.
+- ``precision``: the soft loop (``dkm_forward`` on a constant, epsilon
+  1e-4, 5 iterations, no attention) on the benchmark's two ``codec``
+  shapes (its seeded float32 weights, bits, dim and tau), run on the
+  weights widened to float64 and on the float32 weights themselves: best
+  wall seconds of alternating runs, the ``tracemalloc`` peak of one call,
+  the share of sub-vectors whose float32 index equals the float64 one,
+  and both reconstruction RMSEs of ``codebook[indices]`` against the
+  weights.
 - ``multi_tile``: median wall seconds of forward and of backward of one
   65,536-weight layer at bits 4/dim 1 and at bits 5/dim 2, as in the
   ``cluster_large`` workload (tau 0.05, epsilon 0, 5 iterations, attention
@@ -83,6 +92,7 @@ from dkm.core import DkmConfig, SubvectorMatrix  # noqa: E402
 
 sys.path.insert(0, str(ROOT))
 from perfbench.run import source_commit, source_digest  # noqa: E402
+from perfbench.workloads import CODEC_FILES  # noqa: E402
 
 ITERATIONS = 5
 # label, bits, dim, sub-vectors, tau, weight scale; each is one tile, and
@@ -107,6 +117,9 @@ BATTERY = {
 SCHEME = DkmConfig(bits=2, dim=1, temperature=0.002, epsilon=1e-4)
 # weights, bits, dim, tau of the compressed file
 COMPRESS = {"full": (1_048_576, 3, 8, 0.5), "tiny": (8_192, 3, 8, 0.5)}
+# untraced compress children, and alternating runs per precision
+COMPRESS_RUNS = {"full": 5, "tiny": 1}
+PRECISION_RUNS = {"full": 7, "tiny": 1}
 # weights of the multi-tile layer, and its (label, bits, dim) shapes
 MULTI_TILE_WEIGHTS = {"full": 65_536, "tiny": 2_048}
 MULTI_TILE_LAYERS = (("b4d1", 4, 1), ("b5d2", 5, 2))
@@ -244,35 +257,77 @@ def trainings(size: str) -> dict:
 
 
 def compress_child(argv: list[str], traced: bool) -> dict:
-    """Run ``dkm compress`` once in this process; its peak bytes as JSON fields."""
+    """Run ``dkm compress`` once in this process; its peak bytes (and seconds) as JSON fields."""
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if traced:
         tracemalloc.start()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
+    seconds = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"dkm compress exited {code}")
     if traced:
         return {"traced_peak_bytes": tracemalloc.get_traced_memory()[1]}
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"ru_maxrss_after_imports_kib": before, "ru_maxrss_kib": after}
+    return {"wall_s": seconds, "ru_maxrss_after_imports_kib": before, "ru_maxrss_kib": after}
 
 
-def compress_memory(size: str) -> dict:
-    """Traced peak and ru_maxrss of ``dkm compress`` on a fixed synthetic file."""
+def compress_cost(size: str) -> dict:
+    """Traced peak, median wall seconds and median ru_maxrss of ``dkm compress``."""
     weights, bits, dim, tau = COMPRESS[size]
     with tempfile.TemporaryDirectory() as tmp:
         source = Path(tmp) / "weights.f32"
         np.random.default_rng(11).standard_normal(weights).astype("<f4").tofile(source)
         argv = ["compress", "--weights", str(source), "--bits", str(bits), "--dim", str(dim),
                 "--tau", str(tau), "--seed", "11", "--out", str(Path(tmp) / "weights.dkmz")]
-        out = {"weights": weights, "bits": bits, "dim": dim, "tau": tau}
-        for mode in ("plain", "traced"):
-            child = [sys.executable, __file__, "--compress-child", mode]
-            proc = subprocess.run([sys.executable, "-c", RELAY, *child], input=json.dumps(argv),
-                                  capture_output=True, text=True, check=True)
-            out.update(json.loads(proc.stdout))
+
+        def child(mode):
+            cmd = [sys.executable, "-c", RELAY, sys.executable, __file__, "--compress-child", mode]
+            proc = subprocess.run(cmd, input=json.dumps(argv), capture_output=True, text=True, check=True)
+            return json.loads(proc.stdout)
+
+        plain = [child("plain") for _ in range(COMPRESS_RUNS[size])]
+        out = {"weights": weights, "bits": bits, "dim": dim, "tau": tau, "runs": len(plain)}
+        out["wall_s"] = round(statistics.median(p["wall_s"] for p in plain), 4)
+        for key in ("ru_maxrss_after_imports_kib", "ru_maxrss_kib"):
+            out[key] = statistics.median(p[key] for p in plain)
+        out.update(child("traced"))
     return out
+
+
+def precision(size: str) -> list[dict]:
+    """The soft loop on each ``codec`` shape in float64 and in float32: time, peak, agreement."""
+    runs = PRECISION_RUNS[size]
+    rows = []
+    for name, weights, bits, dim, tau in CODEC_FILES[size]:
+        values = np.random.default_rng(1).standard_normal(weights).astype(np.float32)
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=tau)
+        inputs = {p: ad.constant(values.astype(p).reshape(-1, dim)) for p in ("float64", "float32")}
+
+        def forward(p):
+            return core.dkm_forward(inputs[p], config=cfg, seed=1, keep_attention=False)
+
+        seconds = {p: [] for p in inputs}
+        for rep in range(runs + 1):  # the first round warms up
+            for p in inputs if rep % 2 else reversed(inputs):
+                start = time.perf_counter()
+                forward(p)
+                if rep:
+                    seconds[p].append(time.perf_counter() - start)
+        row = {"file": name, "weights": weights, "bits": bits, "dim": dim, "tau": tau, "runs": runs}
+        results = {}
+        for p in inputs:
+            tracemalloc.start()
+            results[p] = forward(p)
+            row[f"{p}_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            row[f"{p}_forward_s"] = round(min(seconds[p]), 4)
+            snapped = results[p].codebook.centroids[results[p].indices].astype(np.float64)
+            row[f"{p}_rmse"] = float(np.sqrt(np.mean((snapped.reshape(-1) - values) ** 2)))
+        row["index_agreement"] = float(np.mean(results["float32"].indices == results["float64"].indices))
+        rows.append(row)
+    return rows
 
 
 def attention_free(size: str) -> dict:
@@ -301,7 +356,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="small sizes, for a smoke run")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
-    # internal: one compress, its argv as JSON on stdin (see compress_memory)
+    # internal: one compress, its argv as JSON on stdin (see compress_cost)
     parser.add_argument("--compress-child", choices=("plain", "traced"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.compress_child:
@@ -323,8 +378,11 @@ def main(argv=None) -> int:
     tiled = multi_tile(size, REPEATS[size])
     for row in tiled:
         print(json.dumps({"multi_tile": row}), flush=True)
-    compress = compress_memory(size)
+    compress = compress_cost(size)
     print(json.dumps({"compress": compress}), flush=True)
+    probe = precision(size)
+    for row in probe:
+        print(json.dumps({"precision": row}), flush=True)
     free = attention_free(size)
     print(json.dumps({"attention_free": free}), flush=True)
 
@@ -344,6 +402,7 @@ def main(argv=None) -> int:
         "multi_tile": tiled,
         "trainings": train,
         "compress": compress,
+        "precision": probe,
         "attention_free": free,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -22,10 +22,13 @@ from .errors import DataError, DkmError, ParameterError
 
 TEXT_EXTENSIONS = (".txt",)
 RAW_EXTENSIONS = (".f32", ".bin", ".raw")
+# raw float32 weights cluster in float32 only while float32 rounding moves
+# the largest logit by at most this; otherwise they cluster in float64
+FLOAT32_LOGIT_ERROR = 2.0**-10
 
 
 def read_weights(path: str | Path) -> np.ndarray:
-    """Flat float weights from .txt (one per line) or raw <f4 files."""
+    """Flat weights: float64 from .txt (one per line), float32 from raw <f4 files."""
     path = Path(path)
     if path.suffix in TEXT_EXTENSIONS:
         try:
@@ -35,7 +38,7 @@ def read_weights(path: str | Path) -> np.ndarray:
     elif path.suffix in RAW_EXTENSIONS:
         if (size := path.stat().st_size) % 4:
             raise DataError(f"{path} holds {size} bytes, not a whole number of float32 weights")
-        values = np.fromfile(path, dtype="<f4").astype(np.float64)
+        values = np.fromfile(path, dtype="<f4").astype(np.float32, copy=False)
     else:
         raise ParameterError(
             f"unsupported weight extension {path.suffix!r}; use one of "
@@ -68,15 +71,36 @@ def _dkm_config(args) -> core.DkmConfig:
     )
 
 
+def _float32_logits_safe(values: np.ndarray, cfg: core.DkmConfig) -> bool:
+    """Whether float32 clustering keeps every logit within FLOAT32_LOGIT_ERROR.
+
+    Centroids are means of sub-vectors, so with r = max|w| no squared
+    distance exceeds 4 * dim * r^2, and float32 rounding moves a logit by
+    at most eps32 times that over tau, provided tau is a normal float32.
+    Past the bound the distances may also overflow float32.
+    """
+    f32 = np.finfo(np.float32)
+    reach = max(float(values.max()), -float(values.min()))
+    tau = cfg.temperature
+    # in Python floats: float32 arithmetic would overflow on the inputs this refuses
+    return tau >= f32.tiny and float(f32.eps) * 4 * cfg.dim * reach * reach / tau <= FLOAT32_LOGIT_ERROR
+
+
 def _cluster_weights(args) -> tuple[core.SubvectorMatrix, compression.CompressedLayer, core.DkmTelemetry]:
     """The weights as sub-vectors, their compressed layer, and the loop's telemetry.
 
-    Nothing here calls backward, so the loop runs on a constant and builds
-    no tape, and it never builds the (m, k) attention: the layer stores the
-    loop's nearest-centroid indices. The soft weights are dropped on return.
+    Raw float32 weights are clustered in float32 where
+    ``_float32_logits_safe`` allows it; all other weights are clustered
+    in float64. Nothing here calls backward, so the loop runs on
+    a constant and builds no tape, and it never builds the (m, k)
+    attention: the layer stores the loop's nearest-centroid indices. The
+    soft weights are dropped on return.
     """
     cfg = _dkm_config(args)
-    sub = compression.reshape_to_subvectors(read_weights(args.weights), cfg.dim)
+    values = read_weights(args.weights)
+    if values.dtype == np.float32 and not _float32_logits_safe(values, cfg):
+        values = values.astype(np.float64)
+    sub = compression.reshape_to_subvectors(values, cfg.dim)
     res = core.dkm_forward(ad.constant(sub.values), config=cfg, seed=args.seed, keep_attention=False)
     layer = compression.CompressedLayer(
         bits=cfg.bits,

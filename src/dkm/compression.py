@@ -34,10 +34,14 @@ HEADER_SIZE = _HEADER.size
 def reshape_to_subvectors(flat_weights, dim: int) -> SubvectorMatrix:
     """View a flat weight vector as contiguous ``dim``-sized rows.
 
-    When dim does not divide the length, the last row is zero-padded and the
-    pad size recorded so the original vector can be restored exactly.
+    float32 weights stay float32; any other input becomes float64. When dim
+    does not divide the length, the last row is zero-padded and the pad
+    size recorded so the original vector can be restored exactly.
     """
-    flat = np.asarray(flat_weights, dtype=np.float64).reshape(-1)
+    flat = np.asarray(flat_weights)
+    if flat.dtype != np.float32:
+        flat = np.asarray(flat, dtype=np.float64)
+    flat = flat.reshape(-1)
     if flat.size == 0:
         raise DataError("cannot reshape an empty weight vector")
     if dim < 1:
@@ -232,11 +236,11 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
 
     measured_ratio divides the 32-bit baseline size by the actual container
     size, so it always sits below the codebook-free formula ratio. The
-    reconstruction error is the float64 norm of ``original - decoded``; the
-    float32 decoded weights are widened inside the subtraction, so the only
-    full-size arrays it makes are the decoded weights and the difference.
+    reconstruction error is the float64 norm of ``original - decoded``; both
+    are widened inside the subtraction, so the only full-size arrays it
+    makes are the float32 decoded weights and the float64 difference.
     """
-    original_flat = np.asarray(original_flat, dtype=np.float64).reshape(-1)
+    original_flat = np.asarray(original_flat).reshape(-1)
     if original_flat.size != layer.original_length:
         raise ShapeError(
             f"original has {original_flat.size} weights, layer encodes {layer.original_length}"

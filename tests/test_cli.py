@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dkm import autodiff as ad
 from dkm import compression as comp
 from dkm import core
 from dkm.cli import main, read_weights, write_weights
@@ -189,18 +190,83 @@ def test_compress_report_formula_ratio(tmp_path, capsys, weights_txt):
 
 def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys, monkeypatch):
     # compress never builds the (m, k) attention: 131,072 weights at bits=16
-    # need their soft weights and indices, m * (dim + 1) float64s, plus a tile
-    need = 131072 * 2 * 8 + core.TILE_BYTES
-    monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
-    path = tmp_path / "w.f32"
-    np.zeros(131072, dtype="<f4").tofile(path)
-    code, out, err = run_cli(
-        capsys, "compress", "--weights", str(path), "--bits", "16", "--tau", "0.1",
-        "--out", str(tmp_path / "w.dkmz"),
+    # need their soft weights (float32 from a raw file, float64 from text)
+    # and their 8-byte indices, plus a tile
+    def refuse(*args):
+        raise AssertionError("seeding ran: the pre-flight let the layer through")
+
+    # seeding runs after the pre-flight, so a missed refusal fails here at once
+    monkeypatch.setattr(core, "init_centroids", refuse)
+    raw, text = tmp_path / "w.f32", tmp_path / "w.txt"
+    np.zeros(131072, dtype="<f4").tofile(raw)
+    np.savetxt(text, np.zeros(131072), fmt="%.1f")
+    for path, need in ((raw, 131072 * (4 + 8) + core.TILE_BYTES), (text, 131072 * (8 + 8) + core.TILE_BYTES)):
+        monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
+        code, out, err = run_cli(
+            capsys, "compress", "--weights", str(path), "--bits", "16", "--tau", "0.1",
+            "--out", str(tmp_path / "w.dkmz"),
+        )
+        assert code == 2
+        assert err.startswith("error:ResourceError:") and f"needs about {need} bytes" in err
+        assert out == "" and not (tmp_path / "w.dkmz").exists()
+
+
+def float64_container(values: np.ndarray, bits: int, tau: float, seed: int = 0) -> bytes:
+    """The container of ``values`` clustered in float64, with the CLI's defaults otherwise."""
+    sub = comp.reshape_to_subvectors(values.astype(np.float64), 1)
+    cfg = core.DkmConfig(bits=bits, temperature=tau)
+    res = core.dkm_forward(ad.constant(sub.values), config=cfg, seed=seed, keep_attention=False)
+    layer = comp.CompressedLayer(
+        bits=bits, dim=1, original_length=sub.original_length, pad_count=0,
+        codebook=res.codebook.centroids.astype(np.float32), indices=res.indices,
     )
-    assert code == 2
-    assert err.startswith("error:ResourceError:") and f"needs about {need} bytes" in err
-    assert out == "" and not (tmp_path / "w.dkmz").exists()
+    return comp.serialize(layer)
+
+
+def test_raw_weights_are_read_as_float32_and_text_as_float64(tmp_path):
+    values = np.random.default_rng(3).normal(size=16)
+    write_weights(tmp_path / "w.f32", values)
+    write_weights(tmp_path / "w.txt", values)
+    assert read_weights(tmp_path / "w.f32").dtype == np.float32
+    assert read_weights(tmp_path / "w.txt").dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "scale,tau",
+    [
+        (1e20, 0.05),  # squared distances overflow float32
+        (1.0, 1e-46),  # tau rounds to float32 zero
+        (0.0, 1e-46),  # no weight reaches the bound, but tau still rounds to zero
+    ],
+)
+def test_compress_falls_back_to_float64_where_float32_logits_are_unsafe(tmp_path, capsys, scale, tau):
+    values = (np.random.default_rng(4).standard_normal(4096) * scale).astype("<f4")
+    path, out = tmp_path / "w.f32", tmp_path / "w.dkmz"
+    values.tofile(path)
+    code, _, err = run_cli(
+        capsys, "compress", "--weights", str(path), "--bits", "2", "--tau", str(tau), "--out", str(out)
+    )
+    assert code == 0, err
+    assert out.read_bytes() == float64_container(values, bits=2, tau=tau)
+
+
+def test_float32_compress_agrees_with_float64(tmp_path, capsys, monkeypatch):
+    values = np.random.default_rng(5).standard_normal(8192).astype("<f4")
+    path, out = tmp_path / "w.f32", tmp_path / "w.dkmz"
+    values.tofile(path)
+    clustered = []
+    forward = core.dkm_forward
+    monkeypatch.setattr(core, "dkm_forward", lambda w, **kw: clustered.append(w.value.dtype) or forward(w, **kw))
+    code, stdout, _ = run_cli(
+        capsys, "compress", "--weights", str(path), "--bits", "3", "--tau", "0.2", "--out", str(out)
+    )
+    assert code == 0 and clustered == [np.float32]
+    got = comp.deserialize(out.read_bytes())
+    ref = comp.deserialize(float64_container(values, bits=3, tau=0.2))
+    assert np.mean(got.indices == ref.indices) >= 0.999
+    np.testing.assert_allclose(got.codebook, ref.codebook, rtol=0, atol=1e-5)
+    ref_error = float(np.linalg.norm(values.astype(np.float64) - ref.decode_flat()))
+    assert json.loads(stdout)["reconstruction_error"] == pytest.approx(ref_error, rel=1e-4)
 
 
 def test_decompress_matches_snap_reconstruction(tmp_path, capsys, weights_txt):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,17 @@ def test_reshape_roundtrip_property():
             sub = comp.reshape_to_subvectors(flat, dim)
             np.testing.assert_array_equal(sub.flatten(), flat)
             assert sub.pad_count < dim
+
+
+def test_reshape_keeps_float32_and_widens_everything_else():
+    sub = comp.reshape_to_subvectors(np.array([1.5, -2.0, 3.25], dtype=np.float32), dim=2)
+    assert sub.values.dtype == np.float32
+    np.testing.assert_array_equal(sub.values, [[1.5, -2.0], [3.25, 0.0]])
+    assert sub.pad_count == 1
+    for flat in (np.array([1.5, -2.0, 3.25], dtype=np.float16), np.array([1, -2, 3]), [1, -2, 3]):
+        sub = comp.reshape_to_subvectors(flat, dim=2)
+        assert sub.values.dtype == np.float64
+        np.testing.assert_array_equal(sub.flatten(), np.asarray(flat, dtype=np.float64))
 
 
 def test_reshape_rejects_empty():
@@ -322,6 +335,27 @@ def test_report_reconstruction_error_zero_for_exact_match():
     report = comp.build_report(layer, np.array([1.0, 2.0, 1.0, 2.0], dtype=np.float32))
     assert report.reconstruction_error == 0.0
     assert report.empirical_entropy == 1.0
+
+
+def test_report_on_float32_weights_makes_no_widened_copy():
+    n = 1 << 20
+    rng = np.random.default_rng(212)
+    original = rng.standard_normal(n).astype(np.float32)
+    layer = comp.CompressedLayer(
+        bits=3, dim=8, original_length=n, pad_count=0,
+        codebook=rng.normal(size=(8, 8)).astype(np.float32), indices=rng.integers(0, 8, n // 8),
+    )
+    tracemalloc.start()
+    try:
+        report = comp.build_report(layer, original)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    decoded = layer.codebook[layer.indices].reshape(-1).astype(np.float64)
+    assert report.reconstruction_error == float(np.linalg.norm(original.astype(np.float64) - decoded))
+    # the float32 decoded weights and the float64 difference; a float64
+    # copy of the original would add 8 bytes per weight
+    assert peak < 12 * n + (1 << 19)
 
 
 def test_policy_small_layer_gets_eight_bits():

@@ -762,6 +762,38 @@ def test_fused_loop_keeps_float32():
     assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-5
 
 
+def test_float32_loop_at_a_flushing_tau_agrees_with_float64():
+    values = np.random.default_rng(77).normal(size=(2000, 1))
+    cfg = DkmConfig(bits=3, temperature=1e-3, epsilon=0.0)
+    res64 = core.dkm_forward(ad.constant(values), config=cfg, seed=2, keep_attention=False)
+    res32 = core.dkm_forward(ad.constant(values.astype(np.float32)), config=cfg, seed=2, keep_attention=False)
+    # float32 logits of the final codebook fall below log(float32 tiny) and flush
+    dist = core.distance_matrix(values.astype(np.float32), res32.codebook).value
+    floor = np.log(np.finfo(np.float32).tiny)
+    assert np.count_nonzero((dist - dist.max(axis=1, keepdims=True)) / np.float32(cfg.temperature) < floor) > 0
+    assert res32.codebook.centroids.dtype == res32.w_tilde.value.dtype == np.float32
+    np.testing.assert_array_equal(res32.indices, res64.indices)
+    assert rel_err(res32.codebook.centroids, res64.codebook.centroids) <= 1e-6
+
+
+def test_float32_empty_cluster_keeps_its_previous_row():
+    values = np.random.default_rng(78).uniform(-1, 1, (64, 1)).astype(np.float32)
+    # the far centroid gets exactly zero attention and keeps its row
+    warm = Codebook(np.array([[-0.5], [0.0], [0.5], [1e3]], dtype=np.float32))
+    cfg = DkmConfig(bits=2, temperature=0.1, epsilon=0.0, max_iterations=3)
+    res = core.dkm_forward(ad.constant(values), warm, cfg, seed=0, keep_attention=False)
+    assert res.codebook.centroids.dtype == np.float32
+    assert res.codebook.centroids[3, 0] == np.float32(1e3)
+    assert not np.any(res.indices == 3)
+
+
+def test_float32_nonfinite_iterate_names_iteration():
+    w = ad.leaf(np.full((8, 1), 1e20, dtype=np.float32))  # squared distances overflow float32
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="iteration 1"):
+            core.dkm_forward(w, config=DkmConfig(bits=2, temperature=0.5), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # the tile kernel: subnormal flush and work arrays reused within a call
 # ---------------------------------------------------------------------------
