@@ -56,6 +56,7 @@ def test_weight_io_roundtrip(tmp_path):
     write_weights(raw, values)
     np.testing.assert_allclose(read_weights(txt), values, atol=1e-9)
     np.testing.assert_array_equal(read_weights(raw), values)  # exact binary floats
+    assert read_weights(txt).dtype == np.float64 and read_weights(raw).dtype == np.float32
 
 
 def test_weight_io_rejects_unknown_extension(tmp_path):
@@ -221,14 +222,6 @@ def float64_container(values: np.ndarray, bits: int, tau: float, seed: int = 0) 
         codebook=res.codebook.centroids.astype(np.float32), indices=res.indices,
     )
     return comp.serialize(layer)
-
-
-def test_raw_weights_are_read_as_float32_and_text_as_float64(tmp_path):
-    values = np.random.default_rng(3).normal(size=16)
-    write_weights(tmp_path / "w.f32", values)
-    write_weights(tmp_path / "w.txt", values)
-    assert read_weights(tmp_path / "w.f32").dtype == np.float32
-    assert read_weights(tmp_path / "w.txt").dtype == np.float64
 
 
 @pytest.mark.parametrize(
