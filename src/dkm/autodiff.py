@@ -269,15 +269,30 @@ def neg_distance_cluster_major(
     """
     if w_sq is None:
         w_sq = (w * w).sum(axis=1)
-    out = np.add((c * c).sum(axis=1)[:, None], w_sq, out=out)
-    cross = rows_dot(c, w, out=cross)
-    cross *= -2.0
-    out += cross
-    np.maximum(out, 0.0, out=out)
+    # built negated throughout: each rounding is the negation of the one the
+    # unnegated sum makes, and doubling c is exact, so only a clamped zero's
+    # sign can differ from negating at the end
+    out = np.subtract(-(c * c).sum(axis=1)[:, None], w_sq, out=out)
+    out += rows_dot(c + c, w, out=cross)
+    np.minimum(out, 0.0, out=out)
     if euclidean:
+        np.negative(out, out=out)
         np.sqrt(out, out=out)
-    np.negative(out, out=out)
+        np.negative(out, out=out)
     return out
+
+
+def _flush_floor(dtype) -> np.generic:
+    """The least ``dtype`` value >= log(finfo.tiny): y < it exactly where y < log(tiny).
+
+    A scalar of the tile's own dtype keeps float32 comparisons in float32.
+    """
+    exact = np.log(np.finfo(dtype).tiny, dtype=np.float64)
+    floor = dtype.type(exact)
+    return floor if floor >= exact else np.nextafter(floor, dtype.type(np.inf))
+
+
+_FLUSH_FLOOR = {dtype: _flush_floor(dtype) for dtype in _DTYPES}
 
 
 def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None) -> np.ndarray:
@@ -290,7 +305,7 @@ def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None
     """
     y = np.subtract(logits, logits.max(axis=0), out=out)
     y /= tau
-    floor = np.log(np.finfo(y.dtype).tiny, dtype=np.float64)
+    floor = _FLUSH_FLOOR[y.dtype]
     # one reduction decides; tiles with nothing to flush pay nothing more
     if y.min() < floor:
         low = y < floor

@@ -9,6 +9,7 @@ with the same inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,10 @@ def read_weights(path: str | Path) -> np.ndarray:
         try:
             values = np.loadtxt(path, dtype=np.float64, ndmin=1).reshape(-1)
         except ValueError as exc:  # a token that is not a number, or ragged rows
-            raise DataError(f"{path} is not a table of numbers: {exc}") from exc
+            # numpy's message names the problem, then may advise on loadtxt's
+            # own parameters (usecols), which the CLI does not expose
+            problem = str(exc).partition("; use ")[0]
+            raise DataError(f"{path} is not a table of numbers: {problem}") from exc
     elif path.suffix in RAW_EXTENSIONS:
         if (size := path.stat().st_size) % 4:
             raise DataError(f"{path} holds {size} bytes, not a whole number of float32 weights")
@@ -54,7 +58,7 @@ def write_weights(path: str | Path, values: np.ndarray) -> None:
     if path.suffix in TEXT_EXTENSIONS:
         np.savetxt(path, values.reshape(-1), fmt="%.9e")
     elif path.suffix in RAW_EXTENSIONS:
-        values.astype("<f4").tofile(path)
+        values.astype("<f4", copy=False).tofile(path)
     else:
         raise ParameterError(f"unsupported output extension {path.suffix!r}")
 
@@ -91,17 +95,18 @@ def _cluster_weights(args) -> tuple[core.SubvectorMatrix, compression.Compressed
 
     Raw float32 weights are clustered in float32 where
     ``_float32_logits_safe`` allows it; all other weights are clustered
-    in float64. Nothing here calls backward, so the loop runs on
-    a constant and builds no tape, and it never builds the (m, k)
-    attention: the layer stores the loop's nearest-centroid indices. The
-    soft weights are dropped on return.
+    in float64. The layer stores only the codebook and the loop's
+    nearest-centroid indices, so the loop runs on a constant and builds
+    neither the (m, k) attention nor the soft weights, and no tape.
     """
     cfg = _dkm_config(args)
     values = read_weights(args.weights)
     if values.dtype == np.float32 and not _float32_logits_safe(values, cfg):
         values = values.astype(np.float64)
     sub = compression.reshape_to_subvectors(values, cfg.dim)
-    res = core.dkm_forward(ad.constant(sub.values), config=cfg, seed=args.seed, keep_attention=False)
+    res = core.dkm_forward(
+        ad.constant(sub.values), config=cfg, seed=args.seed, keep_attention=False, soft_weights=False
+    )
     layer = compression.CompressedLayer(
         bits=cfg.bits,
         dim=cfg.dim,
@@ -322,10 +327,15 @@ USAGE_EXIT = 1
 RUNTIME_EXIT = 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built at the first: building takes about 2 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 for --help
         return 0 if exc.code in (0, None) else USAGE_EXIT

@@ -149,8 +149,10 @@ class CompressedLayer:
 
 
 def _pack_indices(indices: np.ndarray, bits: int) -> bytes:
-    bit_rows = (indices[:, None] >> np.arange(bits)) & 1
-    return np.packbits(bit_rows.astype(np.uint8).reshape(-1), bitorder="little").tobytes()
+    # each index as its little-endian bytes, unpacked LSB-first to its low bits
+    raw = indices.astype(np.uint8 if bits <= 8 else "<u2").view(np.uint8).reshape(indices.size, -1)
+    bit_rows = np.unpackbits(raw, axis=1, count=bits, bitorder="little")
+    return np.packbits(bit_rows.reshape(-1), bitorder="little").tobytes()
 
 
 def _unpack_indices(payload: bytes, count: int, bits: int) -> np.ndarray:
@@ -236,9 +238,11 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
 
     measured_ratio divides the 32-bit baseline size by the actual container
     size, so it always sits below the codebook-free formula ratio. The
-    reconstruction error is the float64 norm of ``original - decoded``; both
-    are widened inside the subtraction, so the only full-size arrays it
-    makes are the float32 decoded weights and the float64 difference.
+    reconstruction error is the float64 norm of ``original - decoded``. The
+    decoded weights are gathered from a float64 codebook straight into the
+    array that takes the difference, and the original is widened inside the
+    subtraction; widening is exact, so the only full-size array it makes is
+    that float64 difference.
     """
     original_flat = np.asarray(original_flat).reshape(-1)
     if original_flat.size != layer.original_length:
@@ -246,7 +250,8 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
             f"original has {original_flat.size} weights, layer encodes {layer.original_length}"
         )
     size = layer.serialized_size()
-    err = float(np.linalg.norm(np.subtract(original_flat, layer.decode_flat(), dtype=np.float64)))
+    diff = np.take(layer.codebook.astype(np.float64), layer.indices, axis=0).reshape(-1)[: layer.original_length]
+    err = float(np.linalg.norm(np.subtract(original_flat, diff, out=diff)))
     return CompressionReport(
         bits=layer.bits,
         dim=layer.dim,

@@ -15,7 +15,10 @@ from those, so the tape does not grow with count * 2^bits. The final pass
 also writes each row's nearest centroid from its distance tile, so a
 caller that only snaps can skip the (count, 2^bits) attention array
 altogether (``keep_attention=False`` in ``dkm_forward``; the Gumbel and
-hard loops of ``baselines`` never build it). The same loop serves every
+hard loops of ``baselines`` never build it). A caller that stores only
+the codebook and the indices, as ``dkm compress`` does, also passes
+``soft_weights=False``: the final pass then stops at the indices, with
+no softmax and no soft weights. The same loop serves every
 assignment mode: only the rule turning a distance tile into
 attention changes (the softmax here; Gumbel-softmax draws and a one-hot
 argmax in ``baselines``), and ``_cluster_loop`` is its only entry. The
@@ -174,11 +177,13 @@ class DkmTelemetry:
 class DkmResult:
     """Everything one clustering pass produces.
 
-    w_tilde stays attached to the tape; attention, indices and codebook are
-    detached values the caller owns (the codebook is the next batch's warm
-    start). indices is the (m,) intp array of each row's nearest centroid
-    of the final codebook, taken from the distances (ties go to the lowest
-    index), whatever the assignment rule. In soft and Gumbel attention, an
+    w_tilde stays attached to the tape, or is None for a loop asked for no
+    soft weights (``soft_weights=False``, as ``dkm compress`` runs it);
+    attention, indices and codebook are detached values the caller owns
+    (the codebook is the next batch's warm start). indices is the (m,)
+    intp array of each row's nearest centroid of the final codebook, taken
+    from the distances (ties go to the lowest index), whatever the
+    assignment rule. In soft and Gumbel attention, an
     entry whose weight before normalisation, exp((d - max_k d) / tau), would
     fall below the smallest normal float is exactly 0, not a subnormal.
     Dividing by the column sum (at most k) can still leave entries between
@@ -190,7 +195,7 @@ class DkmResult:
     followed by each iterate.
     """
 
-    w_tilde: Node
+    w_tilde: Node | None
     attention: np.ndarray
     codebook: Codebook
     telemetry: DkmTelemetry
@@ -568,16 +573,19 @@ def _cluster_loop(
     rng: np.random.Generator | None = None,
     record_trajectory: bool = False,
     keep_attention: bool = True,
+    soft_weights: bool = True,
 ) -> DkmResult:
     """The clustering loop of every assignment mode, and its only entry.
 
     ``w`` is a SubvectorMatrix (clustered as a differentiable leaf) or a
     graph Node of shape (count, dim). Before seeding, raises ResourceError
     when what the loop returns plus one tile exceeds physical memory:
-    ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept, else
+    ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept,
     ``m * (dim * itemsize + intp itemsize) + TILE_BYTES`` for the soft
-    weights and the indices. Nothing else the loop holds grows with m * k,
-    whatever the assignment rule, the iteration count or ``requires_grad``.
+    weights and the indices, and ``m * intp itemsize + TILE_BYTES`` for
+    the indices alone (``soft_weights=False``). Nothing else the loop holds
+    grows with m * k, whatever the assignment rule, the iteration count or
+    ``requires_grad``.
     The loop starts from ``warm_start``, which must be (2^bits, dim) and is
     copied, never aliased, or else from ``init_centroids(..., seed)``.
 
@@ -599,8 +607,13 @@ def _cluster_loop(
     k = config.clusters
     if d != config.dim:
         raise ShapeError(f"sub-vector dim {d} != config dim {config.dim}")
+    if keep_attention and not soft_weights:
+        raise ParameterError("keep_attention needs soft_weights: the attention is built with them")
 
-    per_row = k * w.itemsize if keep_attention else d * w.itemsize + np.dtype(np.intp).itemsize
+    if keep_attention:
+        per_row = k * w.itemsize
+    else:
+        per_row = np.dtype(np.intp).itemsize + (d * w.itemsize if soft_weights else 0)
     need = m * per_row + TILE_BYTES
     available = physical_memory_bytes()
     if available is not None and need > available:
@@ -652,18 +665,21 @@ def _cluster_loop(
             converged = True
             break
 
-    # the final pass: soft weights, the attention if kept, and the nearest
-    # centroid of each row from the distances (the rule may be noisy)
+    # the final pass: the nearest centroid of each row from the distances
+    # (the rule may be noisy), then, unless only those are asked for, the
+    # soft weights and the attention if kept
     attn = np.empty((m, k), dtype=w.dtype) if keep_attention else None
-    w_tilde = np.empty((m, d), dtype=w.dtype)
+    w_tilde = np.empty((m, d), dtype=w.dtype) if soft_weights else None
     indices = np.empty(m, dtype=np.intp)
     cluster_ids = np.arange(k, dtype=w.dtype)
     marks.append(None if rng is None else rng.bit_generator.state)
 
     def final_tile(rows, work):
         dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-        a = _attend(rule(dist, tau, work), tau, work)[0]
         indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape, w.dtype))
+        if not soft_weights:
+            return
+        a = _attend(rule(dist, tau, work), tau, work)[0]
         # row-major either way, so w_tilde has the same bits with or without;
         # the distances are spent, so their buffer takes the attention
         tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1], w.dtype)
@@ -675,12 +691,14 @@ def _cluster_loop(
     _run_tiles(final_tile, tiles, works)
     if attn is None:
         attn = np.broadcast_to(np.array(np.nan, w.dtype), (m, k))
-    backward = None
-    if w_node.requires_grad:
-        backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks)
+    if soft_weights:
+        backward = None
+        if w_node.requires_grad:
+            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks)
+        w_tilde = Node(w_tilde, (w_node,), backward)
 
     return DkmResult(
-        w_tilde=Node(w_tilde, (w_node,), backward),
+        w_tilde=w_tilde,
         attention=attn,
         codebook=Codebook(c.copy()),
         telemetry=DkmTelemetry(iterations_used=len(col_sums), final_delta=delta, converged=converged),
@@ -696,6 +714,7 @@ def dkm_forward(
     seed: int = 0,
     record_trajectory: bool = False,
     keep_attention: bool = True,
+    soft_weights: bool = True,
 ) -> DkmResult:
     """Run the soft clustering loop and return soft weights on the tape.
 
@@ -710,13 +729,17 @@ def dkm_forward(
     recomputed tile by tile in backward. ``attention`` is a fresh (m, k)
     array filled tile by tile, which the tape does not hold; with
     ``keep_attention=False`` it is never built (see DkmResult), and a
-    caller that only snaps uses ``indices``. Raises ResourceError before
-    seeding when what the call returns and one tile cannot fit in physical
-    memory, and NumericError naming the iteration whose centroids come out
-    non-finite.
+    caller that only snaps uses ``indices``. With ``soft_weights=False``
+    (which needs ``keep_attention=False``) the final pass stops at the
+    indices: it runs no softmax, ``w_tilde`` is None and no tape node is
+    built; the codebook, indices and telemetry are those of the default.
+    Raises ResourceError before seeding when what the call returns and one
+    tile cannot fit in physical memory, and NumericError naming the
+    iteration whose centroids come out non-finite.
     """
     return _cluster_loop(
-        w, warm_start, config, seed, record_trajectory=record_trajectory, keep_attention=keep_attention
+        w, warm_start, config, seed, record_trajectory=record_trajectory,
+        keep_attention=keep_attention, soft_weights=soft_weights,
     )
 
 

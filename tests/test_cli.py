@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dkm import autodiff as ad
 from dkm import compression as comp
-from dkm import core
+from dkm import cli, core
 from dkm.cli import main, read_weights, write_weights
 from dkm.config import load_run_spec
 from dkm.errors import ConfigError
@@ -57,6 +58,18 @@ def test_weight_io_roundtrip(tmp_path):
     np.testing.assert_allclose(read_weights(txt), values, atol=1e-9)
     np.testing.assert_array_equal(read_weights(raw), values)  # exact binary floats
     assert read_weights(txt).dtype == np.float64 and read_weights(raw).dtype == np.float32
+
+
+def test_raw_weights_are_written_without_a_copy(tmp_path):
+    values = np.random.default_rng(3).standard_normal(1 << 20).astype(np.float32)
+    tracemalloc.start()
+    try:
+        write_weights(tmp_path / "w.f32", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(np.fromfile(tmp_path / "w.f32", dtype="<f4"), values)
+    assert peak < 1 << 20  # a float32 copy would be 4 MiB
 
 
 def test_weight_io_rejects_unknown_extension(tmp_path):
@@ -156,6 +169,8 @@ def test_unparsable_text_weights_are_one_data_error(tmp_path, capsys, command, t
     code, _, err = run_cli(capsys, command, "--weights", str(path), "--bits", "1", "--tau", "0.1", *extra)
     assert code == 2
     assert err.startswith("error:DataError:") and str(path) in err and err.count("\n") == 1
+    # numpy's advice names a loadtxt parameter the CLI does not have
+    assert "usecols" not in err
 
 
 def test_text_weights_with_consistent_columns_are_read_row_major(tmp_path):
@@ -190,9 +205,9 @@ def test_compress_report_formula_ratio(tmp_path, capsys, weights_txt):
 
 
 def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys, monkeypatch):
-    # compress never builds the (m, k) attention: 131,072 weights at bits=16
-    # need their soft weights (float32 from a raw file, float64 from text)
-    # and their 8-byte indices, plus a tile
+    # compress builds neither the (m, k) attention nor the soft weights:
+    # 131,072 weights at bits=16 need their 8-byte indices and a tile,
+    # whether read as float32 (raw) or float64 (text)
     def refuse(*args):
         raise AssertionError("seeding ran: the pre-flight let the layer through")
 
@@ -201,7 +216,8 @@ def test_compress_too_large_for_memory_is_resource_error(tmp_path, capsys, monke
     raw, text = tmp_path / "w.f32", tmp_path / "w.txt"
     np.zeros(131072, dtype="<f4").tofile(raw)
     np.savetxt(text, np.zeros(131072), fmt="%.1f")
-    for path, need in ((raw, 131072 * (4 + 8) + core.TILE_BYTES), (text, 131072 * (8 + 8) + core.TILE_BYTES)):
+    need = 131072 * 8 + core.TILE_BYTES
+    for path in (raw, text):
         monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
         code, out, err = run_cli(
             capsys, "compress", "--weights", str(path), "--bits", "16", "--tau", "0.1",
@@ -553,6 +569,35 @@ def test_usage_errors_exit_one(capsys):
     assert main(["cluster"]) == 1  # missing required flags
     assert main([]) == 1
     assert main(["inspect", "--bogus", "x"]) == 1  # unknown flag
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch, weights_txt):
+    container, restored = tmp_path / "w.dkmz", tmp_path / "w.restored.txt"
+    calls = [
+        ["compress", "--weights", str(weights_txt), "--bits", "2", "--tau", "0.05", "--out", str(container)],
+        ["decompress", "--input", str(container), "--out", str(restored)],
+        ["compress", "--weights", str(weights_txt), "--bits", "2"],  # usage error
+        ["--help"],
+    ]
+
+    def run_all(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            results.append(run_cli(capsys, *argv))
+        results.append((container.read_bytes(), restored.read_text()))
+        container.unlink()
+        restored.unlink()
+        return results
+
+    fresh = run_all(fresh=True)
+    assert [r[0] for r in fresh[:-1]] == [0, 0, 1, 0]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert run_all(fresh=False) == fresh
+    assert len(built) == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -644,6 +644,73 @@ def test_attention_free_preflight_byte_count(forward, dtype, monkeypatch):
         forward(w, config=cfg, seed=0, **kwargs)
 
 
+def codec_values(seed: int, weights: int, dim: int) -> np.ndarray:
+    """Seeded float32 weights as sub-vectors, as ``dkm compress`` reads a raw file."""
+    return np.random.default_rng(seed).standard_normal(weights).astype(np.float32).reshape(-1, dim)
+
+
+# (values, config, warm start) of the indices-only final pass: float32
+# layers of the two codec shapes, a float64 layer over four tiles, the
+# euclidean metric, and a layer whose far centroid stays empty
+INDICES_ONLY_LAYERS = {
+    "codec_w262k": lambda: (codec_values(85, 262144, 4), DkmConfig(bits=4, dim=4, temperature=0.2), None),
+    "codec_w1m": lambda: (codec_values(86, 1048576, 8), DkmConfig(bits=3, dim=8, temperature=0.5), None),
+    "bits8_tiles": lambda: (*ATTENTION_FREE_LAYERS["bits8_tiles"], None),
+    "euclidean": lambda: (
+        np.random.default_rng(87).normal(size=(3000, 2)),
+        DkmConfig(bits=4, dim=2, temperature=0.1, metric=core.EUCLIDEAN),
+        None,
+    ),
+    "empty_cluster": lambda: (
+        np.random.default_rng(88).uniform(-1, 1, (64, 1)),
+        DkmConfig(bits=2, temperature=0.1, epsilon=0.0, max_iterations=3),
+        Codebook(np.array([[-0.5], [0.0], [0.5], [1e3]])),
+    ),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(INDICES_ONLY_LAYERS))
+def test_indices_only_final_pass_matches_default(layer):
+    values, cfg, warm = INDICES_ONLY_LAYERS[layer]()
+    if layer == "bits8_tiles":
+        assert len(core._row_tiles(values.shape[0], cfg.clusters, 8)) == 4
+    full = core.dkm_forward(ad.constant(values), warm, cfg, seed=5, keep_attention=False)
+    lean = core.dkm_forward(ad.constant(values), warm, cfg, seed=5, keep_attention=False, soft_weights=False)
+    assert np.array_equal(lean.codebook.centroids, full.codebook.centroids)
+    assert np.array_equal(lean.indices, full.indices)
+    assert lean.telemetry == full.telemetry
+    assert lean.codebook.centroids.dtype == values.dtype
+    if layer == "empty_cluster":
+        assert lean.codebook.centroids[3, 0] == 1e3 and not np.any(lean.indices == 3)
+    # no soft weights and no tape node; the attention placeholder keeps its shape
+    assert lean.w_tilde is None
+    assert lean.attention.shape == full.attention.shape and not core.attention_kept(lean.attention)
+
+
+def test_indices_only_final_pass_builds_no_tape_node_on_a_leaf(monkeypatch):
+    leaf = ad.leaf(np.random.default_rng(89).normal(size=(200, 1)))
+    built = []
+    real_init = ad.Node.__init__
+    monkeypatch.setattr(ad.Node, "__init__", lambda node, *args, **kw: built.append(1) or real_init(node, *args, **kw))
+    res = core.dkm_forward(leaf, config=DkmConfig(bits=2), seed=0, keep_attention=False, soft_weights=False)
+    assert res.w_tilde is None and built == []
+
+
+def test_indices_only_preflight_counts_the_indices_and_a_tile(monkeypatch):
+    values = np.random.default_rng(84).normal(size=(4096, 2))
+    w, cfg = SubvectorMatrix(values, 8192), DkmConfig(bits=8, dim=2)
+    need = 4096 * np.dtype(np.intp).itemsize + core.TILE_BYTES
+    monkeypatch.setattr(core, "physical_memory_bytes", lambda: need)
+    res = core.dkm_forward(w, config=cfg, seed=0, keep_attention=False, soft_weights=False)
+    assert res.indices.shape == (4096,)
+    monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ResourceError, match=f"needs about {need} bytes"):
+        core.dkm_forward(w, config=cfg, seed=0, keep_attention=False, soft_weights=False)
+    # the attention is built alongside the soft weights, so keeping it needs them
+    with pytest.raises(ParameterError, match="keep_attention"):
+        core.dkm_forward(w, config=cfg, seed=0, soft_weights=False)
+
+
 def test_negative_seed_is_a_parameter_error():
     w = subvectors(np.arange(8.0))
     with pytest.raises(ParameterError, match="seed must be >= 0"):
@@ -878,6 +945,32 @@ def test_distance_kernel_cross_term_matches_the_matrix_product(dim, dtype):
     assert got is out
     np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(ad.neg_distance_cluster_major(w, c), ref)
+
+
+def neg_distances_negated_last(w: np.ndarray, c: np.ndarray, euclidean: bool) -> np.ndarray:
+    """The (m, k) distances summed unnegated, clamped, rooted, then negated: the kernel's earlier formula."""
+    s = (c * c).sum(axis=1)[:, None] + (w * w).sum(axis=1)
+    s += -2.0 * (c @ w.T)
+    s = np.maximum(s, 0.0)
+    if euclidean:
+        s = np.sqrt(s)
+    return -s.T
+
+
+@pytest.mark.parametrize("metric", core.METRICS)
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distance_matrix_has_the_bits_of_negating_last(metric, dim, dtype):
+    rng = np.random.default_rng(94)
+    w = rng.normal(size=(500, dim)).astype(dtype)
+    c = rng.normal(size=(16, dim)).astype(dtype)
+    w[:16] = c  # rows that coincide with a centroid: most of these clamp to 0
+    w[16:32] = c * dtype(1 + 1e-7)  # and rows next to one, where the expansion cancels
+    ref = neg_distances_negated_last(w, c, metric == core.EUCLIDEAN)
+    got = core.distance_matrix(w, c, metric).value
+    assert got.dtype == dtype
+    assert np.count_nonzero(ref == 0.0) > 0
+    assert np.array_equal(got, ref)
 
 
 FORWARDS = {
