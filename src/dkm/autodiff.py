@@ -274,7 +274,10 @@ def neg_distance_cluster_major(
     # sign can differ from negating at the end
     out = np.subtract(-(c * c).sum(axis=1)[:, None], w_sq, out=out)
     out += rows_dot(c + c, w, out=cross)
-    np.minimum(out, 0.0, out=out)
+    # a positive entry (a row on a centroid) or a NaN; most tiles have
+    # neither, and one reduction costs a fraction of the clamp
+    if not out.max() <= 0:
+        np.minimum(out, 0.0, out=out)
     if euclidean:
         np.negative(out, out=out)
         np.sqrt(out, out=out)

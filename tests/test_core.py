@@ -957,20 +957,27 @@ def neg_distances_negated_last(w: np.ndarray, c: np.ndarray, euclidean: bool) ->
     return -s.T
 
 
+@pytest.mark.parametrize("nan_row", [False, True])
 @pytest.mark.parametrize("metric", core.METRICS)
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_distance_matrix_has_the_bits_of_negating_last(metric, dim, dtype):
+def test_distance_matrix_has_the_bits_of_negating_last(metric, dim, dtype, nan_row):
     rng = np.random.default_rng(94)
     w = rng.normal(size=(500, dim)).astype(dtype)
     c = rng.normal(size=(16, dim)).astype(dtype)
-    w[:16] = c  # rows that coincide with a centroid: most of these clamp to 0
-    w[16:32] = c * dtype(1 + 1e-7)  # and rows next to one, where the expansion cancels
+    w[:16] = c  # rows that coincide with a centroid
+    # and rows next to one, where the expansion cancels and may come out negative
+    rel = 1e-4 if dtype == np.float32 else 1e-9
+    w[16:272] = np.tile(c, (16, 1)) * (1 + rel * rng.normal(size=(256, dim))).astype(dtype)
+    # the expansion comes out negative somewhere, so the clamp has work to do
+    assert np.any((c * c).sum(axis=1)[:, None] + (w * w).sum(axis=1) - 2.0 * (c @ w.T) < 0)
+    if nan_row:
+        w[40] = np.nan  # a NaN must not hide those entries from the clamp
     ref = neg_distances_negated_last(w, c, metric == core.EUCLIDEAN)
-    got = core.distance_matrix(w, c, metric).value
+    got = core.distance_matrix(ad.constant(w, checked=False), ad.constant(c), metric).value
     assert got.dtype == dtype
     assert np.count_nonzero(ref == 0.0) > 0
-    assert np.array_equal(got, ref)
+    assert np.array_equal(got, ref, equal_nan=nan_row)
 
 
 FORWARDS = {
