@@ -37,6 +37,7 @@ built concurrently; there is no shared mutable state.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -289,10 +290,13 @@ def _flush_floor(dtype) -> np.generic:
     """The least ``dtype`` value >= log(finfo.tiny): y < it exactly where y < log(tiny).
 
     A scalar of the tile's own dtype keeps float32 comparisons in float32.
+    The rounding up is Python float arithmetic on the dtype's spacing there,
+    which pages in no numpy loop that the softmax does not run anyway.
     """
-    exact = np.log(np.finfo(dtype).tiny, dtype=np.float64)
-    floor = dtype.type(exact)
-    return floor if floor >= exact else np.nextafter(floor, dtype.type(np.inf))
+    info = np.finfo(dtype)
+    exact = float(np.log(info.tiny, dtype=np.float64))
+    spacing = 2.0 ** (math.frexp(exact)[1] - info.nmant - 1)
+    return dtype.type(math.ceil(exact / spacing) * spacing)
 
 
 _FLUSH_FLOOR = {dtype: _flush_floor(dtype) for dtype in _DTYPES}

@@ -910,6 +910,15 @@ def test_softmax_clusters_is_the_plain_softmax_when_nothing_flushes(dtype):
     np.testing.assert_allclose(y.sum(axis=0), 1.0, rtol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_floor_is_the_least_tile_value_not_below_log_tiny(dtype):
+    # so y < floor in the tile's dtype flushes exactly the entries below log(tiny)
+    exact = np.log(np.finfo(dtype).tiny, dtype=np.float64)
+    floor = ad._FLUSH_FLOOR[np.dtype(dtype)]
+    assert floor.dtype == dtype and floor >= exact
+    assert np.nextafter(floor, dtype(-np.inf)) < exact
+
+
 def test_softmax_clusters_columns_sum_to_one_at_a_near_hard_temperature():
     dist = -np.random.default_rng(92).uniform(0, 3, (4, 500))
     y = ad.softmax_cluster_major(dist, 1e-4)
