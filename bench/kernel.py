@@ -10,6 +10,8 @@ at the repository root):
   rows fill exactly one ``core.TILE_BYTES`` tile. Each call runs the iteration cap
   (epsilon 0), so it makes max_iterations + 1 passes; forward and backward
   time are each divided by that count. Hard mode has no loop backward.
+  Each backward row says whether the call kept its passes' samples for
+  backward (they fit in ``core.KEPT_BYTES``) or replayed them.
   Every rule runs as training runs it, without the (m, k) attention
   (``keep_attention=False`` for the soft loop; the other two never build
   it).
@@ -166,6 +168,7 @@ def tile_pass(bits: int, dim: int, count: int, tau: float, scale: float, rule: s
     }
     if rule != "hard":
         out["backward_us_per_pass"] = round(statistics.median(bwd), 1)
+        out["backward"] = "kept" if core._passes_fit(count, cfg, values.itemsize) else "replayed"
     return out
 
 

@@ -23,7 +23,9 @@ The tape holds only what backward reads:
   in one node;
 - ``dkm.core.dkm_forward`` adds one node for its whole clustering loop,
   which saves the input, each iteration's (k, dim) codebook and (k,)
-  column sums, and recomputes its (m, k) arrays tile by tile in backward;
+  column sums, and either each pass's (k, m) attention samples, when they
+  fit in ``core.KEPT_BYTES`` together, or nothing more, recomputing its
+  (m, k) arrays tile by tile in backward;
 - ``backward`` releases each node's parents and closure once it has run, so
   the tape shrinks as gradients flow, and only leaves keep a gradient.
 
@@ -337,15 +339,17 @@ def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None
 
 
 def neg_distance_vjp(
-    g: np.ndarray, dist: np.ndarray, w: np.ndarray, c: np.ndarray, euclidean: bool = False,
+    g: np.ndarray, dist: np.ndarray | None, w: np.ndarray, c: np.ndarray, euclidean: bool = False,
     need_c: bool = True, tmp: np.ndarray | None = None, clamp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradients reaching w (m, d) and c (k, d) from ``g`` = d(loss)/d(dist).
 
     ``dist`` is the (k, m) output of ``neg_distance_cluster_major`` and ``g``
     has its layout; ``g`` is overwritten. A clamped entry (a row that
-    coincides with a centroid) passes no gradient. The c gradient is None
-    unless ``need_c``. ``tmp`` (float, like ``dist``) and ``clamp`` (bool)
+    coincides with a centroid) passes no gradient. Only the euclidean root
+    and the clamp read ``dist``: for squared distances with every entry
+    below zero, which clamped none, it may be None. The c gradient is None
+    unless ``need_c``. ``tmp`` (float, like ``g``) and ``clamp`` (bool)
     are optional (k, m) work arrays.
     """
     # g becomes gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), zero where clamped
@@ -357,7 +361,7 @@ def neg_distance_vjp(
         g /= np.maximum(root, np.finfo(dist.dtype).tiny ** 0.5, out=root)
     else:
         np.negative(g, out=g)
-    if not dist.max() < 0:  # a clamped entry is 0; most tiles have none
+    if dist is not None and not dist.max() < 0:  # a clamped entry is 0; most tiles have none
         g *= np.less(dist, 0, out=clamp)
     gw = 2.0 * w * g.sum(axis=0)[:, None] - 2.0 * (g.T @ c)
     gc = 2.0 * c * g.sum(axis=1)[:, None] - 2.0 * (g @ w) if need_c else None

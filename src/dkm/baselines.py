@@ -70,12 +70,15 @@ def hard_forward(
     and per-cluster means (empty clusters keep their previous centroid)
     until the codebook moves at most epsilon or the iteration cap is hit.
     Emits straight-through snapped weights at the result's ``indices``; the
-    loop itself builds no tape, and no (m, k) attention: ``attention`` is
-    the placeholder of ``dkm_forward(..., keep_attention=False)``.
+    loop itself builds no tape, no (m, k) attention and no soft weights (it
+    runs with ``soft_weights=False``, so the pre-flight counts the indices
+    and one tile): ``attention`` is the placeholder of
+    ``dkm_forward(..., keep_attention=False)``.
     """
     w_node = w if isinstance(w, Node) else ad.leaf(w.values)
     res = _cluster_loop(
-        ad.constant(w_node.value, checked=False), warm_start, config, seed, _hard_rule, keep_attention=False
+        ad.constant(w_node.value, checked=False), warm_start, config, seed, _hard_rule,
+        keep_attention=False, soft_weights=False,
     )
     res.w_tilde = straight_through_reconstruct(w_node, res.indices, res.codebook.centroids)
     return res
@@ -111,7 +114,9 @@ def gumbel_samples(
         # dist - np.log(-np.log(np.clip(u, ...))) in their order, so the
         # random stream and the bits are those of fresh arrays
         u = rng.random(out=work.get("noise", dist.shape[::-1], np.float64))
-        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+        # np.clip(u, 1e-300, 1 - 1e-16) without its Python wrapper
+        np.minimum(u, 1.0 - 1e-16, out=u)
+        np.maximum(u, 1e-300, out=u)
         np.log(u, out=u)
         np.negative(u, out=u)
         np.log(u, out=u)
@@ -133,9 +138,10 @@ def gumbel_forward(
 
     ``seed`` (>= 0) drives the noise draws; ``init_seed`` (defaulting to
     it) drives centroid seeding when no warm start is given. The loop is one
-    tape node, like the soft one: backward replays each pass's noise from
-    the generator state saved at its start. ``indices`` are the nearest
-    centroids, not the argmax of a noisy sample. No (m, k) attention is
+    tape node, like the soft one: backward reads each pass's samples where
+    they fit in ``core.KEPT_BYTES`` together, and otherwise replays each
+    pass's noise from the generator state saved at its start. ``indices``
+    are the nearest centroids, not the argmax of a noisy sample. No (m, k) attention is
     built: the result is that of ``dkm_forward(..., keep_attention=False)``,
     as are the ResourceError raised before seeding and the NumericError
     naming the iteration whose centroids come out non-finite.
@@ -148,7 +154,7 @@ def gumbel_forward(
         return gumbel_samples(dist, tau, rng, draws, work)
 
     init = seed if init_seed is None else init_seed
-    return _cluster_loop(w, warm_start, config, init, rule, rng, keep_attention=False)
+    return _cluster_loop(w, warm_start, config, init, rule, rng, keep_attention=False, draws=draws)
 
 
 # ---------------------------------------------------------------------------

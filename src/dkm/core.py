@@ -9,9 +9,13 @@ next batch.
 
 The whole loop is one tape node. It runs over row tiles of about
 TILE_BYTES, each laid out cluster-major (k, rows), and saves for backward
-only the input, each iteration's (k, dim) codebook and (k,) attention
-column sums. Backward recomputes every tile's distances and attention
-from those, so the tape does not grow with count * 2^bits. The final pass
+the input, each iteration's (k, dim) codebook and (k,) attention column
+sums. When every pass's assignment samples fit in KEPT_BYTES together
+(small layers, such as a training battery's), it keeps those too, and
+backward recomputes a tile's distances only where their gradient reads
+them. Otherwise backward recomputes every tile's distances and attention.
+Either way the tape holds at most KEPT_BYTES that grow with count *
+2^bits. The final pass
 also writes each row's nearest centroid from its distance tile, so a
 caller that only snaps can skip the (count, 2^bits) attention array
 altogether (``keep_attention=False`` in ``dkm_forward``; the Gumbel and
@@ -36,10 +40,13 @@ gradient terms) are added in tile order, so every result is bit-identical
 whatever the number of CPUs. A
 call with one tile, and a rule that draws from a generator (Gumbel, whose
 random stream must stay in tile order), runs inline on the calling
-thread. Each call allocates one set of tile work arrays (distances,
-softmax samples, noise) per thread, in the calling thread, and reuses it
-for every tile and pass; they are freed when the call returns. A forked
-child drops the parent's pool and builds its own.
+thread. Each call takes one set of tile work arrays (distances, softmax
+samples, noise) per thread, in the calling thread, and reuses it for
+every tile and pass. The buffers come from a process-wide free list and
+go back to it when the call ends, so later calls do not fault in fresh
+pages; the list keeps at most five tile buffers per usable CPU, and a
+buffer is on it only while no call or tape holds it. A forked child drops
+the parent's pool and builds its own.
 
 The softmax, the loop's and ``attention``'s alike, flushes subnormal
 tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below
@@ -51,8 +58,10 @@ entry keeps the bits of the plain max-subtracted softmax.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,6 +84,9 @@ EMPTY_CLUSTER_THRESHOLD = ad.EMPTY_CLUSTER_THRESHOLD
 # The soft loop works on row tiles whose (k, rows) arrays hold about this
 # many bytes (at least one row); each tile worker holds one tile's arrays.
 TILE_BYTES = 1 << 19
+# A differentiable call whose passes' rule samples fit in this many bytes
+# keeps them for backward instead of recomputing them.
+KEPT_BYTES = 2 * TILE_BYTES
 
 
 @dataclass(frozen=True)
@@ -312,24 +324,83 @@ def _row_tiles(m: int, k: int, itemsize: int) -> list[slice]:
 class _TileWork:
     """Work arrays of one tile worker in a forward or backward call.
 
-    Each name owns one flat buffer of ``size`` entries, freed with this
-    object; ``get`` returns a C-contiguous view of its leading entries.
-    The names in ``reserve`` (name -> dtype) are allocated here, any other
-    at its first use. Reuse keeps the loop from allocating (and
-    page-faulting in) fresh tile-sized temporaries on every pass; reserving
-    in the calling thread keeps the buffers out of the worker threads' own
-    malloc arenas, which would hold on to their pages.
+    Each name owns one flat buffer of ``size`` entries, taken from the
+    process-wide free list (``_take``) and handed back by ``release``;
+    ``get`` returns a C-contiguous view of its leading entries, the same
+    view object for the same name and shape. The names in ``reserve``
+    (name -> dtype) are taken here, any other at its first use. Reuse keeps
+    the loop from allocating (and page-faulting in) fresh tile-sized
+    temporaries on every pass and every call; reserving in the calling
+    thread keeps the buffers out of the worker threads' own malloc arenas,
+    which would hold on to their pages.
     """
 
     def __init__(self, size: int, reserve: dict | None = None):
         self.size = size
-        self.buffers = {name: np.empty(size, dtype) for name, dtype in (reserve or {}).items()}
+        self.buffers = {name: _take(size, dtype) for name, dtype in (reserve or {}).items()}
+        self.views = {}
 
     def get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None:
-            buf = self.buffers[name] = np.empty(self.size, dtype)
-        return buf[: shape[0] * shape[1]].reshape(shape)
+        view = self.views.get((name, shape))
+        if view is None:
+            buf = self.buffers.get(name)
+            if buf is None:
+                buf = self.buffers[name] = _take(self.size, dtype)
+            view = self.views[name, shape] = buf[: shape[0] * shape[1]].reshape(shape)
+        return view
+
+    def release(self) -> None:
+        """Hand every buffer back to the free list; no view of them may be used after."""
+        _give_back(self.buffers.values())
+        self.buffers, self.views = {}, {}
+
+
+# Flat buffers no call holds, by (size, dtype), the key returned to least
+# recently first. Together they hold at most _free_bound() bytes.
+_free = OrderedDict()
+_free_bytes = 0
+_free_lock = threading.Lock()
+
+
+def _free_bound() -> int:
+    """Bytes the free list may hold: five tile buffers per tile worker (a backward call's reserve)."""
+    return 5 * TILE_BYTES * _max_workers()
+
+
+def _take(size: int, dtype) -> np.ndarray:
+    """A flat buffer of ``size`` entries: a free one of that size and dtype, or a new one."""
+    global _free_bytes
+    key = (size, np.dtype(dtype))
+    with _free_lock:
+        bufs = _free.get(key)
+        if bufs:
+            buf = bufs.pop()
+            _free_bytes -= buf.nbytes
+            if not bufs:
+                del _free[key]
+            return buf
+    return np.empty(size, dtype)
+
+
+def _give_back(bufs) -> None:
+    """Put buffers that no array in use still views on the free list.
+
+    Past the bound, the buffers of the key returned to least recently go
+    first, so sizes no call uses any more leave before those in use.
+    """
+    global _free_bytes
+    bound = _free_bound()
+    with _free_lock:
+        for buf in bufs:
+            key = (buf.size, buf.dtype)
+            _free.setdefault(key, []).append(buf)
+            _free.move_to_end(key)
+            _free_bytes += buf.nbytes
+        while _free_bytes > bound:
+            key, oldest = next(iter(_free.items()))
+            _free_bytes -= oldest.pop().nbytes
+            if not oldest:
+                del _free[key]
 
 
 def _max_workers() -> int:
@@ -360,9 +431,9 @@ def _tile_pool(workers: int):
 
 
 def _drop_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist there."""
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+    """In a forked child: the parent's pool threads do not exist there, nor do its lock holders."""
+    global _pool, _pool_size, _pool_lock, _free_lock
+    _pool, _pool_size, _pool_lock, _free_lock = None, 0, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -498,28 +569,53 @@ def _tile_distances(w, w_sq, rows, c, euclidean, work: _TileWork) -> np.ndarray:
     )
 
 
-def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks):
-    """Backward of the fused loop: recompute each tile, then run the chain rule.
+def _passes_fit(m: int, config: DkmConfig, itemsize: int, draws: int = 1) -> bool:
+    """Whether the rule samples of every pass a call may run fit in KEPT_BYTES together."""
+    return (config.max_iterations + 1) * draws * m * config.clusters * itemsize <= KEPT_BYTES
 
-    Pass p recomputes the attention to ``codebooks[p]``, replaying the
-    rule's draws from ``marks[p]``. The last pass is the output
-    ``w_tilde = A C``; every earlier one is the update
-    ``C' = autodiff.masked_mean(A^T w, col_sums[p], C)``, whose VJP
+
+def _kept_samples(block: np.ndarray, rows: slice, draws: int, k: int) -> np.ndarray:
+    """The (draws, k, rows) samples of one tile in a kept pass's block, a view.
+
+    Each tile's entries are contiguous in the block, so the tile workers of
+    a pass write disjoint slices.
+    """
+    tile = block[draws * k * rows.start : draws * k * rows.stop]
+    return tile.reshape(draws, k, rows.stop - rows.start)
+
+
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks, draws, kept):
+    """Backward of the fused loop: each pass's attention, then the chain rule.
+
+    The last pass is the output ``w_tilde = A C``; every earlier one is the
+    update ``C' = autodiff.masked_mean(A^T w, col_sums[p], C)``, whose VJP
     ``autodiff.masked_mean_vjp`` reads ``C'`` from ``codebooks[p + 1]``.
     Only ``w`` receives a gradient: the starting codebook is a constant.
+
+    ``kept`` is None on a replayed call: pass p then recomputes the
+    distances and the rule's samples to ``codebooks[p]``, replaying the
+    rule's draws from ``marks[p]``. Otherwise it is the pair (blocks,
+    clamped) of ``_cluster_loop``: pass p reads its samples from
+    ``blocks[p]`` and hands the block back once done, and recomputes a
+    tile's distances only where ``neg_distance_vjp`` reads them (the
+    euclidean metric, or a tile holding a clamped zero, ``clamped[p]``).
     """
+    blocks, clamped = kept if kept is not None else (None, None)
 
     def backward(g):
         gw = np.zeros_like(w)
-        w_sq = (w * w).sum(axis=1)
+        recompute = blocks is None or euclidean or any(map(any, clamped))
+        w_sq = (w * w).sum(axis=1) if recompute else None
+        k = codebooks[0].shape[0]
+        tile_rows = tiles[0].stop
         # a forward tile's buffers, the attention gradient and the clamp mask
         reserve = {**dict.fromkeys(("dist", "tmp", "sample0", "ga"), w.dtype), "clamp": bool}
-        works = _tile_works(codebooks[0].shape[0], tiles, rng, reserve)
+        works = _tile_works(k, tiles, rng, reserve)
         steps = len(col_sums)
         g_next = None  # gradient reaching codebooks[p + 1]
         for p in range(steps, -1, -1):
             c = codebooks[p]
-            if rng is not None:
+            if rng is not None and blocks is None:
                 rng.bit_generator.state = marks[p]
             g_c = np.zeros_like(c) if p > 0 else None
             if p < steps:
@@ -530,9 +626,16 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
             def tile(rows, work):
                 # writes the tile's rows of gw; returns its terms of g_c
                 wr = w[rows]
-                dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-                samples = rule(dist, tau, work)
-                ga = work.get("ga", dist.shape, dist.dtype)
+                if blocks is None:
+                    dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+                    samples = rule(dist, tau, work)
+                else:
+                    samples = list(_kept_samples(blocks[p], rows, draws, k))
+                    dist = None
+                    if euclidean or clamped[p][rows.start // tile_rows]:
+                        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
+                shape = samples[0].shape
+                ga = work.get("ga", shape, w.dtype)
                 if p == steps:
                     gr = g[rows]
                     ad.rows_dot(c, gr, out=ga)
@@ -549,7 +652,7 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                 # ... to the rows and the centroids
                 gw_rows, gc = ad.neg_distance_vjp(
                     ga, dist, wr, c, euclidean, g_c is not None,
-                    work.get("tmp", dist.shape, dist.dtype), work.get("clamp", dist.shape, bool),
+                    work.get("tmp", shape, w.dtype), work.get("clamp", shape, bool),
                 )
                 gw[rows] += gw_rows
                 return (*terms, gc)
@@ -558,7 +661,12 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
             # output pass, the distance term at an update, nothing at p = 0
             totals = () if g_c is None else (g_c, g_c) if p == steps else (g_c,)
             _run_tiles(tile, tiles, works, totals)
+            if blocks is not None:
+                _give_back((blocks[p],))
+                blocks[p] = None
             g_next = g_c
+        for work in works:
+            work.release()
         return (gw,)
 
     return backward
@@ -574,6 +682,7 @@ def _cluster_loop(
     record_trajectory: bool = False,
     keep_attention: bool = True,
     soft_weights: bool = True,
+    draws: int = 1,
 ) -> DkmResult:
     """The clustering loop of every assignment mode, and its only entry.
 
@@ -583,21 +692,27 @@ def _cluster_loop(
     ``m * k * itemsize + TILE_BYTES`` with the (m, k) attention kept,
     ``m * (dim * itemsize + intp itemsize) + TILE_BYTES`` for the soft
     weights and the indices, and ``m * intp itemsize + TILE_BYTES`` for
-    the indices alone (``soft_weights=False``). Nothing else the loop holds
-    grows with m * k, whatever the assignment rule, the iteration count or
-    ``requires_grad``.
+    the indices alone (``soft_weights=False``). Besides the attention, the
+    loop holds at most KEPT_BYTES that grow with m * k, whatever the
+    assignment rule or the iteration count.
     The loop starts from ``warm_start``, which must be (2^bits, dim) and is
     copied, never aliased, or else from ``init_centroids(..., seed)``.
 
     ``rule(dist, tau, work)`` maps a cluster-major (k, rows) tile of negated
-    distances to the list of samples whose mean is its attention tile: one
-    softmax for the soft rule, one per draw for Gumbel, one one-hot for
-    hard. Samples live in the call's work arrays (``work.get``) and are
-    only valid until the next tile. Only softmax samples have a backward. A
-    rule that draws from ``rng`` runs on the calling thread and is replayed
-    in backward from the generator state saved at the start of each pass;
+    distances to the list of ``draws`` samples whose mean is its attention
+    tile: one softmax for the soft rule, one per draw for Gumbel, one
+    one-hot for hard. Samples live in the call's work arrays (``work.get``)
+    and are only valid until the next tile. Only softmax samples have a
+    backward. A rule that draws from ``rng`` runs on the calling thread;
     any other rule may run on several tile workers at once, each with its
-    own ``work``. Otherwise as ``dkm_forward`` describes.
+    own ``work``.
+
+    Backward needs each pass's samples. A call that builds a tape node
+    keeps them, copied tile by tile into one block per pass, when all
+    passes' blocks fit in KEPT_BYTES: (max_iterations + 1) * draws * m * k
+    * itemsize. Otherwise backward recomputes them, replaying the rule's
+    draws from the generator state saved at the start of each pass. The
+    results are the same either way. Otherwise as ``dkm_forward`` describes.
     """
     if config is None:
         raise ParameterError("config is required")
@@ -621,6 +736,7 @@ def _cluster_loop(
             f"clustering {m} sub-vectors into {k} clusters needs about {need} bytes, "
             f"more than the {available} bytes of physical memory"
         )
+    keep = soft_weights and w_node.requires_grad and _passes_fit(m, config, w.itemsize, draws)
 
     if warm_start is None:
         c = init_centroids(SubvectorMatrix(w, w.size), config, seed).centroids
@@ -633,15 +749,36 @@ def _cluster_loop(
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
-    marks = []  # generator state at the start of each pass
+    tile_rows = tiles[0].stop
+    marks = []  # generator state at the start of each pass, on a replayed call
+    blocks = []  # each pass's samples, on a kept call
+    clamped = []  # per pass and tile: whether the distances hold a clamped zero
     w_sq = (w * w).sum(axis=1)
     # the distances, the kernel's cross term and the rule's first sample
     works = _tile_works(k, tiles, rng, dict.fromkeys(("dist", "tmp", "sample0"), w.dtype))
 
+    def start_pass():
+        # on the calling thread, before any tile of the pass
+        if keep:
+            blocks.append(_take(draws * m * k, w.dtype))
+            clamped.append([False] * len(tiles))
+        elif rng is not None:
+            marks.append(rng.bit_generator.state)
+
+    def samples_of(dist, rows, work):
+        samples = rule(dist, tau, work)
+        if keep:
+            # copied before _attend sums them into the first sample
+            for kept, s in zip(_kept_samples(blocks[-1], rows, draws, k), samples):
+                kept[...] = s
+            if not euclidean:  # euclidean backward always reads the distances
+                clamped[-1][rows.start // tile_rows] = not dist.max() < 0
+        return samples
+
     def tile_mass(rows, work):
         # c is rebound only after every tile of the pass has run
         dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-        a = _attend(rule(dist, tau, work), tau, work)[0]
+        a = _attend(samples_of(dist, rows, work), tau, work)[0]
         return a.sum(axis=1), a @ w[rows]
 
     codebooks = [c]
@@ -649,7 +786,7 @@ def _cluster_loop(
     delta = np.inf
     converged = False
     for it in range(1, config.max_iterations + 1):
-        marks.append(None if rng is None else rng.bit_generator.state)
+        start_pass()
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
         _run_tiles(tile_mass, tiles, works, (sums, weighted))
@@ -657,7 +794,9 @@ def _cluster_loop(
         candidate = ad.masked_mean(weighted, sums, c)
         if not np.all(np.isfinite(candidate)):
             raise NumericError(f"non-finite centroids at iteration {it}")
-        delta = float(np.linalg.norm(candidate - c))
+        # np.linalg.norm's formula: a float32 root is the double root rounded
+        step = (candidate - c).ravel()
+        delta = float(w.dtype.type(math.sqrt(step.dot(step))))
         c = candidate
         codebooks.append(c)
         col_sums.append(sums)
@@ -672,14 +811,15 @@ def _cluster_loop(
     w_tilde = np.empty((m, d), dtype=w.dtype) if soft_weights else None
     indices = np.empty(m, dtype=np.intp)
     cluster_ids = np.arange(k, dtype=w.dtype)
-    marks.append(None if rng is None else rng.bit_generator.state)
+    if soft_weights:
+        start_pass()
 
     def final_tile(rows, work):
         dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
         indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape, w.dtype))
         if not soft_weights:
             return
-        a = _attend(rule(dist, tau, work), tau, work)[0]
+        a = _attend(samples_of(dist, rows, work), tau, work)[0]
         # row-major either way, so w_tilde has the same bits with or without;
         # the distances are spent, so their buffer takes the attention
         tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1], w.dtype)
@@ -689,12 +829,17 @@ def _cluster_loop(
         np.matmul(tile, c, out=w_tilde[rows])
 
     _run_tiles(final_tile, tiles, works)
+    for work in works:
+        work.release()
     if attn is None:
         attn = np.broadcast_to(np.array(np.nan, w.dtype), (m, k))
     if soft_weights:
         backward = None
         if w_node.requires_grad:
-            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks)
+            backward = _loop_backward(
+                w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks, draws,
+                (blocks, clamped) if keep else None,
+            )
         w_tilde = Node(w_tilde, (w_node,), backward)
 
     return DkmResult(
@@ -724,8 +869,9 @@ def dkm_forward(
     ``init_centroids``; gradients flow through every executed iteration
     back to ``w`` but never across batches.
 
-    The loop is one tape node, ``w_tilde``, which holds only ``w``, each
-    iteration's codebook and attention column sums; the attention is
+    The loop is one tape node, ``w_tilde``, which holds ``w``, each
+    iteration's codebook and attention column sums, and, when they fit in
+    KEPT_BYTES together, each pass's attention; otherwise the attention is
     recomputed tile by tile in backward. ``attention`` is a fresh (m, k)
     array filled tile by tile, which the tape does not hold; with
     ``keep_attention=False`` it is never built (see DkmResult), and a

@@ -346,10 +346,12 @@ def test_gumbel_forward_nonfinite_iterate_names_iteration():
 
 @pytest.mark.parametrize("forward", [baselines.gumbel_forward, baselines.hard_forward])
 def test_gumbel_forward_refuses_layer_larger_than_memory(forward, monkeypatch):
-    # neither mode builds the (m, k) attention (64 GiB here): each needs the
-    # soft weights, the intp indices and one tile, and is refused one byte short
+    # neither mode builds the (m, k) attention (64 GiB here): Gumbel needs the
+    # soft weights, the intp indices and one tile, hard (whose loop stops at
+    # the indices) the indices and one tile, and each is refused one byte short
     w = SubvectorMatrix(np.zeros((131072, 1)), 131072)
-    need = 131072 * (8 + np.dtype(np.intp).itemsize) + core.TILE_BYTES
+    soft_weights = 8 if forward is baselines.gumbel_forward else 0
+    need = 131072 * (soft_weights + np.dtype(np.intp).itemsize) + core.TILE_BYTES
     monkeypatch.setattr(core, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ResourceError, match=f"needs about {need} bytes, more than the {need - 1} bytes"):
         forward(w, config=DkmConfig(bits=16), seed=0)

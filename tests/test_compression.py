@@ -367,6 +367,23 @@ def test_report_on_float32_weights_makes_no_widened_copy():
     assert peak < 8 * n + (1 << 19)
 
 
+def test_unpacking_indices_holds_no_wide_bit_matrix():
+    # the codec w1m container's indices: 131,072 at 3 bits
+    count, bits = 131072, 3
+    indices = np.random.default_rng(213).integers(0, 1 << bits, count)
+    payload = comp._pack_indices(indices, bits)
+    tracemalloc.start()
+    try:
+        got = comp._unpack_indices(payload, count, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int64 and np.array_equal(got, indices)
+    # the unpacked bits (3 bytes per index) and a byte-padded copy (8): an
+    # int64 (count, bits) matrix would take 24 more
+    assert peak < 14 * count
+
+
 def test_policy_small_layer_gets_eight_bits():
     base = DkmConfig(bits=2, dim=1)
     policy = comp.LayerPolicy()

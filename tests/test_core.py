@@ -341,6 +341,17 @@ def test_forward_fixed_point_converges_in_one_iteration():
     np.testing.assert_allclose(res.w_tilde.value, w.values, atol=1e-8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_final_delta_is_the_norm_of_the_last_step(dtype):
+    values = np.random.default_rng(124).normal(size=(3000, 2)).astype(dtype)
+    cfg = DkmConfig(bits=3, dim=2, temperature=0.1, epsilon=0.0)
+    res = core.dkm_forward(
+        ad.constant(values), config=cfg, seed=1, record_trajectory=True, keep_attention=False
+    )
+    assert res.trajectory[-1].dtype == dtype
+    assert res.telemetry.final_delta == float(np.linalg.norm(res.trajectory[-1] - res.trajectory[-2]))
+
+
 def test_forward_high_temperature_collapses_to_mean():
     rng = np.random.default_rng(51)
     w = subvectors(rng.uniform(-1, 1, 24))
@@ -625,12 +636,14 @@ def test_nearest_one_hot_sends_ties_to_the_lowest_index():
 )
 def test_attention_free_preflight_byte_count(forward, dtype, monkeypatch):
     # 4,096 sub-vectors of dim 2 at bits=8: the float64 attention is 8 MiB,
-    # the soft weights and the intp indices 96 KiB (64 KiB at float32)
+    # the soft weights and the intp indices 96 KiB (64 KiB at float32); the
+    # hard loop stops at the indices, snapping outside the loop
     values = np.random.default_rng(84).normal(size=(4096, 2)).astype(dtype)
     w, cfg = SubvectorMatrix(values, 8192), DkmConfig(bits=8, dim=2)
     size, index_size = np.dtype(dtype).itemsize, np.dtype(np.intp).itemsize
     full_need = 4096 * 256 * size + core.TILE_BYTES
-    free_need = 4096 * (2 * size + index_size) + core.TILE_BYTES
+    soft_weights = 0 if forward is baselines.hard_forward else 2 * size
+    free_need = 4096 * (soft_weights + index_size) + core.TILE_BYTES
     # only dkm_forward can keep the attention; the baselines never do
     kwargs = {"keep_attention": False} if forward is core.dkm_forward else {}
     monkeypatch.setattr(core, "physical_memory_bytes", lambda: free_need)
@@ -1156,3 +1169,222 @@ def test_a_pass_completes_on_fewer_pool_threads_than_shares(monkeypatch):
     one_thread.shutdown()
     for a, b in zip(got[0], want):
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# kept passes and the tile buffer free list
+# ---------------------------------------------------------------------------
+
+
+def battery_weights(m: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).normal(0.0, (2.0 / 64) ** 0.5, (m, 1))
+
+
+def off_weights(values: np.ndarray, k: int) -> Codebook:
+    """A warm start of k centroids spread over the weights, none equal to one."""
+    return Codebook(np.linspace(values.min(), values.max(), k + 2)[1:-1, None] + 1e-3)
+
+
+def near_fixed_point(values: np.ndarray) -> Codebook:
+    cfg = DkmConfig(bits=2, temperature=0.01, epsilon=0.0, max_iterations=40)
+    return core.dkm_forward(ad.constant(values), config=cfg, seed=0, keep_attention=False).codebook
+
+
+gumbel = baselines.gumbel_forward
+BITS2 = DkmConfig(bits=2, temperature=0.05, epsilon=0.0)
+# name -> (forward, values, warm start, config, draws); every layer's passes
+# fit in KEPT_BYTES
+KEPT_LAYERS = {
+    "squared": lambda: (
+        core.dkm_forward, battery_weights(4096, 110), off_weights(battery_weights(4096, 110), 4), BITS2, 1
+    ),
+    "euclidean": lambda: (
+        core.dkm_forward,
+        np.random.default_rng(111).normal(size=(2000, 2)),
+        None,
+        DkmConfig(bits=3, dim=2, temperature=0.1, epsilon=0.0, metric=core.EUCLIDEAN),
+        1,
+    ),
+    # warm-started near its fixed point, as in training
+    "early_exit": lambda: (
+        core.dkm_forward, battery_weights(4096, 112), near_fixed_point(battery_weights(4096, 112)),
+        DkmConfig(bits=2, temperature=0.01, epsilon=1e-4), 1,
+    ),
+    "float32": lambda: (
+        core.dkm_forward, battery_weights(4096, 113).astype(np.float32), None,
+        DkmConfig(bits=3, temperature=0.05, epsilon=0.0), 1,
+    ),
+    "empty_cluster": lambda: (
+        core.dkm_forward,
+        np.random.default_rng(114).uniform(-1, 1, (64, 1)),
+        Codebook(np.array([[-0.5], [0.0], [0.5], [1e3]])),
+        DkmConfig(bits=2, temperature=0.1, epsilon=0.0, max_iterations=3),
+        1,
+    ),
+    # random_sample seeding puts pass 0's centroids on weights: a clamped zero
+    "seeded_on_weights": lambda: (core.dkm_forward, battery_weights(1024, 115), None, BITS2, 1),
+    "gumbel_1": lambda: (gumbel, battery_weights(4096, 117), None, BITS2, 1),
+    "gumbel_2": lambda: (gumbel, battery_weights(2048, 118), None, BITS2, 2),
+}
+
+
+def loop_outputs(forward, values, warm, cfg, draws, seed=3):
+    """Telemetry, and w_tilde, codebook, indices and the gradient of a squared-error loss."""
+    kwargs = {"draws": draws} if forward is gumbel else {"keep_attention": False}
+    leaf = ad.leaf(values)
+    res = forward(leaf, warm, cfg, seed=seed, **kwargs)
+    target = np.random.default_rng(119).normal(size=values.shape).astype(values.dtype)
+    ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
+    return res.telemetry, [res.w_tilde.value, res.codebook.centroids, res.indices, leaf.grad]
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(core, name)
+    monkeypatch.setattr(core, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("layer", sorted(KEPT_LAYERS) + ["two_tiles_1", "two_tiles_2"])
+def test_kept_passes_match_replayed_passes(monkeypatch, layer):
+    if layer.startswith("two_tiles"):
+        # 64 KiB tiles: the battery's 4,096-weight layer in two, within budget
+        monkeypatch.setattr(core, "TILE_BYTES", 1 << 16)
+        monkeypatch.setattr(core, "_max_workers", lambda: int(layer[-1]))
+        forward, values, warm, cfg, draws = core.dkm_forward, battery_weights(4096, 120), None, BITS2, 1
+        assert len(core._row_tiles(4096, 4, 8)) == 2
+    else:
+        forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    m, k = values.shape[0], cfg.clusters
+    assert (cfg.max_iterations + 1) * draws * m * k * values.itemsize <= core.KEPT_BYTES
+    kept_reads = count_calls(monkeypatch, "_kept_samples")
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        telemetry, kept = loop_outputs(forward, values, warm, cfg, draws)
+        assert kept_reads  # the passes were kept
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+        del kept_reads[:]
+        want_telemetry, replayed = loop_outputs(forward, values, warm, cfg, draws)
+        assert not kept_reads  # and here replayed
+    finally:
+        sys.setswitchinterval(switch)
+    if layer == "early_exit":
+        assert telemetry.iterations_used < cfg.max_iterations
+    if layer == "empty_cluster":
+        assert kept[1][3, 0] == 1e3
+    assert telemetry == want_telemetry
+    for got, want in zip(kept, replayed):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert np.any(kept[3] != 0)
+
+
+@pytest.mark.parametrize("layer, recomputed", [("squared", 0), ("seeded_on_weights", 1), ("euclidean", 6)])
+def test_kept_backward_recomputes_distances_only_where_the_vjp_reads_them(
+    monkeypatch, layer, recomputed
+):
+    # squared distances: only pass 0 after random_sample seeding has a
+    # centroid on a weight (a clamped zero); euclidean: every pass's root
+    forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    leaf = ad.leaf(values)
+    res = forward(leaf, warm, cfg, seed=3, keep_attention=False)
+    distances = count_calls(monkeypatch, "_tile_distances")
+    ad.backward(ad.sum_all(ad.square(res.w_tilde)))
+    assert len(distances) == recomputed
+
+
+def test_kept_call_tape_holds_at_most_kept_bytes_of_attention_sized_data():
+    values, cfg = battery_weights(4096, 121), BITS2
+    mk = values.shape[0] * cfg.clusters
+    for forward in (core.dkm_forward, gumbel):
+        leaf = ad.leaf(values)
+        res = forward(leaf, config=cfg, seed=0)
+        held = tape_arrays(res.w_tilde, mk)
+        # one (k, m) block of samples per pass
+        assert len(held) == cfg.max_iterations + 1
+        assert 0 < sum(a.nbytes for a in held) <= core.KEPT_BYTES
+        loss = ad.sum_all(ad.square(res.w_tilde))
+        ad.backward(loss)
+        assert tape_arrays(loss, mk) == [] and tape_arrays(res.w_tilde, mk) == []
+
+
+def free_list_bytes() -> int:
+    with core._free_lock:
+        held = sum(buf.nbytes for bufs in core._free.values() for buf in bufs)
+        assert held == core._free_bytes
+    return held
+
+
+def test_a_live_tapes_kept_samples_are_never_handed_out():
+    forward, values, warm, cfg, draws = KEPT_LAYERS["squared"]()
+    want_telemetry, want = loop_outputs(forward, values, warm, cfg, draws)
+    leaf = ad.leaf(values)
+    res = forward(leaf, warm, cfg, seed=3, keep_attention=False)
+    # calls of the same size take and give back buffers while the tape lives
+    for seed in range(3):
+        loop_outputs(forward, battery_weights(4096, seed), warm, cfg, draws)
+        loop_outputs(gumbel, battery_weights(4096, seed), warm, cfg, draws)
+    target = np.random.default_rng(119).normal(size=values.shape)
+    ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
+    assert res.telemetry == want_telemetry
+    for got, w in zip([res.w_tilde.value, res.codebook.centroids, res.indices, leaf.grad], want):
+        np.testing.assert_array_equal(got, w)
+
+
+def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    # a kept battery layer, a kept Gumbel layer and a replayed multi-tile layer
+    jobs = [
+        KEPT_LAYERS["squared"](),
+        KEPT_LAYERS["gumbel_2"](),
+        (core.dkm_forward, np.random.default_rng(122).normal(size=(WORKER_ROWS, 1)), None,
+         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+    ]
+    want = [loop_outputs(*job) for job in jobs]
+    got = {}
+
+    def run(name, job):
+        got[name] = [loop_outputs(*job) for _ in range(3)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=job, daemon=True) for job in enumerate(jobs)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads), "a clustering thread hung"
+    finally:
+        sys.setswitchinterval(switch)
+    for i, (want_telemetry, want_arrays) in enumerate(want):
+        assert len(got[i]) == 3
+        for telemetry, arrays in got[i]:
+            assert telemetry == want_telemetry
+            for a, b in zip(arrays, want_arrays):
+                np.testing.assert_array_equal(a, b)
+    assert free_list_bytes() <= core._free_bound()
+
+
+def test_free_list_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    jobs = [
+        KEPT_LAYERS["squared"](),
+        KEPT_LAYERS["float32"](),
+        (core.dkm_forward, np.random.default_rng(123).normal(size=(WORKER_ROWS, 1)), None,
+         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+    ]
+    want = [loop_outputs(*job) for job in jobs]
+    assert free_list_bytes() <= core._free_bound()
+    # a bound below one battery call's buffers: every give-back evicts, the
+    # key returned to least recently first, and the results stay the same
+    monkeypatch.setattr(core, "_free_bound", lambda: 3 * 4096 * 4 * 8)
+    for i, ((want_telemetry, want_arrays), job) in enumerate(zip(want, jobs)):
+        telemetry, arrays = loop_outputs(*job)
+        assert free_list_bytes() <= 3 * 4096 * 4 * 8
+        if i == 1:  # the float32 call's buffers pushed out the float64 ones
+            assert {dtype for _, dtype in core._free} == {np.dtype(np.float32), np.dtype(bool)}
+        assert telemetry == want_telemetry
+        for a, b in zip(arrays, want_arrays):
+            np.testing.assert_array_equal(a, b)
