@@ -604,10 +604,8 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
 
     def backward(g):
         gw = np.zeros_like(w)
-        recompute = blocks is None or euclidean or any(map(any, clamped))
-        w_sq = (w * w).sum(axis=1) if recompute else None
+        w_sq = (w * w).sum(axis=1)
         k = codebooks[0].shape[0]
-        tile_rows = tiles[0].stop
         # a forward tile's buffers, the attention gradient and the clamp mask
         reserve = {**dict.fromkeys(("dist", "tmp", "sample0", "ga"), w.dtype), "clamp": bool}
         works = _tile_works(k, tiles, rng, reserve)
@@ -632,7 +630,7 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                 else:
                     samples = list(_kept_samples(blocks[p], rows, draws, k))
                     dist = None
-                    if euclidean or clamped[p][rows.start // tile_rows]:
+                    if euclidean or clamped[p][rows.start]:
                         dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
                 shape = samples[0].shape
                 ga = work.get("ga", shape, w.dtype)
@@ -749,10 +747,9 @@ def _cluster_loop(
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
-    tile_rows = tiles[0].stop
     marks = []  # generator state at the start of each pass, on a replayed call
     blocks = []  # each pass's samples, on a kept call
-    clamped = []  # per pass and tile: whether the distances hold a clamped zero
+    clamped = []  # per pass, tile start -> whether its distances hold a clamped zero
     w_sq = (w * w).sum(axis=1)
     # the distances, the kernel's cross term and the rule's first sample
     works = _tile_works(k, tiles, rng, dict.fromkeys(("dist", "tmp", "sample0"), w.dtype))
@@ -761,7 +758,7 @@ def _cluster_loop(
         # on the calling thread, before any tile of the pass
         if keep:
             blocks.append(_take(draws * m * k, w.dtype))
-            clamped.append([False] * len(tiles))
+            clamped.append({})
         elif rng is not None:
             marks.append(rng.bit_generator.state)
 
@@ -772,7 +769,7 @@ def _cluster_loop(
             for kept, s in zip(_kept_samples(blocks[-1], rows, draws, k), samples):
                 kept[...] = s
             if not euclidean:  # euclidean backward always reads the distances
-                clamped[-1][rows.start // tile_rows] = not dist.max() < 0
+                clamped[-1][rows.start] = not dist.max() < 0
         return samples
 
     def tile_mass(rows, work):
