@@ -342,6 +342,10 @@ def attention_free(size: str) -> dict:
     start = time.perf_counter()
     core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
     seconds = time.perf_counter() - start
+    # traced with its own tile buffers, not those earlier calls left on the free list
+    with core._free_lock:
+        core._free.clear()
+        core._free_bytes = 0
     tracemalloc.start()
     core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
     peak = tracemalloc.get_traced_memory()[1]
