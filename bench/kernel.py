@@ -39,9 +39,12 @@ at the repository root):
   weights.
 - ``multi_tile``: median wall seconds of forward and of backward of one
   65,536-weight layer at bits 4/dim 1 and at bits 5/dim 2, as in the
-  ``cluster_large`` workload (tau 0.05, epsilon 0, 5 iterations, attention
-  kept), with the tile workers limited to one and with all of them (the
-  machine block's ``workers``), the two runs alternating.
+  ``cluster_large`` workload (tau 0.05, epsilon 0, 5 iterations), under
+  each ``rule``: soft (``dkm_forward``, attention kept, as the workload
+  runs it) and Gumbel (``gumbel_forward``, one draw), with the tile
+  workers limited to one and with all of them (the machine block's
+  ``workers``), the two runs alternating. Both layers are 16 tiles at full
+  size and 2 with ``--tiny``.
 - ``attention_free``: one bits=12 layer (65,536 sub-vectors of dim 1,
   max_iterations 1) clustered with ``keep_attention=False``: the
   ``tracemalloc`` peak of one call and the seconds of another, untraced,
@@ -67,6 +70,7 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import platform
@@ -123,8 +127,9 @@ COMPRESS = {"full": (1_048_576, 3, 8, 0.5), "tiny": (8_192, 3, 8, 0.5)}
 COMPRESS_RUNS = {"full": 5, "tiny": 1}
 PRECISION_RUNS = {"full": 7, "tiny": 1}
 # weights of the multi-tile layer, and its (label, bits, dim) shapes
-MULTI_TILE_WEIGHTS = {"full": 65_536, "tiny": 2_048}
+MULTI_TILE_WEIGHTS = {"full": 65_536, "tiny": 8_192}
 MULTI_TILE_LAYERS = (("b4d1", 4, 1), ("b5d2", 5, 2))
+MULTI_TILE_RULES = {"soft": core.dkm_forward, "gumbel": baselines.gumbel_forward}
 # sub-vectors of the bits=12 layer (at least 2^12 to seed it)
 ATTENTION_FREE_ROWS = {"full": 65_536, "tiny": 4_096}
 # Linux keeps a process's ru_maxrss high-water mark across exec, so a child
@@ -173,12 +178,13 @@ def tile_pass(bits: int, dim: int, count: int, tau: float, scale: float, rule: s
 
 
 def multi_tile(size: str, repeats: int) -> list[dict]:
-    """Median forward and backward wall seconds of a multi-tile layer, at one and at all workers."""
+    """Median forward and backward wall seconds of multi-tile layers per rule, at one and at all workers."""
     weights = np.random.default_rng(13).standard_normal(MULTI_TILE_WEIGHTS[size])
     count_workers = core._max_workers
     all_workers = count_workers()
     rows = []
-    for label, bits, dim in MULTI_TILE_LAYERS:
+    runs = itertools.product(MULTI_TILE_LAYERS, MULTI_TILE_RULES.items())
+    for (label, bits, dim), (rule, forward) in runs:
         values = weights.reshape(-1, dim)
         target = np.random.default_rng(14).standard_normal(values.shape)
         cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0, max_iterations=ITERATIONS)
@@ -189,7 +195,7 @@ def multi_tile(size: str, repeats: int) -> list[dict]:
                 try:
                     leaf = ad.leaf(values)
                     t0 = time.perf_counter()
-                    res = core.dkm_forward(leaf, config=cfg, seed=0)
+                    res = forward(leaf, config=cfg, seed=0)
                     t1 = time.perf_counter()
                     ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
                     t2 = time.perf_counter()
@@ -201,6 +207,7 @@ def multi_tile(size: str, repeats: int) -> list[dict]:
         for workers, (fwd, bwd) in times.items():
             rows.append({
                 "layer": label,
+                "rule": rule,
                 "weights": weights.size,
                 "bits": bits,
                 "dim": dim,

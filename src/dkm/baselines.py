@@ -10,6 +10,7 @@ implementation here the numerical oracle for it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .core import (
     _values,
     kmeans_pp,
 )
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_fields, integer
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ from .errors import DataError, ParameterError
 # ---------------------------------------------------------------------------
 
 
-def _hard_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
+def _hard_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.ndarray]:
     # one one-hot sample per (k, rows) tile, so centroids become cluster means
     return (_nearest_one_hot(dist, work.get("sample0", dist.shape, dist.dtype)),)
 
@@ -136,25 +137,34 @@ def gumbel_forward(
 ) -> DkmResult:
     """The clustering loop with Gumbel-softmax attention.
 
-    ``seed`` (>= 0) drives the noise draws; ``init_seed`` (defaulting to
-    it) drives centroid seeding when no warm start is given. The loop is one
-    tape node, like the soft one: backward reads each pass's samples where
-    they fit in ``core.KEPT_BYTES`` together, and otherwise replays each
-    pass's noise from the generator state saved at its start. ``indices``
-    are the nearest centroids, not the argmax of a noisy sample. No (m, k) attention is
-    built: the result is that of ``dkm_forward(..., keep_attention=False)``,
-    as are the ResourceError raised before seeding and the NumericError
-    naming the iteration whose centroids come out non-finite.
+    ``seed`` (an integer >= 0) drives the noise: each tile draws where a
+    run of every tile in order would in ``default_rng(seed)``'s stream, one
+    64-bit PCG64 output per uniform, so tiles run on every tile worker
+    with the same results. ``init_seed`` (defaulting to ``seed``) drives
+    centroid seeding when no warm start is given. The loop is one tape
+    node, like the soft one: backward reads each pass's samples where they
+    fit in ``core.KEPT_BYTES`` together, and otherwise redraws them.
+    ``indices`` are the nearest centroids, not the argmax of a noisy
+    sample. No (m, k) attention is built: the result is that of
+    ``dkm_forward(..., keep_attention=False)``, as are the ResourceError
+    raised before seeding and the NumericError naming the iteration whose
+    centroids come out non-finite.
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    check_fields(seed=integer(seed, 0), draws=integer(draws, 1))
+    places = {}  # thread id -> its generator and the uniforms drawn from it
 
-    def rule(dist, tau, work):
-        return gumbel_samples(dist, tau, rng, draws, work)
+    def rule(dist, tau, work, first):
+        # a tile draws after the first * k * draws uniforms of the tiles before
+        at, thread = first * dist.shape[0] * draws, threading.get_ident()
+        generator, drawn = places.pop(thread, None) or (np.random.default_rng(seed), 0)
+        if drawn != at:  # the period is 2**128: going back is going round
+            generator.bit_generator.advance((at - drawn) % (1 << 128))
+        samples = gumbel_samples(dist, tau, generator, draws, work)
+        places[thread] = generator, at + dist.size * draws
+        return samples
 
     init = seed if init_seed is None else init_seed
-    return _cluster_loop(w, warm_start, config, init, rule, rng, keep_attention=False, draws=draws)
+    return _cluster_loop(w, warm_start, config, init, rule, keep_attention=False, draws=draws)
 
 
 # ---------------------------------------------------------------------------

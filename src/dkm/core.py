@@ -37,16 +37,13 @@ first pass that uses it (the CPUs are ``os.sched_getaffinity``, or
 not yet started. Each thread writes its own rows of the outputs, and the
 tiles' partial sums (attention column sums, weighted rows, codebook
 gradient terms) are added in tile order, so every result is bit-identical
-whatever the number of CPUs. A
-call with one tile, and a rule that draws from a generator (Gumbel, whose
-random stream must stay in tile order), runs inline on the calling
-thread. Each call takes one set of tile work arrays (distances, softmax
-samples, noise) per thread, in the calling thread, and reuses it for
-every tile and pass. The buffers come from a process-wide free list and
-go back to it when the call ends, so later calls do not fault in fresh
-pages; the list keeps at most five tile buffers per usable CPU, and a
-buffer is on it only while no call or tape holds it. A forked child drops
-the parent's pool and builds its own.
+whatever the number of CPUs. Each call takes one set of tile work arrays
+per thread, in the calling thread, and reuses it for every tile and pass.
+The buffers come from a process-wide free list and go back to it when the
+call ends, so later calls do not fault in fresh pages; the list keeps at
+most five tile buffers per usable CPU, and a buffer is on it only while
+no call or tape holds it. A forked child drops the parent's pool and
+builds its own.
 
 The softmax, the loop's and ``attention``'s alike, flushes subnormal
 tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below
@@ -240,40 +237,39 @@ def _as_node(x) -> Node:
 def init_centroids(w: SubvectorMatrix, config: DkmConfig, seed: int) -> Codebook:
     """Seed 2^bits centroids from the sub-vectors, deterministically.
 
-    With ``rng = np.random.default_rng(seed)``, random_sample draws k
-    distinct rows (``rng.choice(count, k, replace=False)``) and kmeans_pp
-    returns ``kmeans_pp(values, k, rng)``. The seed must be >= 0.
+    With ``generator = np.random.default_rng(seed)``, random_sample draws
+    k distinct rows (``generator.choice(count, k, replace=False)``) and
+    kmeans_pp returns ``kmeans_pp(values, k, generator)``. Seeds are >= 0.
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_fields(seed=integer(seed, 0))
     k = config.clusters
     if w.count < k:
         raise DataError(f"need at least {k} sub-vectors to seed {k} clusters, got {w.count}")
-    rng = np.random.default_rng(seed)
+    generator = np.random.default_rng(seed)
     if config.init == RANDOM_SAMPLE:
-        idx = rng.choice(w.count, size=k, replace=False)
+        idx = generator.choice(w.count, size=k, replace=False)
         return Codebook(w.values[idx].copy())
-    return Codebook(kmeans_pp(w.values, k, rng))
+    return Codebook(kmeans_pp(w.values, k, generator))
 
 
-def kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def kmeans_pp(points: np.ndarray, k: int, generator: np.random.Generator) -> np.ndarray:
     """k rows of ``points`` (count >= k) chosen by D^2 weighting.
 
-    The first row is drawn uniformly (``rng.integers(count)``) and each next
-    one with probability proportional to its squared distance from the
-    nearest already-chosen row (``rng.choice(count, p=d2 / d2.sum())``, or
-    uniformly again once every distance is zero).
+    The first row is drawn uniformly (``generator.integers(count)``) and
+    each next one with probability proportional to its squared distance
+    from the nearest already-chosen row (``generator.choice(count, p=d2 /
+    d2.sum())``, or uniformly again once every distance is zero).
     """
     count = points.shape[0]
     chosen = np.empty((k, points.shape[1]), dtype=points.dtype)
-    chosen[0] = points[rng.integers(count)]
+    chosen[0] = points[generator.integers(count)]
     d2 = np.sum((points - chosen[0]) ** 2, axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            idx = rng.integers(count)
+            idx = generator.integers(count)
         else:
-            idx = rng.choice(count, p=d2 / total)
+            idx = generator.choice(count, p=d2 / total)
         chosen[j] = points[idx]
         d2 = np.minimum(d2, np.sum((points - chosen[j]) ** 2, axis=1))
     return chosen
@@ -440,13 +436,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _tile_works(k: int, tiles: list[slice], rng, reserve: dict) -> list[_TileWork]:
-    """One set of work arrays per tile worker of a call, ``reserve`` allocated.
-
-    One tile, or a rule that draws from ``rng`` (its draws must follow
-    tile order), gets one set; otherwise min(usable CPUs, tiles) sets.
-    """
-    workers = 1 if rng is not None or len(tiles) == 1 else min(_max_workers(), len(tiles))
+def _tile_works(k: int, tiles: list[slice], reserve: dict) -> list[_TileWork]:
+    """min(usable CPUs, tiles) sets of work arrays, one per tile worker, ``reserve`` taken."""
+    workers = min(_max_workers(), len(tiles))
     size = k * (tiles[0].stop - tiles[0].start)  # the first tile is the largest
     return [_TileWork(size, reserve) for _ in range(workers)]
 
@@ -520,7 +512,7 @@ def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soft_rule(dist: np.ndarray, tau, work: _TileWork) -> tuple[np.ndarray]:
+def _soft_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.ndarray]:
     """The DKM assignment rule: one temperature softmax over the clusters."""
     return (ad.softmax_cluster_major(dist, tau, work.get("sample0", dist.shape, dist.dtype)),)
 
@@ -584,7 +576,7 @@ def _kept_samples(block: np.ndarray, rows: slice, draws: int, k: int) -> np.ndar
     return tile.reshape(draws, k, rows.stop - rows.start)
 
 
-def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks, draws, kept):
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, kept):
     """Backward of the fused loop: each pass's attention, then the chain rule.
 
     The last pass is the output ``w_tilde = A C``; every earlier one is the
@@ -593,9 +585,9 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
     Only ``w`` receives a gradient: the starting codebook is a constant.
 
     ``kept`` is None on a replayed call: pass p then recomputes the
-    distances and the rule's samples to ``codebooks[p]``, replaying the
-    rule's draws from ``marks[p]``. Otherwise it is the pair (blocks,
-    clamped) of ``_cluster_loop``: pass p reads its samples from
+    distances and the rule's samples to ``codebooks[p]``, with the
+    ``first`` the forward pass gave the rule. Otherwise it is the pair
+    (blocks, clamped) of ``_cluster_loop``: pass p reads its samples from
     ``blocks[p]`` and hands the block back once done, and recomputes a
     tile's distances only where ``neg_distance_vjp`` reads them (the
     euclidean metric, or a tile holding a clamped zero, ``clamped[p]``).
@@ -605,16 +597,14 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
     def backward(g):
         gw = np.zeros_like(w)
         w_sq = (w * w).sum(axis=1)
-        k = codebooks[0].shape[0]
+        m, k = w.shape[0], codebooks[0].shape[0]
         # a forward tile's buffers, the attention gradient and the clamp mask
         reserve = {**dict.fromkeys(("dist", "tmp", "sample0", "ga"), w.dtype), "clamp": bool}
-        works = _tile_works(k, tiles, rng, reserve)
+        works = _tile_works(k, tiles, reserve)
         steps = len(col_sums)
         g_next = None  # gradient reaching codebooks[p + 1]
         for p in range(steps, -1, -1):
             c = codebooks[p]
-            if rng is not None and blocks is None:
-                rng.bit_generator.state = marks[p]
             g_c = np.zeros_like(c) if p > 0 else None
             if p < steps:
                 g_weighted, g_sums, g_prev = ad.masked_mean_vjp(g_next, col_sums[p], codebooks[p + 1])
@@ -626,7 +616,7 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, mar
                 wr = w[rows]
                 if blocks is None:
                     dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-                    samples = rule(dist, tau, work)
+                    samples = rule(dist, tau, work, p * m + rows.start)
                 else:
                     samples = list(_kept_samples(blocks[p], rows, draws, k))
                     dist = None
@@ -676,7 +666,6 @@ def _cluster_loop(
     config: DkmConfig,
     seed: int,
     rule=_soft_rule,
-    rng: np.random.Generator | None = None,
     record_trajectory: bool = False,
     keep_attention: bool = True,
     soft_weights: bool = True,
@@ -696,21 +685,20 @@ def _cluster_loop(
     The loop starts from ``warm_start``, which must be (2^bits, dim) and is
     copied, never aliased, or else from ``init_centroids(..., seed)``.
 
-    ``rule(dist, tau, work)`` maps a cluster-major (k, rows) tile of negated
-    distances to the list of ``draws`` samples whose mean is its attention
-    tile: one softmax for the soft rule, one per draw for Gumbel, one
-    one-hot for hard. Samples live in the call's work arrays (``work.get``)
-    and are only valid until the next tile. Only softmax samples have a
-    backward. A rule that draws from ``rng`` runs on the calling thread;
-    any other rule may run on several tile workers at once, each with its
-    own ``work``.
+    ``rule(dist, tau, work, first)`` maps a cluster-major (k, rows) tile of
+    negated distances to the list of ``draws`` samples whose mean is its
+    attention tile: one softmax for the soft rule, one per draw for Gumbel,
+    one one-hot for hard. ``first = p * m + rows.start``, the tile's first
+    row among the rows of passes 0, 1, ..., places a random rule's draws
+    (the soft and hard rules ignore it). Samples live in the call's work
+    arrays (``work.get``), valid until the next tile; only softmax samples
+    have a backward. Tiles run on any tile worker, each with its own work.
 
     Backward needs each pass's samples. A call that builds a tape node
     keeps them, copied tile by tile into one block per pass, when all
     passes' blocks fit in KEPT_BYTES: (max_iterations + 1) * draws * m * k
-    * itemsize. Otherwise backward recomputes them, replaying the rule's
-    draws from the generator state saved at the start of each pass. The
-    results are the same either way. Otherwise as ``dkm_forward`` describes.
+    * itemsize. Otherwise backward recomputes them, with the same ``first``.
+    The results are the same either way. Otherwise as ``dkm_forward`` describes.
     """
     if config is None:
         raise ParameterError("config is required")
@@ -747,23 +735,20 @@ def _cluster_loop(
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
-    marks = []  # generator state at the start of each pass, on a replayed call
     blocks = []  # each pass's samples, on a kept call
     clamped = []  # per pass, tile start -> whether its distances hold a clamped zero
     w_sq = (w * w).sum(axis=1)
     # the distances, the kernel's cross term and the rule's first sample
-    works = _tile_works(k, tiles, rng, dict.fromkeys(("dist", "tmp", "sample0"), w.dtype))
+    works = _tile_works(k, tiles, dict.fromkeys(("dist", "tmp", "sample0"), w.dtype))
 
     def start_pass():
         # on the calling thread, before any tile of the pass
         if keep:
             blocks.append(_take(draws * m * k, w.dtype))
             clamped.append({})
-        elif rng is not None:
-            marks.append(rng.bit_generator.state)
 
     def samples_of(dist, rows, work):
-        samples = rule(dist, tau, work)
+        samples = rule(dist, tau, work, len(col_sums) * m + rows.start)
         if keep:
             # copied before _attend sums them into the first sample
             for kept, s in zip(_kept_samples(blocks[-1], rows, draws, k), samples):
@@ -834,7 +819,7 @@ def _cluster_loop(
         backward = None
         if w_node.requires_grad:
             backward = _loop_backward(
-                w, codebooks, col_sums, tau, euclidean, tiles, rule, rng, marks, draws,
+                w, codebooks, col_sums, tau, euclidean, tiles, rule, draws,
                 (blocks, clamped) if keep else None,
             )
         w_tilde = Node(w_tilde, (w_node,), backward)
@@ -908,8 +893,8 @@ def dkm_gradient_check(
     (their gradients are numerically degenerate at near-hard temperatures).
     """
     cfg = replace(config, epsilon=0.0)
-    rng = np.random.default_rng(seed)
-    target = rng.standard_normal(w.values.shape)
+    generator = np.random.default_rng(seed)
+    target = generator.standard_normal(w.values.shape)
     # pin the initial codebook: gradients flow through the loop, not through
     # the seeding, so both probes must start from the same centroids
     start = init_centroids(w, cfg, seed)

@@ -140,6 +140,12 @@ def test_gumbel_rejects_bad_parameters():
     w = SubvectorMatrix(np.arange(8.0).reshape(-1, 1), 8)
     with pytest.raises(ParameterError, match="draws must be >= 1"):
         baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=0)
+    # refused before the pre-flight, which would size a block by them
+    with pytest.raises(ParameterError, match="draws must be >= 1, got -1"):
+        baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=-1)
+    for draws in (1.5, True):
+        with pytest.raises(ParameterError, match=f"draws must be an integer, got {draws!r}"):
+            baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=draws)
 
 
 def fresh_gumbel_samples(dist: np.ndarray, tau, rng, draws: int) -> list[np.ndarray]:
@@ -186,7 +192,7 @@ def test_hard_rule_matches_hard_attention_with_ties():
     dist[3] = dist[5]  # duplicate centroids tie in every column
     for tile in (dist[:, :100], dist):
         tile = np.ascontiguousarray(tile)
-        (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size))
+        (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size), 0)
         np.testing.assert_array_equal(one_hot, hard_attention(tile.T).T)
 
 
@@ -233,13 +239,18 @@ THREE_TILE_ROWS = 2 * BITS8_TILE_ROWS + BITS8_TILE_ROWS // 2 + 20
 
 
 def gumbel_attention(values, start, cfg, seed, draws=1):
-    """The (m, k) attention of gumbel_forward's loop, which it does not keep."""
-    rng = np.random.default_rng(seed)
+    """The (m, k) attention of gumbel_forward's loop, which it does not keep.
 
-    def rule(dist, tau, work):
+    Each tile draws from a fresh generator of the seed's stream, moved past
+    the first * k * draws uniforms of the tiles before it.
+    """
+
+    def rule(dist, tau, work, first):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(first * dist.shape[0] * draws)
         return baselines.gumbel_samples(dist, tau, rng, draws, work)
 
-    return core._cluster_loop(ad.constant(values), Codebook(start), cfg, 0, rule, rng).attention
+    return core._cluster_loop(ad.constant(values), Codebook(start), cfg, 0, rule).attention
 
 
 @pytest.mark.parametrize(
@@ -279,14 +290,9 @@ def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
 
 
 def test_gumbel_draws_its_noise_inline_in_tile_order(monkeypatch):
-    # however many CPUs there are, the Gumbel loop runs on the calling
-    # thread and draws its stream tile by tile, as the composed loop does
+    # on two tile workers, the Gumbel loop still draws the stream tile by
+    # tile, as the composed loop does
     monkeypatch.setattr(core, "_max_workers", lambda: 2)
-
-    def no_pool(workers):
-        raise AssertionError("the Gumbel loop handed its tiles to the pool")
-
-    monkeypatch.setattr(core, "_tile_pool", no_pool)
     m = THREE_TILE_ROWS
     cfg = DkmConfig(bits=8, temperature=0.3, epsilon=0.0, max_iterations=2)
     rng = np.random.default_rng(97)

@@ -733,6 +733,14 @@ def test_negative_seed_is_a_parameter_error():
     # the noise seed of Gumbel draws, with a valid seed for the centroids
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         baselines.gumbel_forward(w, config=DkmConfig(bits=2), seed=-1, init_seed=0)
+    # a seed that is no integer is a parameter error too, in every entry
+    for seed in (1.5, None, True):
+        with pytest.raises(ParameterError, match=f"seed must be an integer, got {seed!r}"):
+            core.init_centroids(w, DkmConfig(bits=2), seed)
+        with pytest.raises(ParameterError, match=f"seed must be an integer, got {seed!r}"):
+            core.dkm_forward(w, config=DkmConfig(bits=2), seed=seed)
+        with pytest.raises(ParameterError, match=f"seed must be an integer, got {seed!r}"):
+            baselines.gumbel_forward(w, config=DkmConfig(bits=2), seed=seed, init_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1063,7 @@ WORKER_ROWS = 5 * BITS8_TILE_ROWS + 20
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
-@pytest.mark.parametrize("mode", ["dkm_kept", "dkm_free", "hard"])
+@pytest.mark.parametrize("mode", ["dkm_kept", "dkm_free", "hard", "gumbel"])
 def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, mode, epsilon):
     cfg = DkmConfig(bits=8, temperature=0.05, epsilon=epsilon, max_iterations=6)
     assert len(core._row_tiles(WORKER_ROWS, cfg.clusters, 8)) == 6
@@ -1065,6 +1073,7 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, mode, epsilon):
         "dkm_kept": core.dkm_forward,
         "dkm_free": functools.partial(core.dkm_forward, keep_attention=False),
         "hard": baselines.hard_forward,
+        "gumbel": functools.partial(baselines.gumbel_forward, draws=2),
     }[mode]
 
     def run(workers):
@@ -1082,7 +1091,7 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, mode, epsilon):
         (telemetry, want), *others = [run(n) for n in (1, 2, 4)]
     finally:
         sys.setswitchinterval(switch)
-    if epsilon:  # the early exit ran
+    if epsilon and mode != "gumbel":  # the early exit ran (the noise keeps Gumbel's codebook moving)
         assert telemetry.iterations_used < cfg.max_iterations
     for got_telemetry, got in others:
         assert got_telemetry == telemetry
@@ -1280,6 +1289,37 @@ def test_kept_passes_match_replayed_passes(monkeypatch, layer):
     assert np.any(kept[3] != 0)
 
 
+@pytest.mark.parametrize("draws", [1, 2])
+@pytest.mark.parametrize("epsilon", [0.0, 0.02])
+@pytest.mark.parametrize("kept", [True, False])
+def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, kept, epsilon, draws):
+    # 16 KiB tiles: a 2,048-weight layer in four tiles, its passes within KEPT_BYTES
+    monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
+    if not kept:
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+    values = battery_weights(2048, 124)
+    warm, cfg = near_fixed_point(values), DkmConfig(bits=2, temperature=0.05, epsilon=epsilon)
+    assert len(core._row_tiles(2048, cfg.clusters, 8)) == 4
+    kept_reads = count_calls(monkeypatch, "_kept_samples")
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(core, "_max_workers", lambda: workers)
+            runs.append(loop_outputs(gumbel, values, warm, cfg, draws))
+    finally:
+        sys.setswitchinterval(switch)
+    assert bool(kept_reads) == kept
+    (telemetry, want), (got_telemetry, got) = runs
+    if epsilon:  # the early exit ran
+        assert telemetry.iterations_used < cfg.max_iterations
+    assert got_telemetry == telemetry
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert np.any(want[3] != 0)
+
+
 @pytest.mark.parametrize("layer, recomputed", [("squared", 0), ("seeded_on_weights", 1), ("euclidean", 6)])
 def test_kept_backward_recomputes_distances_only_where_the_vjp_reads_them(
     monkeypatch, layer, recomputed
@@ -1332,15 +1372,8 @@ def test_a_live_tapes_kept_samples_are_never_handed_out():
         np.testing.assert_array_equal(got, w)
 
 
-def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch):
-    monkeypatch.setattr(core, "_max_workers", lambda: 2)
-    # a kept battery layer, a kept Gumbel layer and a replayed multi-tile layer
-    jobs = [
-        KEPT_LAYERS["squared"](),
-        KEPT_LAYERS["gumbel_2"](),
-        (core.dkm_forward, np.random.default_rng(122).normal(size=(WORKER_ROWS, 1)), None,
-         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
-    ]
+def check_clustering_at_once(jobs) -> None:
+    """Each job's ``loop_outputs`` three times on its own thread, all at once, equal the job run alone."""
     want = [loop_outputs(*job) for job in jobs]
     got = {}
 
@@ -1365,6 +1398,28 @@ def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch)
             for a, b in zip(arrays, want_arrays):
                 np.testing.assert_array_equal(a, b)
     assert free_list_bytes() <= core._free_bound()
+
+
+def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    # a kept battery layer, a kept Gumbel layer and a replayed multi-tile layer
+    check_clustering_at_once([
+        KEPT_LAYERS["squared"](),
+        KEPT_LAYERS["gumbel_2"](),
+        (core.dkm_forward, np.random.default_rng(122).normal(size=(WORKER_ROWS, 1)), None,
+         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+    ])
+
+
+def test_two_threads_drawing_gumbel_noise_at_once_give_the_sequential_results(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    # 16 KiB tiles: a kept Gumbel layer of four tiles and a replayed one of 47
+    monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
+    check_clustering_at_once([
+        (gumbel, battery_weights(2048, 125), None, BITS2, 2),
+        (gumbel, np.random.default_rng(126).normal(size=(3000, 1)), None,
+         DkmConfig(bits=5, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+    ])
 
 
 def test_free_list_stays_within_its_bound(monkeypatch):
