@@ -15,13 +15,16 @@ at the repository root):
   Every rule runs as training runs it, without the (m, k) attention
   (``keep_attention=False`` for the soft loop; the other two never build
   it).
-- ``trainings``: CPU seconds and minor page faults (``ru_minflt``) of one
-  warm 15-epoch training per mode on the battery configuration (blobs, MLP
-  (2, 64, 64, 4), bits 2, dim 1, tau 0.002), after every mode has trained
-  one epoch in the same process. Final loss and snapped accuracy are kept
-  so two trees can be checked for identical results. ``nodes_per_batch``
-  is the number of autodiff tape nodes built per training batch, counted
-  by wrapping ``autodiff.Node.__init__`` during the untimed one-epoch run.
+- ``trainings``: median CPU seconds, wall seconds and minor page faults
+  (``ru_minflt``) of warm 15-epoch trainings per mode on the battery
+  configuration (blobs, MLP (2, 64, 64, 4), bits 2, dim 1, tau 0.002),
+  after every mode has trained one epoch in the same process. Each round
+  trains every mode once, in an order that reverses from round to round,
+  so host drift falls on every mode alike. Final loss and snapped accuracy
+  are kept so two trees can be checked for identical results (every run
+  of a mode must give the same ones). ``nodes_per_batch`` is the number of
+  autodiff tape nodes built per training batch, counted by wrapping
+  ``autodiff.Node.__init__`` during the untimed one-epoch run.
 - ``compress``: time and memory of ``dkm compress`` on a fixed synthetic
   file (seeded standard normal float32 weights; full size 1,048,576
   weights at bits 3, dim 8, as the benchmark's ``codec`` w1m file), each
@@ -58,7 +61,7 @@ Usage, from anywhere (the script puts this repository's ``src`` first on
 ``sys.path`` and pins BLAS to one thread unless the environment says
 otherwise)::
 
-    python bench/kernel.py                 # full sizes, ~1 minute
+    python bench/kernel.py                 # full sizes, ~2 minutes
     python bench/kernel.py --tiny --out /tmp/BENCH_kernel.json
 
 Standard library and numpy only.
@@ -116,6 +119,8 @@ TILES = {
     ),
 }
 REPEATS = {"full": 15, "tiny": 2}
+# rounds of battery trainings, each training every mode once
+TRAINING_RUNS = {"full": 5, "tiny": 1}
 BATTERY = {
     "full": {"n": 2000, "hidden": (64, 64), "epochs": 15},
     "tiny": {"n": 200, "hidden": (8, 8), "epochs": 1},
@@ -220,7 +225,7 @@ def multi_tile(size: str, repeats: int) -> list[dict]:
 
 
 def trainings(size: str) -> dict:
-    """CPU seconds, minor faults and tape nodes per batch of one warm battery training per mode."""
+    """Median cost of warm battery trainings per mode, their results and tape nodes per batch."""
     sizes = BATTERY[size]
     data = harness.make_dataset("blobs", sizes["n"], 4, 0.5, seed=1)
     dims = (2, *sizes["hidden"], 4)
@@ -246,22 +251,37 @@ def trainings(size: str) -> dict:
         finally:
             ad.Node.__init__ = init
         nodes[mode] = built[0] / len(log)
+    runs = {mode: [] for mode in MODES}
+    outcome = {}
+    for rep in range(TRAINING_RUNS[size]):
+        for mode in MODES if rep % 2 == 0 else reversed(MODES):
+            m = model(mode)
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            wall = time.perf_counter()
+            _, log = harness.train(m, data, cfg)
+            wall = time.perf_counter() - wall
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            runs[mode].append((
+                after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime,
+                wall,
+                after.ru_minflt - before.ru_minflt,
+            ))
+            result = (len(log), log[-1].loss, harness.evaluate(m, data, snapped=True))
+            if outcome.setdefault(mode, result) != result:
+                raise SystemExit(f"{mode} training gave {result}, then {outcome[mode]}")
     out = {}
     for mode in MODES:
-        m = model(mode)
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        wall = time.perf_counter()
-        _, log = harness.train(m, data, cfg)
-        wall = time.perf_counter() - wall
-        after = resource.getrusage(resource.RUSAGE_SELF)
+        cpu, wall, faults = zip(*runs[mode])
+        batches, final_loss, accuracy = outcome[mode]
         out[mode] = {
-            "cpu_s": round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 3),
-            "wall_s": round(wall, 3),
-            "ru_minflt": after.ru_minflt - before.ru_minflt,
-            "batches": len(log),
+            "runs": len(cpu),
+            "cpu_s": round(statistics.median(cpu), 3),
+            "wall_s": round(statistics.median(wall), 3),
+            "ru_minflt": statistics.median(faults),
+            "batches": batches,
             "nodes_per_batch": nodes[mode],
-            "final_loss": log[-1].loss,
-            "snapped_accuracy": harness.evaluate(m, data, snapped=True),
+            "final_loss": final_loss,
+            "snapped_accuracy": accuracy,
         }
     return out
 
@@ -349,10 +369,7 @@ def attention_free(size: str) -> dict:
     start = time.perf_counter()
     core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
     seconds = time.perf_counter() - start
-    # traced with its own tile buffers, not those earlier calls left on the free list
-    with core._free_lock:
-        core._free.clear()
-        core._free_bytes = 0
+    # a multi-tile call takes no tile buffer from the free list: the peak counts its own
     tracemalloc.start()
     core.dkm_forward(w, config=cfg, seed=0, keep_attention=False)
     peak = tracemalloc.get_traced_memory()[1]

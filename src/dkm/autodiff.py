@@ -313,7 +313,8 @@ def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None
     entry has the bits of the plain softmax. ``out`` may be ``logits``.
     """
     y = np.subtract(logits, logits.max(axis=0), out=out)
-    y /= tau
+    if tau != 1:  # dividing by 1 changes no bit
+        y /= tau
     floor = _FLUSH_FLOOR[y.dtype]
     # one reduction decides; tiles with nothing to flush pay nothing more
     if y.min() < floor:

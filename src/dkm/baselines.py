@@ -41,6 +41,9 @@ def _hard_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.n
     return (_nearest_one_hot(dist, work.get("sample0", dist.shape, dist.dtype)),)
 
 
+_hard_rule.takes = {"sample0": None}
+
+
 def straight_through_reconstruct(w: Node, indices: np.ndarray, codebook: np.ndarray) -> Node:
     """Snap each sub-vector to its centroid, re-using centroid gradients.
 
@@ -137,7 +140,11 @@ def gumbel_forward(
 ) -> DkmResult:
     """The clustering loop with Gumbel-softmax attention.
 
-    ``seed`` (an integer >= 0) drives the noise: each tile draws where a
+    Each sample is softmax((dist + tau * g) / tau) over the clusters, with
+    standard Gumbel noise g added to the logits dist / tau (Jang et al.,
+    arXiv 1611.01144): its hard draw takes cluster j with the soft loop's
+    attention softmax(dist / tau)_j, and tau sets both. ``seed`` (an
+    integer >= 0) drives the noise: each tile draws where a
     run of every tile in order would in ``default_rng(seed)``'s stream, one
     64-bit PCG64 output per uniform, so tiles run on every tile worker
     with the same results. ``init_seed`` (defaulting to ``seed``) drives
@@ -159,10 +166,13 @@ def gumbel_forward(
         generator, drawn = places.pop(thread, None) or (np.random.default_rng(seed), 0)
         if drawn != at:  # the period is 2**128: going back is going round
             generator.bit_generator.advance((at - drawn) % (1 << 128))
-        samples = gumbel_samples(dist, tau, generator, draws, work)
+        # the noise goes on the logits dist / tau: softmax((dist + tau * g) / tau)
+        logits = np.divide(dist, tau, out=work.get("tmp", dist.shape, dist.dtype))
+        samples = gumbel_samples(logits, 1, generator, draws, work)
         places[thread] = generator, at + dist.size * draws
         return samples
 
+    rule.takes = {"noise": np.float64, **dict.fromkeys(f"sample{i}" for i in range(draws))}
     init = seed if init_seed is None else init_seed
     return _cluster_loop(w, warm_start, config, init, rule, keep_attention=False, draws=draws)
 

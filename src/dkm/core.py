@@ -38,12 +38,16 @@ not yet started. Each thread writes its own rows of the outputs, and the
 tiles' partial sums (attention column sums, weighted rows, codebook
 gradient terms) are added in tile order, so every result is bit-identical
 whatever the number of CPUs. Each call takes one set of tile work arrays
-per thread, in the calling thread, and reuses it for every tile and pass.
-The buffers come from a process-wide free list and go back to it when the
-call ends, so later calls do not fault in fresh pages; the list keeps at
-most five tile buffers per usable CPU, and a buffer is on it only while
-no call or tape holds it. A forked child drops the parent's pool and
-builds its own.
+per thread, every array the rule declares included, in the calling
+thread, and reuses it for every tile and pass. A call of one tile (such
+as each layer of a training battery, called thousands of times) takes
+them, and its kept blocks, from a process-wide free list and gives them
+back when it ends, so later calls do not fault in fresh pages; the list
+keeps at most what one such call holds, and a buffer is on it only while
+no call or tape holds it. A call of several tiles, which its tiles'
+work outweighs, allocates its arrays afresh and drops them when it ends,
+so nothing of it stays parked after the call. A forked child drops the
+parent's pool and builds its own.
 
 The softmax, the loop's and ``attention``'s alike, flushes subnormal
 tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below
@@ -320,20 +324,22 @@ def _row_tiles(m: int, k: int, itemsize: int) -> list[slice]:
 class _TileWork:
     """Work arrays of one tile worker in a forward or backward call.
 
-    Each name owns one flat buffer of ``size`` entries, taken from the
-    process-wide free list (``_take``) and handed back by ``release``;
-    ``get`` returns a C-contiguous view of its leading entries, the same
-    view object for the same name and shape. The names in ``reserve``
-    (name -> dtype) are taken here, any other at its first use. Reuse keeps
-    the loop from allocating (and page-faulting in) fresh tile-sized
-    temporaries on every pass and every call; reserving in the calling
-    thread keeps the buffers out of the worker threads' own malloc arenas,
-    which would hold on to their pages.
+    Each name owns one flat buffer of ``size`` entries; ``get`` returns a
+    C-contiguous view of its leading entries, the same view object for the
+    same name and shape. The names in ``reserve`` (name -> dtype) are taken
+    here, on the calling thread, any other at its first use (only callers
+    outside the loop, such as ``gumbel_samples`` on its own, rely on that).
+    With ``recycle`` the buffers come from the process-wide free list
+    (``_take``) and ``release`` hands them back; otherwise they are fresh
+    and ``release`` drops them. Reuse keeps the loop from allocating (and
+    page-faulting in) fresh tile-sized temporaries on every pass; taking
+    every buffer on the calling thread keeps them out of the worker
+    threads' own malloc arenas, which would hold on to their pages.
     """
 
-    def __init__(self, size: int, reserve: dict | None = None):
-        self.size = size
-        self.buffers = {name: _take(size, dtype) for name, dtype in (reserve or {}).items()}
+    def __init__(self, size: int, reserve: dict | None = None, recycle: bool = False):
+        self.size, self.recycle = size, recycle
+        self.buffers = {name: _buffer(size, dtype, recycle) for name, dtype in (reserve or {}).items()}
         self.views = {}
 
     def get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
@@ -341,13 +347,14 @@ class _TileWork:
         if view is None:
             buf = self.buffers.get(name)
             if buf is None:
-                buf = self.buffers[name] = _take(self.size, dtype)
+                buf = self.buffers[name] = _buffer(self.size, dtype, self.recycle)
             view = self.views[name, shape] = buf[: shape[0] * shape[1]].reshape(shape)
         return view
 
     def release(self) -> None:
-        """Hand every buffer back to the free list; no view of them may be used after."""
-        _give_back(self.buffers.values())
+        """Hand every buffer back (or drop it); no view of them may be used after."""
+        if self.recycle:
+            _give_back(self.buffers.values())
         self.buffers, self.views = {}, {}
 
 
@@ -356,11 +363,24 @@ class _TileWork:
 _free = OrderedDict()
 _free_bytes = 0
 _free_lock = threading.Lock()
+# what one one-tile call holds, fixed at import (see _free_bound)
+_FREE_BOUND = 8 * TILE_BYTES + KEPT_BYTES
 
 
 def _free_bound() -> int:
-    """Bytes the free list may hold: five tile buffers per tile worker (a backward call's reserve)."""
-    return 5 * TILE_BYTES * _max_workers()
+    """Bytes the free list may hold: what one one-tile call holds, a constant.
+
+    Only one-tile calls recycle. The most work arrays such a call takes is
+    a replayed two-draw Gumbel backward's eight (each at most TILE_BYTES:
+    dist, tmp, ga, gs, the clamp mask, two samples and their noise), and
+    its kept blocks take at most KEPT_BYTES.
+    """
+    return _FREE_BOUND
+
+
+def _buffer(size: int, dtype, recycle: bool) -> np.ndarray:
+    """A flat buffer of ``size`` entries: from the free list with ``recycle``, else fresh."""
+    return _take(size, dtype) if recycle else np.empty(size, dtype)
 
 
 def _take(size: int, dtype) -> np.ndarray:
@@ -437,10 +457,15 @@ if hasattr(os, "register_at_fork"):
 
 
 def _tile_works(k: int, tiles: list[slice], reserve: dict) -> list[_TileWork]:
-    """min(usable CPUs, tiles) sets of work arrays, one per tile worker, ``reserve`` taken."""
-    workers = min(_max_workers(), len(tiles))
+    """min(usable CPUs, tiles) sets of work arrays, one per tile worker, ``reserve`` taken.
+
+    A one-tile call's set is recycled through the free list; the sets of a
+    call of several tiles are fresh.
+    """
     size = k * (tiles[0].stop - tiles[0].start)  # the first tile is the largest
-    return [_TileWork(size, reserve) for _ in range(workers)]
+    if len(tiles) == 1:
+        return [_TileWork(size, reserve, recycle=True)]
+    return [_TileWork(size, reserve) for _ in range(min(_max_workers(), len(tiles)))]
 
 
 def _run_tiles(task, tiles: list[slice], works: list[_TileWork], totals: tuple = ()) -> None:
@@ -517,6 +542,9 @@ def _soft_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.n
     return (ad.softmax_cluster_major(dist, tau, work.get("sample0", dist.shape, dist.dtype)),)
 
 
+_soft_rule.takes = {"sample0": None}
+
+
 def _attend(samples, tau, work: _TileWork, ga: np.ndarray | None = None):
     """The attention tile, the mean of a rule's samples, and its backward.
 
@@ -576,6 +604,11 @@ def _kept_samples(block: np.ndarray, rows: slice, draws: int, k: int) -> np.ndar
     return tile.reshape(draws, k, rows.stop - rows.start)
 
 
+def _rule_work(rule, dtype) -> dict:
+    """The work arrays ``rule.takes`` declares, name -> dtype (None there is the tile's)."""
+    return {name: dtype if taken is None else taken for name, taken in rule.takes.items()}
+
+
 def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, kept):
     """Backward of the fused loop: each pass's attention, then the chain rule.
 
@@ -598,8 +631,13 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, k
         gw = np.zeros_like(w)
         w_sq = (w * w).sum(axis=1)
         m, k = w.shape[0], codebooks[0].shape[0]
-        # a forward tile's buffers, the attention gradient and the clamp mask
-        reserve = {**dict.fromkeys(("dist", "tmp", "sample0", "ga"), w.dtype), "clamp": bool}
+        # the distances, the kernel's cross term, the attention gradient, the
+        # clamp mask, _attend's gradients of every draw but the last (two
+        # arrays at most) and, on a replayed call, the rule's arrays
+        reserve = {**dict.fromkeys(("dist", "tmp", "ga"), w.dtype), "clamp": bool}
+        reserve.update(dict.fromkeys(("gs", "gs_next")[: draws - 1], w.dtype))
+        if blocks is None:
+            reserve.update(_rule_work(rule, w.dtype))
         works = _tile_works(k, tiles, reserve)
         steps = len(col_sums)
         g_next = None  # gradient reaching codebooks[p + 1]
@@ -650,7 +688,8 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, k
             totals = () if g_c is None else (g_c, g_c) if p == steps else (g_c,)
             _run_tiles(tile, tiles, works, totals)
             if blocks is not None:
-                _give_back((blocks[p],))
+                if works[0].recycle:
+                    _give_back((blocks[p],))
                 blocks[p] = None
             g_next = g_c
         for work in works:
@@ -692,7 +731,10 @@ def _cluster_loop(
     row among the rows of passes 0, 1, ..., places a random rule's draws
     (the soft and hard rules ignore it). Samples live in the call's work
     arrays (``work.get``), valid until the next tile; only softmax samples
-    have a backward. Tiles run on any tile worker, each with its own work.
+    have a backward. ``rule.takes`` (name -> dtype, None for the tile's)
+    names every work array the rule gets, so that each call reserves them
+    on the calling thread; the ``tmp`` array is free while the rule runs.
+    Tiles run on any tile worker, each with its own work.
 
     Backward needs each pass's samples. A call that builds a tape node
     keeps them, copied tile by tile into one block per pass, when all
@@ -738,13 +780,13 @@ def _cluster_loop(
     blocks = []  # each pass's samples, on a kept call
     clamped = []  # per pass, tile start -> whether its distances hold a clamped zero
     w_sq = (w * w).sum(axis=1)
-    # the distances, the kernel's cross term and the rule's first sample
-    works = _tile_works(k, tiles, dict.fromkeys(("dist", "tmp", "sample0"), w.dtype))
+    # the distances, the kernel's cross term and the rule's arrays
+    works = _tile_works(k, tiles, {"dist": w.dtype, "tmp": w.dtype, **_rule_work(rule, w.dtype)})
 
     def start_pass():
         # on the calling thread, before any tile of the pass
         if keep:
-            blocks.append(_take(draws * m * k, w.dtype))
+            blocks.append(_buffer(draws * m * k, w.dtype, works[0].recycle))
             clamped.append({})
 
     def samples_of(dist, rows, work):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dkm import autodiff as ad
-from dkm import baselines, core
+from dkm import baselines, core, harness
 from dkm.core import Codebook, DkmConfig, SubvectorMatrix
 from dkm.errors import DataError, NumericError, ParameterError, ResourceError, ShapeError
 
-from helpers import hard_attention, pairwise_sq_dists, rel_err
+from helpers import central_diff, hard_attention, pairwise_sq_dists, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, d
         dist = core.distance_matrix(w_node, c, cfg.metric)
         total = None
         for noise in gumbel_noise(rng, m, k, draws, tile_rows):
-            sample = ad.row_softmax(ad.add(dist, ad.constant(noise)), cfg.temperature)
+            sample = ad.row_softmax(ad.add(dist, ad.constant(cfg.temperature * noise)), cfg.temperature)
             total = sample if total is None else ad.add(total, sample)
         return ad.mul(total, ad.constant(np.full(total.shape, 1.0 / draws)))
 
@@ -248,8 +248,9 @@ def gumbel_attention(values, start, cfg, seed, draws=1):
     def rule(dist, tau, work, first):
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(first * dist.shape[0] * draws)
-        return baselines.gumbel_samples(dist, tau, rng, draws, work)
+        return baselines.gumbel_samples(dist / tau, 1.0, rng, draws, work)
 
+    rule.takes = {"noise": np.float64, **dict.fromkeys(f"sample{i}" for i in range(draws))}
     return core._cluster_loop(ad.constant(values), Codebook(start), cfg, 0, rule).attention
 
 
@@ -332,6 +333,40 @@ def test_gumbel_indices_are_the_nearest_centroids_not_the_noisy_argmax():
     np.testing.assert_array_equal(res.indices, nearest)
     attention = gumbel_attention(w.values, core.init_centroids(w, cfg, 2).centroids, cfg, 2)
     assert np.any(np.argmax(attention, axis=1) != nearest)
+
+
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("draws", [1, 2])
+def test_gumbel_gradient_matches_finite_differences_with_fixed_noise(monkeypatch, kept, draws):
+    # a fixed seed fixes the noise, so the loss is a smooth function of w;
+    # each sample is softmax((dist + tau * g) / tau), whose gradient to the
+    # distances carries one 1 / tau
+    if not kept:
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+    rng = np.random.default_rng(89)
+    values, target = rng.uniform(-1, 1, (24, 1)), rng.normal(size=(24, 1))
+    cfg = DkmConfig(bits=2, temperature=0.3, epsilon=0.0, max_iterations=3)
+    start = core.init_centroids(SubvectorMatrix(values, 24), cfg, seed=4)
+
+    def loss(w):
+        res = baselines.gumbel_forward(w, start, cfg, seed=5, draws=draws)
+        return ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target))))
+
+    leaf = ad.leaf(values)
+    ad.backward(loss(leaf))
+    numeric = central_diff(lambda x: float(loss(ad.constant(x)).value[0, 0]), values)
+    assert rel_err(leaf.grad, numeric) <= 1e-6
+
+
+def test_fair_gumbel_training_beats_chance_on_the_battery():
+    # the acceptance battery (criterion 7) at model seed 0: blobs at chance
+    # read 0.2125, where Gumbel training ended when its categories were
+    # softmax(dist) at temperature 1, whatever tau
+    data = harness.make_dataset("blobs", 2000, 4, 0.5, seed=1)
+    scheme = DkmConfig(bits=2, dim=1, temperature=0.002, epsilon=1e-4)
+    spec = harness.ModelSpec((2, 64, 64, 4), (scheme,) * 3, seed=0, attention_mode="gumbel")
+    model, _ = harness.train(harness.ToyModel(spec), data, harness.TrainConfig(epochs=15, seed=0))
+    assert harness.evaluate(model, data, snapped=True) >= 0.9
 
 
 @pytest.mark.parametrize("forward", [baselines.hard_forward, baselines.gumbel_forward])

@@ -1,5 +1,6 @@
 import functools
 import multiprocessing
+from collections import OrderedDict
 import sys
 import threading
 
@@ -1298,8 +1299,11 @@ def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, kept
     if not kept:
         monkeypatch.setattr(core, "KEPT_BYTES", 0)
     values = battery_weights(2048, 124)
-    warm, cfg = near_fixed_point(values), DkmConfig(bits=2, temperature=0.05, epsilon=epsilon)
+    # at epsilon 0.02 two draws converge at iteration 5, so the cap is 6
+    cfg = DkmConfig(bits=2, temperature=0.05, epsilon=epsilon, max_iterations=6)
+    warm = near_fixed_point(values)
     assert len(core._row_tiles(2048, cfg.clusters, 8)) == 4
+    assert core._passes_fit(2048, cfg, 8, draws) == kept
     kept_reads = count_calls(monkeypatch, "_kept_samples")
     runs = []
     switch = sys.getswitchinterval()
@@ -1443,3 +1447,92 @@ def test_free_list_stays_within_its_bound(monkeypatch):
         assert telemetry == want_telemetry
         for a, b in zip(arrays, want_arrays):
             np.testing.assert_array_equal(a, b)
+
+
+def free_list_contents() -> tuple[dict, int]:
+    """The free list's buffers by key (their identities) and its byte count."""
+    with core._free_lock:
+        return {key: [id(buf) for buf in bufs] for key, bufs in core._free.items()}, core._free_bytes
+
+
+def record_tile_allocations(monkeypatch, entries: int) -> list:
+    """(thread, size) of every ``np.empty`` call of at least ``entries`` entries from now on."""
+    made = []
+    empty = np.empty
+
+    def recording(shape, *args, **kwargs):
+        size = int(np.prod(shape))
+        if size >= entries:
+            made.append((threading.get_ident(), size))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recording)
+    return made
+
+
+def test_multi_tile_calls_leave_the_free_list_as_they_found_it(monkeypatch):
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    # one battery call first, so the list holds buffers the others could take
+    loop_outputs(*KEPT_LAYERS["squared"]())
+    before = free_list_contents()
+    assert before[1] > 0
+    values = np.random.default_rng(127).normal(size=(WORKER_ROWS, 1))
+    cfg = DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)
+    assert len(core._row_tiles(WORKER_ROWS, cfg.clusters, 8)) > 1
+    loop_outputs(core.dkm_forward, values, None, cfg, 1)
+    loop_outputs(gumbel, values, None, cfg, 2)
+    assert free_list_contents() == before
+    # as dkm compress clusters: float32 weights, indices only
+    flat = np.random.default_rng(128).standard_normal(1 << 18).astype(np.float32)
+    cfg = DkmConfig(bits=3, dim=8, temperature=0.5)
+    assert len(core._row_tiles(flat.size // 8, cfg.clusters, 4)) > 1
+    res = core.dkm_forward(
+        ad.constant(flat.reshape(-1, 8)), config=cfg, seed=1, keep_attention=False, soft_weights=False
+    )
+    assert res.w_tilde is None
+    assert free_list_contents() == before
+
+
+@pytest.mark.parametrize("mode", ["dkm", "gumbel"])
+def test_one_tile_calls_take_no_fresh_buffer_after_the_first(monkeypatch, mode):
+    # from an empty free list: the first call allocates, the next two reuse
+    monkeypatch.setattr(core, "_free", OrderedDict())
+    monkeypatch.setattr(core, "_free_bytes", 0)
+    forward, values, warm, cfg, draws = KEPT_LAYERS["squared" if mode == "dkm" else "gumbel_1"]()
+    assert len(core._row_tiles(values.shape[0], cfg.clusters, 8)) == 1
+    made = record_tile_allocations(monkeypatch, values.shape[0] * cfg.clusters)
+    runs = []
+    for fresh in (True, False, False):
+        del made[:]
+        runs.append(loop_outputs(forward, values, warm, cfg, draws))
+        assert bool(made) == fresh
+    for telemetry, arrays in runs[1:]:
+        assert telemetry == runs[0][0]
+        for a, b in zip(arrays, runs[0][1]):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kept", [True, False])
+def test_every_tile_buffer_is_allocated_on_the_calling_thread(monkeypatch, kept):
+    # 16 KiB tiles: a 2,048-weight layer in four tiles, on two workers; an
+    # empty free list, so nothing is taken from earlier calls
+    monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
+    monkeypatch.setattr(core, "_max_workers", lambda: 2)
+    monkeypatch.setattr(core, "_free", OrderedDict())
+    monkeypatch.setattr(core, "_free_bytes", 0)
+    if not kept:
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+    values, cfg = battery_weights(2048, 129), BITS2
+    tiles = core._row_tiles(2048, cfg.clusters, 8)
+    assert len(tiles) == 4
+    made = record_tile_allocations(monkeypatch, cfg.clusters * (tiles[0].stop - tiles[0].start))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        loop_outputs(gumbel, values, None, cfg, 2)
+    finally:
+        sys.setswitchinterval(switch)
+    # dist, tmp, two samples and their noise per worker in forward, as many
+    # again with ga, gs and the mask in a replayed backward
+    assert len(made) >= 2 * 5
+    assert {thread for thread, _ in made} == {threading.get_ident()}
