@@ -44,10 +44,10 @@ as each layer of a training battery, called thousands of times) takes
 them, and its kept blocks, from a process-wide free list and gives them
 back when it ends, so later calls do not fault in fresh pages; the list
 keeps at most what one such call holds, and a buffer is on it only while
-no call or tape holds it. A call of several tiles, which its tiles'
-work outweighs, allocates its arrays afresh and drops them when it ends,
-so nothing of it stays parked after the call. A forked child drops the
-parent's pool and builds its own.
+no call or tape holds it. A call of several tiles, whose tiles' work
+dwarfs an allocation, allocates its arrays afresh and drops them when
+its forward or backward ends, so nothing of it stays parked after the
+call. A forked child drops the parent's pool and builds its own.
 
 The softmax, the loop's and ``attention``'s alike, flushes subnormal
 tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below

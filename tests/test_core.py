@@ -1,8 +1,8 @@
 import functools
 import multiprocessing
-from collections import OrderedDict
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -1532,7 +1532,6 @@ def test_every_tile_buffer_is_allocated_on_the_calling_thread(monkeypatch, kept)
         loop_outputs(gumbel, values, None, cfg, 2)
     finally:
         sys.setswitchinterval(switch)
-    # dist, tmp, two samples and their noise per worker in forward, as many
-    # again with ga, gs and the mask in a replayed backward
+    # forward alone takes dist, tmp, two samples and their noise per worker
     assert len(made) >= 2 * 5
     assert {thread for thread, _ in made} == {threading.get_ident()}
