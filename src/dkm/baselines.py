@@ -38,7 +38,7 @@ from .errors import DataError, ParameterError, check_fields, integer
 
 def _hard_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.ndarray]:
     # one one-hot sample per (k, rows) tile, so centroids become cluster means
-    return (_nearest_one_hot(dist, work.get("sample0", dist.shape, dist.dtype)),)
+    return (_nearest_one_hot(dist, work.get("sample0", dist.shape)),)
 
 
 _hard_rule.takes = {"sample0": None}
@@ -102,29 +102,29 @@ def gumbel_samples(
     each with fresh standard Gumbel noise g: seeded uniforms from ``rng``,
     drawn as (rows, k) row major, through the inverse CDF. Their mean is
     the Gumbel attention: stochastic columns whose sampling variance falls
-    as draws are averaged. With ``work``, the noise and the samples are
-    written into its arrays (the clustering loop's reuse); without, into
-    fresh ones.
+    as draws are averaged. With ``work``, which must reserve them, the
+    noise and the samples are written into its arrays (the clustering
+    loop's reuse); without, into fresh ones.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    if work is None:
-        work = _TileWork(dist.size)
+    if work is None:  # the arrays gumbel_forward's rule declares
+        work = _TileWork(dist.size, {"noise": np.float64, **{f"sample{i}": dist.dtype for i in range(draws)}})
 
     def sample(i):
         # log(-log(u)) in place, then dist minus it: the operations of
         # dist - np.log(-np.log(np.clip(u, ...))) in their order, so the
         # random stream and the bits are those of fresh arrays
-        u = rng.random(out=work.get("noise", dist.shape[::-1], np.float64))
+        u = rng.random(out=work.get("noise", dist.shape[::-1]))
         # np.clip(u, 1e-300, 1 - 1e-16) without its Python wrapper
         np.minimum(u, 1.0 - 1e-16, out=u)
         np.maximum(u, 1e-300, out=u)
         np.log(u, out=u)
         np.negative(u, out=u)
         np.log(u, out=u)
-        y = np.subtract(dist, u.T, out=work.get(f"sample{i}", dist.shape, dist.dtype), dtype=dist.dtype)
+        y = np.subtract(dist, u.T, out=work.get(f"sample{i}", dist.shape), dtype=dist.dtype)
         return ad.softmax_cluster_major(y, temperature, out=y)
 
     return [sample(i) for i in range(draws)]
@@ -167,7 +167,7 @@ def gumbel_forward(
         if drawn != at:  # the period is 2**128: going back is going round
             generator.bit_generator.advance((at - drawn) % (1 << 128))
         # the noise goes on the logits dist / tau: softmax((dist + tau * g) / tau)
-        logits = np.divide(dist, tau, out=work.get("tmp", dist.shape, dist.dtype))
+        logits = np.divide(dist, tau, out=work.get("tmp", dist.shape))
         samples = gumbel_samples(logits, 1, generator, draws, work)
         places[thread] = generator, at + dist.size * draws
         return samples

@@ -8,27 +8,30 @@ converged codebook is returned detached so the caller can warm-start the
 next batch.
 
 The whole loop is one tape node. It runs over row tiles of about
-TILE_BYTES, each laid out cluster-major (k, rows), and saves for backward
-the input, each iteration's (k, dim) codebook and (k,) attention column
-sums. When every pass's assignment samples fit in KEPT_BYTES together
-(small layers, such as a training battery's), it keeps those too, and
-backward recomputes a tile's distances only where their gradient reads
-them. Otherwise backward recomputes every tile's distances and attention.
-Either way the tape holds at most KEPT_BYTES that grow with count *
-2^bits. The final pass
-also writes each row's nearest centroid from its distance tile, so a
-caller that only snaps can skip the (count, 2^bits) attention array
-altogether (``keep_attention=False`` in ``dkm_forward``; the Gumbel and
-hard loops of ``baselines`` never build it). A caller that stores only
-the codebook and the indices, as ``dkm compress`` does, also passes
-``soft_weights=False``: the final pass then stops at the indices, with
-no softmax and no soft weights. The same loop serves every
-assignment mode: only the rule turning a distance tile into
-attention changes (the softmax here; Gumbel-softmax draws and a one-hot
-argmax in ``baselines``), and ``_cluster_loop`` is its only entry. The
-public ``distance_matrix``, ``attention`` and ``centroid_update`` build
-the three soft steps as one tape node each, from the ``autodiff`` kernels
-the loop runs (``masked_mean`` and its VJP for the update).
+TILE_BYTES, each laid out cluster-major (k, rows), and saves for
+backward the input, each iteration's (k, dim) codebook and (k,)
+attention column sums. A call of one tile whose passes' assignment
+samples fit in KEPT_BYTES together keeps those too; any other call's
+backward recomputes every tile's distances and attention. So the tape
+holds at most KEPT_BYTES that grow with count * 2^bits, and the
+workloads reach three cases: one tile, kept (each layer of a training
+battery); one tile, replayed (one full tile at k = 16); several tiles,
+replayed (large layers, ``dkm compress``). Backward is the output pass's
+vector-Jacobian product, then each earlier update pass's, last to first.
+The final pass also writes each row's nearest centroid from its
+distance tile, so a caller that only snaps can skip the (count, 2^bits)
+attention array altogether (``keep_attention=False`` in
+``dkm_forward``; the Gumbel and hard loops of ``baselines`` never build
+it). A caller that stores only the codebook and the indices, as ``dkm
+compress`` does, also passes ``soft_weights=False``: the final pass
+then stops at the indices, with no softmax and no soft weights. The
+same loop serves every assignment mode: only the rule turning a
+distance tile into attention changes (the softmax here; Gumbel-softmax
+draws and a one-hot argmax in ``baselines``), and ``_cluster_loop`` is
+its only entry. The public ``distance_matrix``, ``attention`` and
+``centroid_update`` build the three soft steps as one tape node each,
+from the ``autodiff`` kernels the loop runs (``masked_mean`` and its
+VJP for the update).
 
 Tiles hold about TILE_BYTES (512 KiB). A pass runs its tiles on
 min(usable CPUs, tiles) threads of one process-wide pool, built at the
@@ -36,18 +39,19 @@ first pass that uses it (the CPUs are ``os.sched_getaffinity``, or
 ``os.cpu_count`` where that is missing); each thread takes the next tile
 not yet started. Each thread writes its own rows of the outputs, and the
 tiles' partial sums (attention column sums, weighted rows, codebook
-gradient terms) are added in tile order, so every result is bit-identical
-whatever the number of CPUs. Each call takes one set of tile work arrays
-per thread, every array the rule declares included, in the calling
-thread, and reuses it for every tile and pass. A call of one tile (such
-as each layer of a training battery, called thousands of times) takes
-them, and its kept blocks, from a process-wide free list and gives them
-back when it ends, so later calls do not fault in fresh pages; the list
-keeps at most what one such call holds, and a buffer is on it only while
-no call or tape holds it. A call of several tiles, whose tiles' work
-dwarfs an allocation, allocates its arrays afresh and drops them when
-its forward or backward ends, so nothing of it stays parked after the
-call. A forked child drops the parent's pool and builds its own.
+gradient terms) are added in tile order, so every result is
+bit-identical whatever the number of CPUs. Each call takes one set of
+tile work arrays per thread, exactly those declared up front (the
+rule's included), in the calling thread, and reuses it for every tile
+and pass. A call of one tile (such as each layer of a training battery,
+called thousands of times) takes them, and any kept blocks, from a
+process-wide free list and gives them back when it ends, so later calls
+do not fault in fresh pages; the list keeps at most what one such call
+holds, and a buffer is on it only while no call or tape holds it. A
+call of several tiles, whose tiles' work dwarfs an allocation,
+allocates its arrays afresh and drops them when its forward or backward
+ends, so nothing of it stays parked after the call. A forked child
+drops the parent's pool and builds its own.
 
 The softmax, the loop's and ``attention``'s alike, flushes subnormal
 tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below
@@ -64,6 +68,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -324,31 +329,27 @@ def _row_tiles(m: int, k: int, itemsize: int) -> list[slice]:
 class _TileWork:
     """Work arrays of one tile worker in a forward or backward call.
 
-    Each name owns one flat buffer of ``size`` entries; ``get`` returns a
+    Each name in ``reserve`` (name -> dtype) owns one flat buffer of
+    ``size`` entries, taken here, on the calling thread; ``get`` returns a
     C-contiguous view of its leading entries, the same view object for the
-    same name and shape. The names in ``reserve`` (name -> dtype) are taken
-    here, on the calling thread, any other at its first use (only callers
-    outside the loop, such as ``gumbel_samples`` on its own, rely on that).
-    With ``recycle`` the buffers come from the process-wide free list
-    (``_take``) and ``release`` hands them back; otherwise they are fresh
-    and ``release`` drops them. Reuse keeps the loop from allocating (and
+    same name and shape, and raises KeyError for a name not reserved. With
+    ``recycle`` the buffers come from the process-wide free list (``_take``)
+    and ``release`` hands them back; otherwise they are fresh and
+    ``release`` drops them. Reuse keeps the loop from allocating (and
     page-faulting in) fresh tile-sized temporaries on every pass; taking
     every buffer on the calling thread keeps them out of the worker
     threads' own malloc arenas, which would hold on to their pages.
     """
 
-    def __init__(self, size: int, reserve: dict | None = None, recycle: bool = False):
-        self.size, self.recycle = size, recycle
-        self.buffers = {name: _buffer(size, dtype, recycle) for name, dtype in (reserve or {}).items()}
+    def __init__(self, size: int, reserve: dict, recycle: bool = False):
+        self.recycle = recycle
+        self.buffers = {name: (_take if recycle else np.empty)(size, dtype) for name, dtype in reserve.items()}
         self.views = {}
 
-    def get(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+    def get(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         view = self.views.get((name, shape))
         if view is None:
-            buf = self.buffers.get(name)
-            if buf is None:
-                buf = self.buffers[name] = _buffer(self.size, dtype, self.recycle)
-            view = self.views[name, shape] = buf[: shape[0] * shape[1]].reshape(shape)
+            view = self.views[name, shape] = self.buffers[name][: shape[0] * shape[1]].reshape(shape)
         return view
 
     def release(self) -> None:
@@ -359,28 +360,15 @@ class _TileWork:
 
 
 # Flat buffers no call holds, by (size, dtype), the key returned to least
-# recently first. Together they hold at most _free_bound() bytes.
+# recently first. Together they hold at most _FREE_BOUND bytes: what one
+# one-tile call holds, as only those recycle. The most work arrays such a
+# call takes is a replayed two-draw Gumbel backward's eight (each at most
+# TILE_BYTES: dist, tmp, ga, gs, the clamp mask, two samples and their
+# noise), and its kept blocks take at most KEPT_BYTES.
 _free = OrderedDict()
 _free_bytes = 0
 _free_lock = threading.Lock()
-# what one one-tile call holds, fixed at import (see _free_bound)
 _FREE_BOUND = 8 * TILE_BYTES + KEPT_BYTES
-
-
-def _free_bound() -> int:
-    """Bytes the free list may hold: what one one-tile call holds, a constant.
-
-    Only one-tile calls recycle. The most work arrays such a call takes is
-    a replayed two-draw Gumbel backward's eight (each at most TILE_BYTES:
-    dist, tmp, ga, gs, the clamp mask, two samples and their noise), and
-    its kept blocks take at most KEPT_BYTES.
-    """
-    return _FREE_BOUND
-
-
-def _buffer(size: int, dtype, recycle: bool) -> np.ndarray:
-    """A flat buffer of ``size`` entries: from the free list with ``recycle``, else fresh."""
-    return _take(size, dtype) if recycle else np.empty(size, dtype)
 
 
 def _take(size: int, dtype) -> np.ndarray:
@@ -405,14 +393,13 @@ def _give_back(bufs) -> None:
     first, so sizes no call uses any more leave before those in use.
     """
     global _free_bytes
-    bound = _free_bound()
     with _free_lock:
         for buf in bufs:
             key = (buf.size, buf.dtype)
             _free.setdefault(key, []).append(buf)
             _free.move_to_end(key)
             _free_bytes += buf.nbytes
-        while _free_bytes > bound:
+        while _free_bytes > _FREE_BOUND:
             key, oldest = next(iter(_free.items()))
             _free_bytes -= oldest.pop().nbytes
             if not oldest:
@@ -539,7 +526,7 @@ def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _soft_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.ndarray]:
     """The DKM assignment rule: one temperature softmax over the clusters."""
-    return (ad.softmax_cluster_major(dist, tau, work.get("sample0", dist.shape, dist.dtype)),)
+    return (ad.softmax_cluster_major(dist, tau, work.get("sample0", dist.shape)),)
 
 
 _soft_rule.takes = {"sample0": None}
@@ -557,12 +544,12 @@ def _attend(samples, tau, work: _TileWork, ga: np.ndarray | None = None):
     n = len(samples)
     g = None
     if ga is not None:
-        prod = work.get("tmp", ga.shape, ga.dtype)
+        prod = work.get("tmp", ga.shape)
         for i, s in enumerate(samples):
             if i == n - 1:
                 gs = ga
             else:
-                gs = work.get("gs" if g is None else "gs_next", ga.shape, ga.dtype)
+                gs = work.get("gs" if g is None else "gs_next", ga.shape)
                 np.copyto(gs, ga)
             gs -= np.multiply(gs, s, out=prod).sum(axis=0)
             gs *= s
@@ -585,23 +572,20 @@ def _tile_distances(w, w_sq, rows, c, euclidean, work: _TileWork) -> np.ndarray:
     shape = (c.shape[0], rows.stop - rows.start)
     return ad.neg_distance_cluster_major(
         w[rows], c, euclidean, w_sq[rows],
-        work.get("dist", shape, w.dtype), work.get("tmp", shape, w.dtype),
+        work.get("dist", shape), work.get("tmp", shape),
     )
 
 
-def _passes_fit(m: int, config: DkmConfig, itemsize: int, draws: int = 1) -> bool:
-    """Whether the rule samples of every pass a call may run fit in KEPT_BYTES together."""
-    return (config.max_iterations + 1) * draws * m * config.clusters * itemsize <= KEPT_BYTES
+def _keeps(m: int, config: DkmConfig, itemsize: int, draws: int = 1) -> bool:
+    """Whether a differentiable call keeps its passes' rule samples: it is one tile and they fit.
 
-
-def _kept_samples(block: np.ndarray, rows: slice, draws: int, k: int) -> np.ndarray:
-    """The (draws, k, rows) samples of one tile in a kept pass's block, a view.
-
-    Each tile's entries are contiguous in the block, so the tile workers of
-    a pass write disjoint slices.
+    They fit when all passes' samples take at most KEPT_BYTES. A call runs
+    at least two passes, so at KEPT_BYTES = 2 * TILE_BYTES that alone
+    makes the call one tile, which the loop and its backward rely on.
     """
-    tile = block[draws * k * rows.start : draws * k * rows.stop]
-    return tile.reshape(draws, k, rows.stop - rows.start)
+    k = config.clusters
+    fits = (config.max_iterations + 1) * draws * m * k * itemsize <= KEPT_BYTES
+    return fits and len(_row_tiles(m, k, itemsize)) == 1
 
 
 def _rule_work(rule, dtype) -> dict:
@@ -609,28 +593,19 @@ def _rule_work(rule, dtype) -> dict:
     return {name: dtype if taken is None else taken for name, taken in rule.takes.items()}
 
 
-def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, kept):
-    """Backward of the fused loop: each pass's attention, then the chain rule.
+class _Backward:
+    """The VJP of each pass of a differentiable call, adding into ``gw``, the gradient of ``w``.
 
-    The last pass is the output ``w_tilde = A C``; every earlier one is the
-    update ``C' = autodiff.masked_mean(A^T w, col_sums[p], C)``, whose VJP
-    ``autodiff.masked_mean_vjp`` reads ``C'`` from ``codebooks[p + 1]``.
-    Only ``w`` receives a gradient: the starting codebook is a constant.
-
-    ``kept`` is None on a replayed call: pass p then recomputes the
-    distances and the rule's samples to ``codebooks[p]``, with the
-    ``first`` the forward pass gave the rule. Otherwise it is the pair
-    (blocks, clamped) of ``_cluster_loop``: pass p reads its samples from
-    ``blocks[p]`` and hands the block back once done, and recomputes a
-    tile's distances only where ``neg_distance_vjp`` reads them (the
-    euclidean metric, or a tile holding a clamped zero, ``clamped[p]``).
+    One set of tile work arrays per tile worker, taken on the calling
+    thread, serves every pass. ``blocks`` and ``reads_dist`` are
+    ``_loop_backward``'s; a kept pass's block goes back to the free list
+    once its VJP has run.
     """
-    blocks, clamped = kept if kept is not None else (None, None)
 
-    def backward(g):
-        gw = np.zeros_like(w)
-        w_sq = (w * w).sum(axis=1)
-        m, k = w.shape[0], codebooks[0].shape[0]
+    def __init__(self, w, k, tau, euclidean, tiles, rule, draws, blocks, reads_dist):
+        self.w, self.tau, self.euclidean, self.tiles = w, tau, euclidean, tiles
+        self.rule, self.blocks, self.reads_dist = rule, blocks, reads_dist
+        self.w_sq, self.gw = (w * w).sum(axis=1), np.zeros_like(w)
         # the distances, the kernel's cross term, the attention gradient, the
         # clamp mask, _attend's gradients of every draw but the last (two
         # arrays at most) and, on a replayed call, the rule's arrays
@@ -638,63 +613,89 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, k
         reserve.update(dict.fromkeys(("gs", "gs_next")[: draws - 1], w.dtype))
         if blocks is None:
             reserve.update(_rule_work(rule, w.dtype))
-        works = _tile_works(k, tiles, reserve)
+        self.works = _tile_works(k, tiles, reserve)
+
+    def output_vjp(self, p, c, g):
+        """Pass p, the output ``w_tilde = A c``: the gradient of ``c``, given g = d(loss)/d(w_tilde)."""
+        g_c = np.zeros_like(c)
+        # g_c takes, tile by tile, a @ g[rows] and then the distance term
+        self._run(p, c, (g_c, g_c), g, None, None)
+        return g_c
+
+    def update_vjp(self, p, c, sums, c_next, g_next):
+        """Pass p, the update ``c_next = autodiff.masked_mean(A^T w, sums, c)``.
+
+        The gradient of ``c``, given ``g_next``, that of ``c_next``; None at
+        p = 0, whose codebook is a constant.
+        """
+        g_weighted, g_sums, g_prev = ad.masked_mean_vjp(g_next, sums, c_next)
+        g_c = None if p == 0 else np.zeros_like(c) + g_prev
+        self._run(p, c, () if g_c is None else (g_c,), None, g_weighted, g_sums)
+        return g_c
+
+    def _run(self, p, c, totals, *grads):
+        _run_tiles(partial(self._tile, p, c, bool(totals), *grads), self.tiles, self.works, totals)
+        if self.blocks is not None:  # a kept pass's samples are read once
+            _give_back((self.blocks[p],))
+            self.blocks[p] = None
+
+    def _tile(self, p, c, need_c, g, g_weighted, g_sums, rows, work):
+        # writes the tile's rows of gw; returns its terms of the gradient of c
+        w, wr = self.w, self.w[rows]
+        if self.blocks is None:
+            dist = _tile_distances(w, self.w_sq, rows, c, self.euclidean, work)
+            samples = self.rule(dist, self.tau, work, p * w.shape[0] + rows.start)
+        else:  # the call's one tile
+            samples = list(self.blocks[p].reshape(-1, c.shape[0], w.shape[0]))
+            dist = _tile_distances(w, self.w_sq, rows, c, self.euclidean, work) if self.reads_dist[p] else None
+        shape = samples[0].shape
+        ga = work.get("ga", shape)
+        if g is not None:
+            gr = g[rows]
+            ad.rows_dot(c, gr, out=ga)
+        else:
+            ad.rows_dot(g_weighted, wr, out=ga)
+            ga += g_sums[:, None]
+        # through the softmax over clusters ...
+        a, ga = _attend(samples, self.tau, work, ga)
+        terms = ()
+        if g is not None:
+            terms = (a @ gr,)
+        else:
+            self.gw[rows] += a.T @ g_weighted
+        # ... to the rows and the centroids
+        gw_rows, gc = ad.neg_distance_vjp(
+            ga, dist, wr, c, self.euclidean, need_c, work.get("tmp", shape), work.get("clamp", shape)
+        )
+        self.gw[rows] += gw_rows
+        return (*terms, gc)
+
+
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, blocks, reads_dist):
+    """Backward of the fused loop: the output pass's VJP, then each update's, last to first.
+
+    The last pass is the output ``w_tilde = A C``; every earlier one, p,
+    the update ``C' = autodiff.masked_mean(A^T w, col_sums[p], C)`` from
+    ``codebooks[p]`` to ``codebooks[p + 1]``. Only ``w`` receives a
+    gradient: the starting codebook is a constant.
+
+    On a replayed call (``blocks`` None), every case but one tile kept,
+    pass p recomputes each tile's distances and the rule's samples, with
+    the ``first`` the forward pass gave the rule. A kept call is one tile:
+    pass p reads its (draws, k, m) samples from the flat ``blocks[p]`` and
+    recomputes the distances only where ``neg_distance_vjp`` reads them,
+    ``reads_dist[p]`` (the euclidean root, or a clamped zero).
+    """
+
+    def backward(g):
+        vjp = _Backward(w, codebooks[0].shape[0], tau, euclidean, tiles, rule, draws, blocks, reads_dist)
         steps = len(col_sums)
-        g_next = None  # gradient reaching codebooks[p + 1]
-        for p in range(steps, -1, -1):
-            c = codebooks[p]
-            g_c = np.zeros_like(c) if p > 0 else None
-            if p < steps:
-                g_weighted, g_sums, g_prev = ad.masked_mean_vjp(g_next, col_sums[p], codebooks[p + 1])
-                if g_c is not None:
-                    g_c += g_prev
-
-            def tile(rows, work):
-                # writes the tile's rows of gw; returns its terms of g_c
-                wr = w[rows]
-                if blocks is None:
-                    dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-                    samples = rule(dist, tau, work, p * m + rows.start)
-                else:
-                    samples = list(_kept_samples(blocks[p], rows, draws, k))
-                    dist = None
-                    if euclidean or clamped[p][rows.start]:
-                        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-                shape = samples[0].shape
-                ga = work.get("ga", shape, w.dtype)
-                if p == steps:
-                    gr = g[rows]
-                    ad.rows_dot(c, gr, out=ga)
-                else:
-                    ad.rows_dot(g_weighted, wr, out=ga)
-                    ga += g_sums[:, None]
-                # through the softmax over clusters ...
-                a, ga = _attend(samples, tau, work, ga)
-                terms = ()
-                if p == steps:
-                    terms = (a @ gr,)
-                else:
-                    gw[rows] += a.T @ g_weighted
-                # ... to the rows and the centroids
-                gw_rows, gc = ad.neg_distance_vjp(
-                    ga, dist, wr, c, euclidean, g_c is not None,
-                    work.get("tmp", shape, w.dtype), work.get("clamp", shape, bool),
-                )
-                gw[rows] += gw_rows
-                return (*terms, gc)
-
-            # g_c takes, tile by tile, a @ gr then the distance term at the
-            # output pass, the distance term at an update, nothing at p = 0
-            totals = () if g_c is None else (g_c, g_c) if p == steps else (g_c,)
-            _run_tiles(tile, tiles, works, totals)
-            if blocks is not None:
-                if works[0].recycle:
-                    _give_back((blocks[p],))
-                blocks[p] = None
-            g_next = g_c
-        for work in works:
+        g_c = vjp.output_vjp(steps, codebooks[steps], g)
+        for p in range(steps - 1, -1, -1):
+            g_c = vjp.update_vjp(p, codebooks[p], col_sums[p], codebooks[p + 1], g_c)
+        for work in vjp.works:
             work.release()
-        return (gw,)
+        return (vjp.gw,)
 
     return backward
 
@@ -737,10 +738,13 @@ def _cluster_loop(
     Tiles run on any tile worker, each with its own work.
 
     Backward needs each pass's samples. A call that builds a tape node
-    keeps them, copied tile by tile into one block per pass, when all
-    passes' blocks fit in KEPT_BYTES: (max_iterations + 1) * draws * m * k
-    * itemsize. Otherwise backward recomputes them, with the same ``first``.
-    The results are the same either way. Otherwise as ``dkm_forward`` describes.
+    keeps them, one block per pass, when it is one tile and all passes'
+    blocks fit in KEPT_BYTES: (max_iterations + 1) * draws * m * k *
+    itemsize (``_keeps``). Otherwise backward recomputes them with the
+    same ``first``. So the workloads reach three cases: one tile, kept (a
+    training battery's layers); one tile, replayed (one full tile at
+    k = 16); several tiles, replayed (large layers). The results are the
+    same either way. Otherwise as ``dkm_forward`` describes.
     """
     if config is None:
         raise ParameterError("config is required")
@@ -764,7 +768,7 @@ def _cluster_loop(
             f"clustering {m} sub-vectors into {k} clusters needs about {need} bytes, "
             f"more than the {available} bytes of physical memory"
         )
-    keep = soft_weights and w_node.requires_grad and _passes_fit(m, config, w.itemsize, draws)
+    keep = soft_weights and w_node.requires_grad and _keeps(m, config, w.itemsize, draws)
 
     if warm_start is None:
         c = init_centroids(SubvectorMatrix(w, w.size), config, seed).centroids
@@ -777,26 +781,22 @@ def _cluster_loop(
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
-    blocks = []  # each pass's samples, on a kept call
-    clamped = []  # per pass, tile start -> whether its distances hold a clamped zero
+    blocks = [] if keep else None  # each pass's samples, on a kept call
+    reads_dist = []  # per kept pass, whether its VJP reads the distances
     w_sq = (w * w).sum(axis=1)
     # the distances, the kernel's cross term and the rule's arrays
     works = _tile_works(k, tiles, {"dist": w.dtype, "tmp": w.dtype, **_rule_work(rule, w.dtype)})
 
-    def start_pass():
-        # on the calling thread, before any tile of the pass
-        if keep:
-            blocks.append(_buffer(draws * m * k, w.dtype, works[0].recycle))
-            clamped.append({})
-
     def samples_of(dist, rows, work):
         samples = rule(dist, tau, work, len(col_sums) * m + rows.start)
         if keep:
-            # copied before _attend sums them into the first sample
-            for kept, s in zip(_kept_samples(blocks[-1], rows, draws, k), samples):
+            # a kept call's one tile runs on the calling thread; copied
+            # before _attend sums them into the first sample
+            blocks.append(_take(draws * m * k, w.dtype))
+            for kept, s in zip(blocks[-1].reshape(draws, k, m), samples):
                 kept[...] = s
-            if not euclidean:  # euclidean backward always reads the distances
-                clamped[-1][rows.start] = not dist.max() < 0
+            # the euclidean VJP always reads them, the squared one at a clamped zero
+            reads_dist.append(euclidean or not dist.max() < 0)
         return samples
 
     def tile_mass(rows, work):
@@ -810,7 +810,6 @@ def _cluster_loop(
     delta = np.inf
     converged = False
     for it in range(1, config.max_iterations + 1):
-        start_pass()
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
         _run_tiles(tile_mass, tiles, works, (sums, weighted))
@@ -835,18 +834,16 @@ def _cluster_loop(
     w_tilde = np.empty((m, d), dtype=w.dtype) if soft_weights else None
     indices = np.empty(m, dtype=np.intp)
     cluster_ids = np.arange(k, dtype=w.dtype)
-    if soft_weights:
-        start_pass()
 
     def final_tile(rows, work):
         dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-        indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape, w.dtype))
+        indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape))
         if not soft_weights:
             return
         a = _attend(samples_of(dist, rows, work), tau, work)[0]
         # row-major either way, so w_tilde has the same bits with or without;
         # the distances are spent, so their buffer takes the attention
-        tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1], w.dtype)
+        tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1])
         tile[...] = a.T
         # straight into the output: a (rows, dim) temporary made on a pool
         # thread would stay in that thread's malloc arena
@@ -860,10 +857,7 @@ def _cluster_loop(
     if soft_weights:
         backward = None
         if w_node.requires_grad:
-            backward = _loop_backward(
-                w, codebooks, col_sums, tau, euclidean, tiles, rule, draws,
-                (blocks, clamped) if keep else None,
-            )
+            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, blocks, reads_dist)
         w_tilde = Node(w_tilde, (w_node,), backward)
 
     return DkmResult(

@@ -172,7 +172,8 @@ def test_gumbel_samples_in_reused_work_arrays_match_fresh_ones(dtype, draws):
     assert len(tiles) >= 2 and tiles[-1].stop - tiles[-1].start < tiles[0].stop - tiles[0].start
     dist = -np.random.default_rng(87).uniform(0, 3, (k, m)).astype(dtype)
     tau = dtype(0.3)  # nothing reaches the subnormal flush
-    work = core._TileWork(k * (tiles[0].stop - tiles[0].start))
+    reserve = {"noise": np.float64, **{f"sample{i}": dtype for i in range(draws)}}
+    work = core._TileWork(k * (tiles[0].stop - tiles[0].start), reserve)
     rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
     for rows in tiles:
         tile = np.ascontiguousarray(dist[:, rows])
@@ -192,7 +193,7 @@ def test_hard_rule_matches_hard_attention_with_ties():
     dist[3] = dist[5]  # duplicate centroids tie in every column
     for tile in (dist[:, :100], dist):
         tile = np.ascontiguousarray(tile)
-        (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size), 0)
+        (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size, {"sample0": tile.dtype}), 0)
         np.testing.assert_array_equal(one_hot, hard_attention(tile.T).T)
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import multiprocessing
 import sys
 import threading
@@ -1255,30 +1256,24 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("layer", sorted(KEPT_LAYERS) + ["two_tiles_1", "two_tiles_2"])
+def keep_decisions(monkeypatch) -> list:
+    """Whether each differentiable loop call from now on keeps its passes' samples."""
+    made = []
+    real = core._keeps
+    monkeypatch.setattr(core, "_keeps", lambda *args: made.append(real(*args)) or made[-1])
+    return made
+
+
+@pytest.mark.parametrize("layer", sorted(KEPT_LAYERS))
 def test_kept_passes_match_replayed_passes(monkeypatch, layer):
-    if layer.startswith("two_tiles"):
-        # 64 KiB tiles: the battery's 4,096-weight layer in two, within budget
-        monkeypatch.setattr(core, "TILE_BYTES", 1 << 16)
-        monkeypatch.setattr(core, "_max_workers", lambda: int(layer[-1]))
-        forward, values, warm, cfg, draws = core.dkm_forward, battery_weights(4096, 120), None, BITS2, 1
-        assert len(core._row_tiles(4096, 4, 8)) == 2
-    else:
-        forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
     m, k = values.shape[0], cfg.clusters
     assert (cfg.max_iterations + 1) * draws * m * k * values.itemsize <= core.KEPT_BYTES
-    kept_reads = count_calls(monkeypatch, "_kept_samples")
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
-    try:
-        telemetry, kept = loop_outputs(forward, values, warm, cfg, draws)
-        assert kept_reads  # the passes were kept
-        monkeypatch.setattr(core, "KEPT_BYTES", 0)
-        del kept_reads[:]
-        want_telemetry, replayed = loop_outputs(forward, values, warm, cfg, draws)
-        assert not kept_reads  # and here replayed
-    finally:
-        sys.setswitchinterval(switch)
+    kept_calls = keep_decisions(monkeypatch)
+    telemetry, kept = loop_outputs(forward, values, warm, cfg, draws)
+    monkeypatch.setattr(core, "KEPT_BYTES", 0)
+    want_telemetry, replayed = loop_outputs(forward, values, warm, cfg, draws)
+    assert kept_calls == [True, False]  # kept, then replayed
     if layer == "early_exit":
         assert telemetry.iterations_used < cfg.max_iterations
     if layer == "empty_cluster":
@@ -1290,21 +1285,98 @@ def test_kept_passes_match_replayed_passes(monkeypatch, layer):
     assert np.any(kept[3] != 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_call_whose_passes_fit_is_one_tile(dtype):
+    # so kept samples need no per-tile slicing: at the shipped constants the
+    # largest layer whose passes fit in KEPT_BYTES is one tile
+    itemsize = np.dtype(dtype).itemsize
+    for bits in range(1, 17):
+        k = 1 << bits
+        for draws, iterations in itertools.product((1, 2, 3), (1, 2, 5, 20)):
+            cfg = DkmConfig(bits=bits, max_iterations=iterations)
+            m = core.KEPT_BYTES // ((iterations + 1) * draws * k * itemsize)
+            if m:
+                assert len(core._row_tiles(m, k, itemsize)) == 1
+                assert core._keeps(m, cfg, itemsize, draws)
+            assert not core._keeps(m + 1, cfg, itemsize, draws)
+
+
+@pytest.mark.parametrize("layer", ["squared", "euclidean", "gumbel_1"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fitting_layer_of_several_tiles_replays(monkeypatch, layer, workers):
+    forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    kept_calls = keep_decisions(monkeypatch)
+    telemetry, kept = loop_outputs(forward, values, warm, cfg, draws)
+    # tiles of half the layer: its passes still fit in KEPT_BYTES
+    monkeypatch.setattr(core, "TILE_BYTES", values.shape[0] * cfg.clusters * values.itemsize // 2)
+    monkeypatch.setattr(core, "_max_workers", lambda: workers)
+    assert len(core._row_tiles(values.shape[0], cfg.clusters, values.itemsize)) == 2
+    want_telemetry, replayed = loop_outputs(forward, values, warm, cfg, draws)
+    assert kept_calls == [True, False]
+    # the same results, but for the tiles' partial sums adding in another order
+    assert telemetry.iterations_used == want_telemetry.iterations_used
+    np.testing.assert_array_equal(kept[2], replayed[2])
+    for got, want in zip(kept, replayed):
+        assert rel_err(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("metric", core.METRICS)
+def test_update_pass_vjp_matches_finite_differences(metric, kept):
+    # one update c' = masked_mean(A^T w, A^T 1, c), A the softmax of the
+    # negated distances over tau, and the loss <g', c'>; the last cluster
+    # is empty, so it keeps its row of c
+    rng = np.random.default_rng(130)
+    w, c, g_next = rng.normal(size=(40, 2)), rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    c[3] = 50.0
+    tau, euclidean = np.float64(0.7), metric == core.EUCLIDEAN
+
+    def update(w, c):
+        a = ad.softmax_cluster_major(ad.neg_distance_cluster_major(w, c, euclidean), tau)
+        return a, ad.masked_mean(a @ w, a.sum(axis=1), c)
+
+    a, c_next = update(w, c)
+    assert a[3].sum() < ad.EMPTY_CLUSTER_THRESHOLD
+    tiles = core._row_tiles(40, 4, 8)
+    # pass 1 of a call, its (1, k, m) samples kept or replayed by the soft rule
+    blocks = [None, a.ravel()] if kept else None
+    vjp = core._Backward(w, 4, tau, euclidean, tiles, core._soft_rule, 1, blocks, [None, euclidean])
+    g_c = vjp.update_vjp(1, c, a.sum(axis=1), c_next, g_next)
+    for work in vjp.works:
+        work.release()
+
+    def loss(w, c):
+        return float(np.sum(update(w, c)[1] * g_next))
+
+    assert rel_err(vjp.gw, central_diff(lambda x: loss(x, c), w)) < 1e-7
+    assert rel_err(g_c, central_diff(lambda x: loss(w, x), c)) < 1e-7
+
+
+def test_a_work_array_the_rule_did_not_declare_fails_naming_it():
+    def rule(dist, tau, work, first):
+        return (ad.softmax_cluster_major(dist, tau, work.get("undeclared", dist.shape)),)
+
+    rule.takes = {"sample0": None}
+    with pytest.raises(KeyError, match="undeclared"):
+        core._cluster_loop(ad.leaf(battery_weights(64, 131)), None, BITS2, 0, rule)
+
+
 @pytest.mark.parametrize("draws", [1, 2])
 @pytest.mark.parametrize("epsilon", [0.0, 0.02])
-@pytest.mark.parametrize("kept", [True, False])
-def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, kept, epsilon, draws):
-    # 16 KiB tiles: a 2,048-weight layer in four tiles, its passes within KEPT_BYTES
+@pytest.mark.parametrize("fits", [True, False])
+def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, fits, epsilon, draws):
+    # 16 KiB tiles: a 2,048-weight layer in four tiles, its passes within
+    # KEPT_BYTES or not; either way a call of four tiles replays
     monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
-    if not kept:
+    if not fits:
         monkeypatch.setattr(core, "KEPT_BYTES", 0)
     values = battery_weights(2048, 124)
     # at epsilon 0.02 two draws converge at iteration 5, so the cap is 6
     cfg = DkmConfig(bits=2, temperature=0.05, epsilon=epsilon, max_iterations=6)
     warm = near_fixed_point(values)
     assert len(core._row_tiles(2048, cfg.clusters, 8)) == 4
-    assert core._passes_fit(2048, cfg, 8, draws) == kept
-    kept_reads = count_calls(monkeypatch, "_kept_samples")
+    assert ((cfg.max_iterations + 1) * draws * 2048 * cfg.clusters * 8 <= core.KEPT_BYTES) == fits
+    kept_calls = keep_decisions(monkeypatch)
     runs = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
@@ -1314,7 +1386,7 @@ def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, kept
             runs.append(loop_outputs(gumbel, values, warm, cfg, draws))
     finally:
         sys.setswitchinterval(switch)
-    assert bool(kept_reads) == kept
+    assert kept_calls == [False, False]
     (telemetry, want), (got_telemetry, got) = runs
     if epsilon:  # the early exit ran
         assert telemetry.iterations_used < cfg.max_iterations
@@ -1401,7 +1473,7 @@ def check_clustering_at_once(jobs) -> None:
             assert telemetry == want_telemetry
             for a, b in zip(arrays, want_arrays):
                 np.testing.assert_array_equal(a, b)
-    assert free_list_bytes() <= core._free_bound()
+    assert free_list_bytes() <= core._FREE_BOUND
 
 
 def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch):
@@ -1417,10 +1489,11 @@ def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch)
 
 def test_two_threads_drawing_gumbel_noise_at_once_give_the_sequential_results(monkeypatch):
     monkeypatch.setattr(core, "_max_workers", lambda: 2)
-    # 16 KiB tiles: a kept Gumbel layer of four tiles and a replayed one of 47
+    # 16 KiB tiles: a kept Gumbel layer of one tile and a replayed one of 47
     monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
+    assert core._keeps(512, BITS2, 8, 2) and len(core._row_tiles(512, BITS2.clusters, 8)) == 1
     check_clustering_at_once([
-        (gumbel, battery_weights(2048, 125), None, BITS2, 2),
+        (gumbel, battery_weights(512, 125), None, BITS2, 2),
         (gumbel, np.random.default_rng(126).normal(size=(3000, 1)), None,
          DkmConfig(bits=5, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
     ])
@@ -1435,10 +1508,10 @@ def test_free_list_stays_within_its_bound(monkeypatch):
          DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
     ]
     want = [loop_outputs(*job) for job in jobs]
-    assert free_list_bytes() <= core._free_bound()
+    assert free_list_bytes() <= core._FREE_BOUND
     # a bound below one battery call's buffers: every give-back evicts, the
     # key returned to least recently first, and the results stay the same
-    monkeypatch.setattr(core, "_free_bound", lambda: 3 * 4096 * 4 * 8)
+    monkeypatch.setattr(core, "_FREE_BOUND", 3 * 4096 * 4 * 8)
     for i, ((want_telemetry, want_arrays), job) in enumerate(zip(want, jobs)):
         telemetry, arrays = loop_outputs(*job)
         assert free_list_bytes() <= 3 * 4096 * 4 * 8
@@ -1514,24 +1587,26 @@ def test_one_tile_calls_take_no_fresh_buffer_after_the_first(monkeypatch, mode):
 
 @pytest.mark.parametrize("kept", [True, False])
 def test_every_tile_buffer_is_allocated_on_the_calling_thread(monkeypatch, kept):
-    # 16 KiB tiles: a 2,048-weight layer in four tiles, on two workers; an
-    # empty free list, so nothing is taken from earlier calls
-    monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
+    # on two workers: a kept call, one tile of a 2,048-weight layer, or with
+    # 16 KiB tiles a replayed one of four; an empty free list, so nothing
+    # is taken from earlier calls
+    if not kept:
+        monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
     monkeypatch.setattr(core, "_max_workers", lambda: 2)
     monkeypatch.setattr(core, "_free", OrderedDict())
     monkeypatch.setattr(core, "_free_bytes", 0)
-    if not kept:
-        monkeypatch.setattr(core, "KEPT_BYTES", 0)
     values, cfg = battery_weights(2048, 129), BITS2
     tiles = core._row_tiles(2048, cfg.clusters, 8)
-    assert len(tiles) == 4
+    assert len(tiles) == (1 if kept else 4)
     made = record_tile_allocations(monkeypatch, cfg.clusters * (tiles[0].stop - tiles[0].start))
+    kept_calls = keep_decisions(monkeypatch)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
     try:
         loop_outputs(gumbel, values, None, cfg, 2)
     finally:
         sys.setswitchinterval(switch)
+    assert kept_calls == [kept]
     # forward alone takes dist, tmp, two samples and their noise per worker
     assert len(made) >= 2 * 5
     assert {thread for thread, _ in made} == {threading.get_ident()}
