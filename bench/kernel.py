@@ -10,7 +10,7 @@ at the repository root):
   rows fill exactly one ``core.TILE_BYTES`` tile. Each call runs the iteration cap
   (epsilon 0), so it makes max_iterations + 1 passes; forward and backward
   time are each divided by that count. Hard mode has no loop backward.
-  Each backward row says whether the call kept its passes' samples for
+  Each backward row says whether the call kept its passes' attention for
   backward or replayed them, as the loop itself decides (``core._keeps``:
   one tile whose passes fit in ``core.KEPT_BYTES``).
   Every rule runs as training runs it, without the (m, k) attention

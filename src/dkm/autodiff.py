@@ -23,8 +23,8 @@ The tape holds only what backward reads:
   in one node;
 - ``dkm.core.dkm_forward`` adds one node for its whole clustering loop,
   which saves the input, each iteration's (k, dim) codebook and (k,)
-  column sums, and either each pass's (k, m) attention samples, when they
-  fit in ``core.KEPT_BYTES`` together, or nothing more, recomputing its
+  column sums, and either each pass's (k, m) attention, when those fit
+  in ``core.KEPT_BYTES`` together, or nothing more, recomputing its
   (m, k) arrays tile by tile in backward;
 - ``backward`` releases each node's parents and closure once it has run, so
   the tape shrinks as gradients flow, and only leaves keep a gradient.

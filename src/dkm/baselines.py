@@ -36,12 +36,12 @@ from .errors import DataError, ParameterError, check_fields, integer
 # ---------------------------------------------------------------------------
 
 
-def _hard_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.ndarray]:
-    # one one-hot sample per (k, rows) tile, so centroids become cluster means
-    return (_nearest_one_hot(dist, work.get("sample0", dist.shape)),)
+def _hard_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> np.ndarray:
+    # the one-hot attention tile, so centroids become cluster means
+    return _nearest_one_hot(dist, work.get("sample", dist.shape))
 
 
-_hard_rule.takes = {"sample0": None}
+_hard_rule.takes = {}
 
 
 def straight_through_reconstruct(w: Node, indices: np.ndarray, codebook: np.ndarray) -> Node:
@@ -93,41 +93,34 @@ def hard_forward(
 # ---------------------------------------------------------------------------
 
 
-def gumbel_samples(
-    dist: np.ndarray, temperature, rng: np.random.Generator, draws: int = 1, work: _TileWork | None = None
-):
-    """Gumbel-softmax samples of a cluster-major (k, rows) distance tile.
+def gumbel_sample(
+    dist: np.ndarray, temperature, rng: np.random.Generator, work: _TileWork | None = None
+) -> np.ndarray:
+    """A Gumbel-softmax sample of a cluster-major (k, rows) distance tile.
 
-    A list of ``draws`` tiles softmax((dist + g) / tau) over the clusters,
-    each with fresh standard Gumbel noise g: seeded uniforms from ``rng``,
-    drawn as (rows, k) row major, through the inverse CDF. Their mean is
-    the Gumbel attention: stochastic columns whose sampling variance falls
-    as draws are averaged. With ``work``, which must reserve them, the
-    noise and the samples are written into its arrays (the clustering
+    softmax((dist + g) / tau) over the clusters, with fresh standard Gumbel
+    noise g: seeded uniforms from ``rng``, drawn as (rows, k) row major,
+    through the inverse CDF. Its columns are the Gumbel attention. With
+    ``work``, which must reserve ``noise`` (float64) and ``sample``, the
+    noise and the sample are written into its arrays (the clustering
     loop's reuse); without, into fresh ones.
     """
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
     if work is None:  # the arrays gumbel_forward's rule declares
-        work = _TileWork(dist.size, {"noise": np.float64, **{f"sample{i}": dist.dtype for i in range(draws)}})
-
-    def sample(i):
-        # log(-log(u)) in place, then dist minus it: the operations of
-        # dist - np.log(-np.log(np.clip(u, ...))) in their order, so the
-        # random stream and the bits are those of fresh arrays
-        u = rng.random(out=work.get("noise", dist.shape[::-1]))
-        # np.clip(u, 1e-300, 1 - 1e-16) without its Python wrapper
-        np.minimum(u, 1.0 - 1e-16, out=u)
-        np.maximum(u, 1e-300, out=u)
-        np.log(u, out=u)
-        np.negative(u, out=u)
-        np.log(u, out=u)
-        y = np.subtract(dist, u.T, out=work.get(f"sample{i}", dist.shape), dtype=dist.dtype)
-        return ad.softmax_cluster_major(y, temperature, out=y)
-
-    return [sample(i) for i in range(draws)]
+        work = _TileWork(dist.size, {"noise": np.float64, "sample": dist.dtype})
+    # log(-log(u)) in place, then dist minus it: the operations of
+    # dist - np.log(-np.log(np.clip(u, ...))) in their order, so the
+    # random stream and the bits are those of fresh arrays
+    u = rng.random(out=work.get("noise", dist.shape[::-1]))
+    # np.clip(u, 1e-300, 1 - 1e-16) without its Python wrapper
+    np.minimum(u, 1.0 - 1e-16, out=u)
+    np.maximum(u, 1e-300, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    y = np.subtract(dist, u.T, out=work.get("sample", dist.shape), dtype=dist.dtype)
+    return ad.softmax_cluster_major(y, temperature, out=y)
 
 
 def gumbel_forward(
@@ -135,12 +128,11 @@ def gumbel_forward(
     warm_start: Codebook | None = None,
     config: DkmConfig | None = None,
     seed: int = 0,
-    draws: int = 1,
     init_seed: int | None = None,
 ) -> DkmResult:
     """The clustering loop with Gumbel-softmax attention.
 
-    Each sample is softmax((dist + tau * g) / tau) over the clusters, with
+    The attention is softmax((dist + tau * g) / tau) over the clusters, with
     standard Gumbel noise g added to the logits dist / tau (Jang et al.,
     arXiv 1611.01144): its hard draw takes cluster j with the soft loop's
     attention softmax(dist / tau)_j, and tau sets both. ``seed`` (an
@@ -149,32 +141,33 @@ def gumbel_forward(
     64-bit PCG64 output per uniform, so tiles run on every tile worker
     with the same results. ``init_seed`` (defaulting to ``seed``) drives
     centroid seeding when no warm start is given. The loop is one tape
-    node, like the soft one: backward reads each pass's samples where they
-    fit in ``core.KEPT_BYTES`` together, and otherwise redraws them.
+    node, like the soft one: backward reads the passes' attention tiles
+    where they fit in ``core.KEPT_BYTES`` together, and otherwise redraws
+    them.
     ``indices`` are the nearest centroids, not the argmax of a noisy
     sample. No (m, k) attention is built: the result is that of
     ``dkm_forward(..., keep_attention=False)``, as are the ResourceError
     raised before seeding and the NumericError naming the iteration whose
     centroids come out non-finite.
     """
-    check_fields(seed=integer(seed, 0), draws=integer(draws, 1))
+    check_fields(seed=integer(seed, 0))
     places = {}  # thread id -> its generator and the uniforms drawn from it
 
     def rule(dist, tau, work, first):
-        # a tile draws after the first * k * draws uniforms of the tiles before
-        at, thread = first * dist.shape[0] * draws, threading.get_ident()
+        # a tile draws after the first * k uniforms of the tiles before
+        at, thread = first * dist.shape[0], threading.get_ident()
         generator, drawn = places.pop(thread, None) or (np.random.default_rng(seed), 0)
         if drawn != at:  # the period is 2**128: going back is going round
             generator.bit_generator.advance((at - drawn) % (1 << 128))
         # the noise goes on the logits dist / tau: softmax((dist + tau * g) / tau)
         logits = np.divide(dist, tau, out=work.get("tmp", dist.shape))
-        samples = gumbel_samples(logits, 1, generator, draws, work)
-        places[thread] = generator, at + dist.size * draws
-        return samples
+        sample = gumbel_sample(logits, 1, generator, work)
+        places[thread] = generator, at + dist.size
+        return sample
 
-    rule.takes = {"noise": np.float64, **dict.fromkeys(f"sample{i}" for i in range(draws))}
+    rule.takes = {"noise": np.float64}
     init = seed if init_seed is None else init_seed
-    return _cluster_loop(w, warm_start, config, init, rule, keep_attention=False, draws=draws)
+    return _cluster_loop(w, warm_start, config, init, rule, keep_attention=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ per entry. Serialized size is therefore a closed form of (bits, dim, N).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -27,6 +28,8 @@ from .errors import check_fields, flag, integer
 
 MAGIC = b"DKMZ"
 VERSION = 1
+# build_report decodes and compares this many weights at a time
+REPORT_CHUNK = 1 << 16
 _HEADER = struct.Struct("<4sBBHQH")  # magic, version, bits, dim, length, pad
 HEADER_SIZE = _HEADER.size
 
@@ -246,11 +249,12 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
 
     measured_ratio divides the 32-bit baseline size by the actual container
     size, so it always sits below the codebook-free formula ratio. The
-    reconstruction error is the float64 norm of ``original - decoded``. The
-    decoded weights are gathered from a float64 codebook straight into the
-    array that takes the difference, and the original is widened inside the
-    subtraction; widening is exact, so the only full-size array it makes is
-    that float64 difference.
+    reconstruction error is the float64 norm of ``original - decoded``: the
+    square root of the sum, chunk by chunk of about REPORT_CHUNK weights, of
+    the squared differences. Each chunk's decoded weights are gathered from
+    a float64 codebook into the array that takes the difference, and the
+    original is widened inside the subtraction, which is exact. So no array
+    is of the layer's size.
     """
     original_flat = np.asarray(original_flat).reshape(-1)
     if original_flat.size != layer.original_length:
@@ -258,8 +262,17 @@ def build_report(layer: CompressedLayer, original_flat: np.ndarray) -> Compressi
             f"original has {original_flat.size} weights, layer encodes {layer.original_length}"
         )
     size = layer.serialized_size()
-    diff = np.take(layer.codebook.astype(np.float64), layer.indices, axis=0).reshape(-1)[: layer.original_length]
-    err = float(np.linalg.norm(np.subtract(original_flat, diff, out=diff)))
+    book, dim = layer.codebook.astype(np.float64), layer.dim
+    step = dim * max(1, REPORT_CHUNK // dim)  # whole sub-vectors
+    total = 0.0
+    for lo in range(0, layer.original_length, step):
+        hi = min(lo + step, layer.original_length)
+        # the last sub-vector's padding lies past original_length
+        diff = np.take(book, layer.indices[lo // dim : -(-hi // dim)], axis=0).reshape(-1)[: hi - lo]
+        np.subtract(original_flat[lo:hi], diff, out=diff)
+        total += float(diff @ diff)
+        del diff  # freed before the next chunk is gathered
+    err = math.sqrt(total)
     return CompressionReport(
         bits=layer.bits,
         dim=layer.dim,

@@ -19,7 +19,7 @@ from .harness import ModelSpec, TrainConfig, dataset_problems
 GROUP_NAMES = ("hidden", "output", "all")
 
 # The config key of each ModelSpec setting that does not depend on the layers.
-_SPEC_KEYS = {"seed": "model.seed", "attention_mode": "compression.mode", "draws": "compression.draws"}
+_SPEC_KEYS = {"seed": "model.seed", "attention_mode": "compression.mode"}
 
 
 @dataclass
@@ -126,11 +126,10 @@ def parse_run_spec(raw: dict) -> RunSpec:
 
     train_cfg = _build(TrainConfig, train, "train", ("epochs",), errors)
 
-    _reject_unknown(compression, "compression", {"mode", "draws", "groups", "policy"}, errors)
+    _reject_unknown(compression, "compression", {"mode", "groups", "policy"}, errors)
     _require(compression, "compression", ("mode",), errors)
     mode = compression.get("mode")
-    draws = compression.get("draws", 1)
-    settings = ModelSpec.setting_problems(model.get("seed", 0), mode, draws)
+    settings = ModelSpec.setting_problems(model.get("seed", 0), mode)
     if "mode" not in compression:
         del settings["attention_mode"]  # reported missing
     _report(settings, _SPEC_KEYS, errors)
@@ -161,9 +160,7 @@ def parse_run_spec(raw: dict) -> RunSpec:
             cfg = policy.apply(cfg, i, layer_count, layer_dims[i] * layer_dims[i + 1])
         schemes.append(cfg)
     try:
-        model_spec = ModelSpec(
-            layer_dims, tuple(schemes), seed=model.get("seed", 0), attention_mode=mode, draws=draws
-        )
+        model_spec = ModelSpec(layer_dims, tuple(schemes), seed=model.get("seed", 0), attention_mode=mode)
     except DataError as exc:  # layers too small to seed their codebooks
         raise ConfigError(f"invalid config: {exc}") from exc
     dataset_args = {"seed": 0, **dataset, "noise": float(dataset["noise"])}

@@ -10,13 +10,13 @@ next batch.
 The whole loop is one tape node. It runs over row tiles of about
 TILE_BYTES, each laid out cluster-major (k, rows), and saves for
 backward the input, each iteration's (k, dim) codebook and (k,)
-attention column sums. A call of one tile whose passes' assignment
-samples fit in KEPT_BYTES together keeps those too; any other call's
-backward recomputes every tile's distances and attention. So the tape
-holds at most KEPT_BYTES that grow with count * 2^bits, and the
-workloads reach three cases: one tile, kept (each layer of a training
-battery); one tile, replayed (one full tile at k = 16); several tiles,
-replayed (large layers, ``dkm compress``). Backward is the output pass's
+attention column sums. A call of one tile whose passes' attention tiles
+fit in KEPT_BYTES together keeps those too; any other call's backward
+recomputes every tile's distances and attention. So the tape holds at
+most KEPT_BYTES that grow with count * 2^bits, and the workloads reach
+three cases: one tile, kept (each layer of a training battery); one
+tile, replayed (one full tile at k = 16); several tiles, replayed (large
+layers, ``dkm compress``). Backward is the output pass's
 vector-Jacobian product, then each earlier update pass's, last to first.
 The final pass also writes each row's nearest centroid from its
 distance tile, so a caller that only snaps can skip the (count, 2^bits)
@@ -26,12 +26,12 @@ it). A caller that stores only the codebook and the indices, as ``dkm
 compress`` does, also passes ``soft_weights=False``: the final pass
 then stops at the indices, with no softmax and no soft weights. The
 same loop serves every assignment mode: only the rule turning a
-distance tile into attention changes (the softmax here; Gumbel-softmax
-draws and a one-hot argmax in ``baselines``), and ``_cluster_loop`` is
-its only entry. The public ``distance_matrix``, ``attention`` and
-``centroid_update`` build the three soft steps as one tape node each,
-from the ``autodiff`` kernels the loop runs (``masked_mean`` and its
-VJP for the update).
+distance tile into its attention tile changes (the softmax here; a
+Gumbel-softmax sample and a one-hot argmax in ``baselines``), and
+``_cluster_loop`` is its only entry. The public ``distance_matrix``,
+``attention`` and ``centroid_update`` build the three soft steps as one
+tape node each, from the ``autodiff`` kernels the loop runs
+(``masked_mean`` and its VJP for the update).
 
 Tiles hold about TILE_BYTES (512 KiB). A pass runs its tiles on
 min(usable CPUs, tiles) threads of one process-wide pool, built at the
@@ -90,8 +90,8 @@ EMPTY_CLUSTER_THRESHOLD = ad.EMPTY_CLUSTER_THRESHOLD
 # The soft loop works on row tiles whose (k, rows) arrays hold about this
 # many bytes (at least one row); each tile worker holds one tile's arrays.
 TILE_BYTES = 1 << 19
-# A differentiable call whose passes' rule samples fit in this many bytes
-# keeps them for backward instead of recomputing them.
+# A differentiable call whose passes' attention tiles fit in this many
+# bytes keeps them for backward instead of recomputing them.
 KEPT_BYTES = 2 * TILE_BYTES
 
 
@@ -361,14 +361,14 @@ class _TileWork:
 
 # Flat buffers no call holds, by (size, dtype), the key returned to least
 # recently first. Together they hold at most _FREE_BOUND bytes: what one
-# one-tile call holds, as only those recycle. The most work arrays such a
-# call takes is a replayed two-draw Gumbel backward's eight (each at most
-# TILE_BYTES: dist, tmp, ga, gs, the clamp mask, two samples and their
-# noise), and its kept blocks take at most KEPT_BYTES.
+# one-tile call holds, as only those recycle. The most work such a call
+# takes is a replayed Gumbel backward's: dist, tmp, ga, the clamp mask and
+# the sample, each at most TILE_BYTES, and the float64 noise, two tiles'
+# worth in a float32 call. Its kept blocks take at most KEPT_BYTES.
 _free = OrderedDict()
 _free_bytes = 0
 _free_lock = threading.Lock()
-_FREE_BOUND = 8 * TILE_BYTES + KEPT_BYTES
+_FREE_BOUND = 7 * TILE_BYTES + KEPT_BYTES
 
 
 def _take(size: int, dtype) -> np.ndarray:
@@ -524,43 +524,12 @@ def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soft_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> tuple[np.ndarray]:
-    """The DKM assignment rule: one temperature softmax over the clusters."""
-    return (ad.softmax_cluster_major(dist, tau, work.get("sample0", dist.shape)),)
+def _soft_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> np.ndarray:
+    """The DKM assignment rule: the temperature softmax over the clusters."""
+    return ad.softmax_cluster_major(dist, tau, work.get("sample", dist.shape))
 
 
-_soft_rule.takes = {"sample0": None}
-
-
-def _attend(samples, tau, work: _TileWork, ga: np.ndarray | None = None):
-    """The attention tile, the mean of a rule's samples, and its backward.
-
-    Given ``ga`` = d(loss)/d(attention), also returns the gradient reaching
-    the distances: each sample s is a softmax over the clusters of
-    (distances + its noise) / tau, so it passes ``s * (ga - sum_k ga s) / tau``
-    and the gradient is the mean of those. ``ga`` and the first sample are
-    overwritten.
-    """
-    n = len(samples)
-    g = None
-    if ga is not None:
-        prod = work.get("tmp", ga.shape)
-        for i, s in enumerate(samples):
-            if i == n - 1:
-                gs = ga
-            else:
-                gs = work.get("gs" if g is None else "gs_next", ga.shape)
-                np.copyto(gs, ga)
-            gs -= np.multiply(gs, s, out=prod).sum(axis=0)
-            gs *= s
-            g = gs if g is None else np.add(g, gs, out=g)
-        g /= tau * n
-    a = samples[0]
-    for s in samples[1:]:
-        a += s
-    if n > 1:
-        a *= 1.0 / n
-    return a, g
+_soft_rule.takes = {}
 
 
 def _tile_distances(w, w_sq, rows, c, euclidean, work: _TileWork) -> np.ndarray:
@@ -576,21 +545,16 @@ def _tile_distances(w, w_sq, rows, c, euclidean, work: _TileWork) -> np.ndarray:
     )
 
 
-def _keeps(m: int, config: DkmConfig, itemsize: int, draws: int = 1) -> bool:
-    """Whether a differentiable call keeps its passes' rule samples: it is one tile and they fit.
+def _keeps(m: int, config: DkmConfig, itemsize: int) -> bool:
+    """Whether a differentiable call keeps its passes' attention tiles: it is one tile and they fit.
 
-    They fit when all passes' samples take at most KEPT_BYTES. A call runs
+    They fit when all passes' tiles take at most KEPT_BYTES. A call runs
     at least two passes, so at KEPT_BYTES = 2 * TILE_BYTES that alone
     makes the call one tile, which the loop and its backward rely on.
     """
     k = config.clusters
-    fits = (config.max_iterations + 1) * draws * m * k * itemsize <= KEPT_BYTES
+    fits = (config.max_iterations + 1) * m * k * itemsize <= KEPT_BYTES
     return fits and len(_row_tiles(m, k, itemsize)) == 1
-
-
-def _rule_work(rule, dtype) -> dict:
-    """The work arrays ``rule.takes`` declares, name -> dtype (None there is the tile's)."""
-    return {name: dtype if taken is None else taken for name, taken in rule.takes.items()}
 
 
 class _Backward:
@@ -602,17 +566,15 @@ class _Backward:
     once its VJP has run.
     """
 
-    def __init__(self, w, k, tau, euclidean, tiles, rule, draws, blocks, reads_dist):
+    def __init__(self, w, k, tau, euclidean, tiles, rule, blocks, reads_dist):
         self.w, self.tau, self.euclidean, self.tiles = w, tau, euclidean, tiles
         self.rule, self.blocks, self.reads_dist = rule, blocks, reads_dist
         self.w_sq, self.gw = (w * w).sum(axis=1), np.zeros_like(w)
         # the distances, the kernel's cross term, the attention gradient, the
-        # clamp mask, _attend's gradients of every draw but the last (two
-        # arrays at most) and, on a replayed call, the rule's arrays
+        # clamp mask and, on a replayed call, the rule's tile and arrays
         reserve = {**dict.fromkeys(("dist", "tmp", "ga"), w.dtype), "clamp": bool}
-        reserve.update(dict.fromkeys(("gs", "gs_next")[: draws - 1], w.dtype))
         if blocks is None:
-            reserve.update(_rule_work(rule, w.dtype))
+            reserve.update({"sample": w.dtype, **rule.takes})
         self.works = _tile_works(k, tiles, reserve)
 
     def output_vjp(self, p, c, g):
@@ -635,7 +597,7 @@ class _Backward:
 
     def _run(self, p, c, totals, *grads):
         _run_tiles(partial(self._tile, p, c, bool(totals), *grads), self.tiles, self.works, totals)
-        if self.blocks is not None:  # a kept pass's samples are read once
+        if self.blocks is not None:  # a kept pass's attention is read once
             _give_back((self.blocks[p],))
             self.blocks[p] = None
 
@@ -644,20 +606,22 @@ class _Backward:
         w, wr = self.w, self.w[rows]
         if self.blocks is None:
             dist = _tile_distances(w, self.w_sq, rows, c, self.euclidean, work)
-            samples = self.rule(dist, self.tau, work, p * w.shape[0] + rows.start)
+            a = self.rule(dist, self.tau, work, p * w.shape[0] + rows.start)
         else:  # the call's one tile
-            samples = list(self.blocks[p].reshape(-1, c.shape[0], w.shape[0]))
+            a = self.blocks[p].reshape(c.shape[0], w.shape[0])
             dist = _tile_distances(w, self.w_sq, rows, c, self.euclidean, work) if self.reads_dist[p] else None
-        shape = samples[0].shape
-        ga = work.get("ga", shape)
+        ga = work.get("ga", a.shape)
         if g is not None:
             gr = g[rows]
             ad.rows_dot(c, gr, out=ga)
         else:
             ad.rows_dot(g_weighted, wr, out=ga)
             ga += g_sums[:, None]
-        # through the softmax over clusters ...
-        a, ga = _attend(samples, self.tau, work, ga)
+        # through the softmax over clusters of (distances + any noise) / tau,
+        # a * (ga - sum_k ga a) / tau, ...
+        ga -= np.multiply(ga, a, out=work.get("tmp", a.shape)).sum(axis=0)
+        ga *= a
+        ga /= self.tau
         terms = ()
         if g is not None:
             terms = (a @ gr,)
@@ -665,13 +629,13 @@ class _Backward:
             self.gw[rows] += a.T @ g_weighted
         # ... to the rows and the centroids
         gw_rows, gc = ad.neg_distance_vjp(
-            ga, dist, wr, c, self.euclidean, need_c, work.get("tmp", shape), work.get("clamp", shape)
+            ga, dist, wr, c, self.euclidean, need_c, work.get("tmp", a.shape), work.get("clamp", a.shape)
         )
         self.gw[rows] += gw_rows
         return (*terms, gc)
 
 
-def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, blocks, reads_dist):
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks, reads_dist):
     """Backward of the fused loop: the output pass's VJP, then each update's, last to first.
 
     The last pass is the output ``w_tilde = A C``; every earlier one, p,
@@ -680,15 +644,15 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, b
     gradient: the starting codebook is a constant.
 
     On a replayed call (``blocks`` None), every case but one tile kept,
-    pass p recomputes each tile's distances and the rule's samples, with
-    the ``first`` the forward pass gave the rule. A kept call is one tile:
-    pass p reads its (draws, k, m) samples from the flat ``blocks[p]`` and
+    pass p recomputes each tile's distances and the rule's attention tile,
+    with the ``first`` the forward pass gave the rule. A kept call is one
+    tile: pass p reads its (k, m) attention from the flat ``blocks[p]`` and
     recomputes the distances only where ``neg_distance_vjp`` reads them,
     ``reads_dist[p]`` (the euclidean root, or a clamped zero).
     """
 
     def backward(g):
-        vjp = _Backward(w, codebooks[0].shape[0], tau, euclidean, tiles, rule, draws, blocks, reads_dist)
+        vjp = _Backward(w, codebooks[0].shape[0], tau, euclidean, tiles, rule, blocks, reads_dist)
         steps = len(col_sums)
         g_c = vjp.output_vjp(steps, codebooks[steps], g)
         for p in range(steps - 1, -1, -1):
@@ -709,7 +673,6 @@ def _cluster_loop(
     record_trajectory: bool = False,
     keep_attention: bool = True,
     soft_weights: bool = True,
-    draws: int = 1,
 ) -> DkmResult:
     """The clustering loop of every assignment mode, and its only entry.
 
@@ -726,20 +689,20 @@ def _cluster_loop(
     copied, never aliased, or else from ``init_centroids(..., seed)``.
 
     ``rule(dist, tau, work, first)`` maps a cluster-major (k, rows) tile of
-    negated distances to the list of ``draws`` samples whose mean is its
-    attention tile: one softmax for the soft rule, one per draw for Gumbel,
-    one one-hot for hard. ``first = p * m + rows.start``, the tile's first
-    row among the rows of passes 0, 1, ..., places a random rule's draws
-    (the soft and hard rules ignore it). Samples live in the call's work
-    arrays (``work.get``), valid until the next tile; only softmax samples
-    have a backward. ``rule.takes`` (name -> dtype, None for the tile's)
-    names every work array the rule gets, so that each call reserves them
-    on the calling thread; the ``tmp`` array is free while the rule runs.
-    Tiles run on any tile worker, each with its own work.
+    negated distances to its (k, rows) attention tile: the softmax for the
+    soft rule, a Gumbel-softmax sample, a one-hot for hard. ``first = p *
+    m + rows.start``, the tile's first row among the rows of passes 0, 1,
+    ..., places a random rule's noise (the soft and hard rules ignore it).
+    The rule writes the tile into the work array ``sample`` (``work.get``),
+    valid until the next tile; only a softmax tile has a backward.
+    ``rule.takes`` (name -> dtype) names any further work array the rule
+    gets, so that each call reserves them all on the calling thread; the
+    ``tmp`` array is free while the rule runs. Tiles run on any tile
+    worker, each with its own work.
 
-    Backward needs each pass's samples. A call that builds a tape node
-    keeps them, one block per pass, when it is one tile and all passes'
-    blocks fit in KEPT_BYTES: (max_iterations + 1) * draws * m * k *
+    Backward needs each pass's attention. A call that builds a tape node
+    keeps it, one (k, m) block per pass, when it is one tile and all
+    passes' blocks fit in KEPT_BYTES: (max_iterations + 1) * m * k *
     itemsize (``_keeps``). Otherwise backward recomputes them with the
     same ``first``. So the workloads reach three cases: one tile, kept (a
     training battery's layers); one tile, replayed (one full tile at
@@ -768,7 +731,7 @@ def _cluster_loop(
             f"clustering {m} sub-vectors into {k} clusters needs about {need} bytes, "
             f"more than the {available} bytes of physical memory"
         )
-    keep = soft_weights and w_node.requires_grad and _keeps(m, config, w.itemsize, draws)
+    keep = soft_weights and w_node.requires_grad and _keeps(m, config, w.itemsize)
 
     if warm_start is None:
         c = init_centroids(SubvectorMatrix(w, w.size), config, seed).centroids
@@ -781,28 +744,29 @@ def _cluster_loop(
     tau = w.dtype.type(config.temperature)
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
-    blocks = [] if keep else None  # each pass's samples, on a kept call
+    blocks = [] if keep else None  # each pass's attention, on a kept call
     reads_dist = []  # per kept pass, whether its VJP reads the distances
-    w_sq = (w * w).sum(axis=1)
-    # the distances, the kernel's cross term and the rule's arrays
-    works = _tile_works(k, tiles, {"dist": w.dtype, "tmp": w.dtype, **_rule_work(rule, w.dtype)})
+    # w's row norms, a tile's rows at a time: no (m, dim) temporary; the
+    # tape does not hold them, as an (m,) array it holds can split the heap
+    # so that a later (m, k) array no longer fits where the last one was
+    w_sq = np.empty(m, w.dtype)
+    for rows in tiles:
+        np.sum(w[rows] * w[rows], axis=1, out=w_sq[rows])
+    # the distances, the kernel's cross term, and the rule's tile and arrays
+    works = _tile_works(k, tiles, {"dist": w.dtype, "tmp": w.dtype, "sample": w.dtype, **rule.takes})
 
-    def samples_of(dist, rows, work):
-        samples = rule(dist, tau, work, len(col_sums) * m + rows.start)
-        if keep:
-            # a kept call's one tile runs on the calling thread; copied
-            # before _attend sums them into the first sample
-            blocks.append(_take(draws * m * k, w.dtype))
-            for kept, s in zip(blocks[-1].reshape(draws, k, m), samples):
-                kept[...] = s
+    def attention_of(dist, rows, work):
+        a = rule(dist, tau, work, len(col_sums) * m + rows.start)
+        if keep:  # a kept call's one tile runs on the calling thread
+            blocks.append(_take(m * k, w.dtype))
+            blocks[-1].reshape(k, m)[...] = a
             # the euclidean VJP always reads them, the squared one at a clamped zero
             reads_dist.append(euclidean or not dist.max() < 0)
-        return samples
+        return a
 
     def tile_mass(rows, work):
         # c is rebound only after every tile of the pass has run
-        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-        a = _attend(samples_of(dist, rows, work), tau, work)[0]
+        a = attention_of(_tile_distances(w, w_sq, rows, c, euclidean, work), rows, work)
         return a.sum(axis=1), a @ w[rows]
 
     codebooks = [c]
@@ -840,7 +804,7 @@ def _cluster_loop(
         indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape))
         if not soft_weights:
             return
-        a = _attend(samples_of(dist, rows, work), tau, work)[0]
+        a = attention_of(dist, rows, work)
         # row-major either way, so w_tilde has the same bits with or without;
         # the distances are spent, so their buffer takes the attention
         tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1])
@@ -857,7 +821,7 @@ def _cluster_loop(
     if soft_weights:
         backward = None
         if w_node.requires_grad:
-            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, draws, blocks, reads_dist)
+            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks, reads_dist)
         w_tilde = Node(w_tilde, (w_node,), backward)
 
     return DkmResult(

@@ -146,7 +146,6 @@ class ModelSpec:
     schemes: tuple[DkmConfig | None, ...]
     seed: int = 0
     attention_mode: str = "dkm"
-    draws: int = 1
 
     def __post_init__(self):
         dims, layers = self.layer_dims, len(self.layer_dims) - 1
@@ -157,7 +156,7 @@ class ModelSpec:
         check_fields(
             layer_dims=None if dims_ok else f"must be two or more positive integers, got {dims!r}",
             schemes=None if schemes_ok else f"must hold a DkmConfig or None for each of {layers} weight layers",
-            **self.setting_problems(self.seed, self.attention_mode, self.draws),
+            **self.setting_problems(self.seed, self.attention_mode),
         )
         infeasible = [
             f"layer {i}: {self.subvectors(i)} sub-vectors cannot seed {cfg.clusters} clusters "
@@ -169,11 +168,9 @@ class ModelSpec:
             raise DataError("; ".join(infeasible))
 
     @staticmethod
-    def setting_problems(seed, attention_mode, draws) -> dict[str, str | None]:
+    def setting_problems(seed, attention_mode) -> dict[str, str | None]:
         """Why each setting that does not depend on the layers is bad (None if fine)."""
-        return dict(
-            seed=integer(seed, 0), attention_mode=choice(attention_mode, ATTENTION_MODES), draws=integer(draws, 1)
-        )
+        return dict(seed=integer(seed, 0), attention_mode=choice(attention_mode, ATTENTION_MODES))
 
     def subvectors(self, layer: int) -> int:
         """Sub-vector count of a clustered layer under its scheme, the last one zero-padded."""
@@ -239,9 +236,7 @@ def _cluster_layer(
         res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed)
     else:  # gumbel; "none" never clusters
         draw_seed = int(gumbel_rng.integers(2**62))
-        res = baselines.gumbel_forward(
-            sub_node, warm, cfg, seed=draw_seed, draws=model.spec.draws, init_seed=init_seed
-        )
+        res = baselines.gumbel_forward(sub_node, warm, cfg, seed=draw_seed, init_seed=init_seed)
     return res
 
 
@@ -521,7 +516,7 @@ def save_model(model: ToyModel, path, dataset_args: dict | None = None) -> None:
         "schemes": [None if s is None else asdict(s) for s in model.spec.schemes],
         "seed": model.spec.seed,
         "attention_mode": model.spec.attention_mode,
-        "draws": model.spec.draws,
+        "draws": 1,  # Gumbel samples per row: readers of older versions require the key
         "dataset_args": dataset_args,
     }
     arrays: dict[str, np.ndarray] = {"meta": np.array(json.dumps(meta, sort_keys=True))}
@@ -556,8 +551,9 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
     as ``warm{i}`` is ignored. Raises DataError for a file that is not an
     .npz archive, a meta that is not a JSON object, an unknown version, a
     missing array or meta key, a scheme of other fields than DkmConfig's,
-    any array of another shape than the model's, and indices that are not
-    one integer in [0, clusters) per sub-vector.
+    any array of another shape than the model's, indices that are not
+    one integer in [0, clusters) per sub-vector, and a meta ``draws`` (Gumbel
+    samples averaged per row, written by every version) other than 1.
     """
     with open(path, "rb") as fh, _model_archive(fh, path) as archive:
 
@@ -585,10 +581,12 @@ def load_model(path) -> tuple[ToyModel, dict | None]:
                 schemes=schemes,
                 seed=meta["seed"],
                 attention_mode=meta["attention_mode"],
-                draws=meta["draws"],
             )
+            problem = integer(meta["draws"], 1, 1)
         except (KeyError, TypeError) as exc:  # a key missing, or a scheme of other fields
             raise DataError(f"model file meta is malformed: {exc!r}") from None
+        if problem:
+            raise DataError(f"model file meta draws {problem}: this version takes one Gumbel sample per row")
         model = ToyModel(spec)
         for i in range(model.layers):
             model.weights[i] = read(f"w{i}", spec.layer_dims[i : i + 2]).copy()

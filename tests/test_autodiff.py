@@ -19,6 +19,16 @@ def test_matmul_hand_arithmetic():
     np.testing.assert_array_equal(ad.matmul(a, b).value, [[3.0], [7.0]])
 
 
+def test_nodes_refuse_operands_of_other_shapes():
+    with pytest.raises(ShapeError, match=r"broadcast_row: expected a single row, got \(2, 3\)"):
+        ad.broadcast_row(ad.constant(np.zeros((2, 3))), 4)
+    for rows, cols in ((0, 3), (3, 0)):
+        with pytest.raises(ShapeError, match=rf"regroup: cannot lay out \({rows}, {cols}\)"):
+            ad.regroup(ad.constant(np.zeros((2, 3))), rows, cols)
+    with pytest.raises(ShapeError, match="attention rows 3 != sub-vector count 4"):
+        ad.centroid_update(ad.constant(np.full((3, 2), 0.5)), ad.constant(np.zeros((4, 1))))
+
+
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     a0 = rng.uniform(-2, 2, (3, 4))

@@ -84,87 +84,62 @@ def test_hard_forward_reconstruction_is_cluster_means():
 # ---------------------------------------------------------------------------
 
 
-def gumbel_mean(d: np.ndarray, temperature: float, seed: int, draws: int = 1) -> np.ndarray:
-    """Row-major Gumbel attention of (m, k) distances: the mean of the kernel's samples."""
-    samples = baselines.gumbel_samples(d.T, temperature, np.random.default_rng(seed), draws)
-    return np.mean(samples, axis=0).T
+def gumbel_rows(d: np.ndarray, temperature: float, seed: int) -> np.ndarray:
+    """Row-major Gumbel attention of (m, k) distances: the kernel's sample, transposed."""
+    return baselines.gumbel_sample(d.T, temperature, np.random.default_rng(seed)).T
 
 
 def test_gumbel_hard_limit_yields_one_hot():
     rng = np.random.default_rng(81)
     d = -rng.uniform(0, 3, (10, 4))
-    a = gumbel_mean(d, temperature=1e-9, seed=5, draws=1)
+    a = gumbel_rows(d, temperature=1e-9, seed=5)
     np.testing.assert_allclose(a.max(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_gumbel_hard_draw_frequencies_match_softmax():
     # Gumbel-max identity: hard draws at tau -> 0 are categorical samples with
-    # probabilities softmax(d); their mean estimates the soft attention at
-    # temperature 1 to within Monte-Carlo error.
+    # probabilities softmax(d); their mean over n copies of one row
+    # estimates the soft attention at temperature 1 to within Monte-Carlo
+    # error.
     d = np.array([[-0.2, -1.1, -0.6, -2.0]])
     p = core.attention(ad.constant(d), temperature=1.0).value[0]
     n = 10_000
-    mean = gumbel_mean(d, temperature=1e-9, seed=17, draws=n)[0]
+    mean = gumbel_rows(np.repeat(d, n, axis=0), temperature=1e-9, seed=17).mean(axis=0)
     sigma = np.sqrt(p * (1.0 - p) / n)
     assert np.all(np.abs(mean - p) <= 3.0 * sigma)
 
 
-def test_gumbel_rows_sum_to_one_for_any_draw_count():
+def test_gumbel_rows_sum_to_one():
     rng = np.random.default_rng(82)
     d = -rng.uniform(0, 2, (7, 5))
-    for draws in (1, 2, 16):
-        a = gumbel_mean(d, temperature=0.7, seed=3, draws=draws)
+    for seed in (1, 2, 16):
+        a = gumbel_rows(d, temperature=0.7, seed=seed)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(a >= 0)
 
 
-def test_gumbel_averaging_reduces_variance():
-    rng = np.random.default_rng(83)
-    d = -rng.uniform(0, 2, (6, 4))
-
-    def samples(draws):
-        return np.stack([gumbel_mean(d, 1.0, seed=s, draws=draws) for s in range(200)])
-
-    var1 = samples(1).var(axis=0).mean()
-    var16 = samples(16).var(axis=0).mean()
-    assert var16 < var1
-
-
 def test_gumbel_rejects_bad_parameters():
     d, rng = np.zeros((2, 1)), np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        baselines.gumbel_samples(d, temperature=0.0, rng=rng)
-    with pytest.raises(ParameterError):
-        baselines.gumbel_samples(d, temperature=1.0, rng=rng, draws=0)
-    w = SubvectorMatrix(np.arange(8.0).reshape(-1, 1), 8)
-    with pytest.raises(ParameterError, match="draws must be >= 1"):
-        baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=0)
-    # refused before the pre-flight, which would size a block by them
-    with pytest.raises(ParameterError, match="draws must be >= 1, got -1"):
-        baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=-1)
-    for draws in (1.5, True):
-        with pytest.raises(ParameterError, match=f"draws must be an integer, got {draws!r}"):
-            baselines.gumbel_forward(w, config=DkmConfig(bits=2), draws=draws)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="temperature must be > 0"):
+            baselines.gumbel_sample(d, temperature=tau, rng=rng)
 
 
-def fresh_gumbel_samples(dist: np.ndarray, tau, rng, draws: int) -> list[np.ndarray]:
-    """Gumbel samples on fresh arrays: softmax(dist - log(-log(clip(u)))) per draw."""
-    samples = []
-    for _ in range(draws):
-        u = np.clip(rng.random(dist.shape[::-1]), 1e-300, 1.0 - 1e-16).T
-        y = dist - np.log(-np.log(u)).astype(dist.dtype, copy=False)
-        y = y - y.max(axis=0)
-        y /= tau
-        np.exp(y, out=y)
-        y /= y.sum(axis=0)
-        samples.append(y)
-    return samples
+def fresh_gumbel_sample(dist: np.ndarray, tau, rng) -> np.ndarray:
+    """A Gumbel sample on fresh arrays: softmax(dist - log(-log(clip(u))))."""
+    u = np.clip(rng.random(dist.shape[::-1]), 1e-300, 1.0 - 1e-16).T
+    y = dist - np.log(-np.log(u)).astype(dist.dtype, copy=False)
+    y = y - y.max(axis=0)
+    y /= tau
+    np.exp(y, out=y)
+    y /= y.sum(axis=0)
+    return y
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("draws", [1, 3])
-def test_gumbel_samples_in_reused_work_arrays_match_fresh_ones(dtype, draws):
+@pytest.mark.parametrize("seed", [1, 3])
+def test_gumbel_samples_in_reused_work_arrays_match_fresh_ones(dtype, seed):
     # bits=8, m=1300: tiles of the loop's size, the last one ragged, share
     # one set of work arrays as they do inside a forward or backward call
     k, m = 256, 1300
@@ -172,17 +147,13 @@ def test_gumbel_samples_in_reused_work_arrays_match_fresh_ones(dtype, draws):
     assert len(tiles) >= 2 and tiles[-1].stop - tiles[-1].start < tiles[0].stop - tiles[0].start
     dist = -np.random.default_rng(87).uniform(0, 3, (k, m)).astype(dtype)
     tau = dtype(0.3)  # nothing reaches the subnormal flush
-    reserve = {"noise": np.float64, **{f"sample{i}": dtype for i in range(draws)}}
-    work = core._TileWork(k * (tiles[0].stop - tiles[0].start), reserve)
-    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    work = core._TileWork(k * (tiles[0].stop - tiles[0].start), {"noise": np.float64, "sample": dtype})
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for rows in tiles:
         tile = np.ascontiguousarray(dist[:, rows])
-        got = baselines.gumbel_samples(tile, tau, rng, draws, work)
-        want = fresh_gumbel_samples(tile, tau, ref_rng, draws)
-        assert len(got) == draws
-        for g, w in zip(got, want):
-            assert g.dtype == dtype
-            np.testing.assert_array_equal(g, w)
+        got = baselines.gumbel_sample(tile, tau, rng, work)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, fresh_gumbel_sample(tile, tau, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
@@ -193,26 +164,25 @@ def test_hard_rule_matches_hard_attention_with_ties():
     dist[3] = dist[5]  # duplicate centroids tie in every column
     for tile in (dist[:, :100], dist):
         tile = np.ascontiguousarray(tile)
-        (one_hot,) = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size, {"sample0": tile.dtype}), 0)
+        one_hot = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size, {"sample": tile.dtype}), 0)
         np.testing.assert_array_equal(one_hot, hard_attention(tile.T).T)
 
 
-def gumbel_noise(rng, m: int, k: int, draws: int, tile_rows: int) -> np.ndarray:
-    """(draws, m, k) noise for one pass, drawn tile by tile as the fused loop does.
+def gumbel_noise(rng, m: int, k: int, tile_rows: int) -> np.ndarray:
+    """(m, k) noise for one pass, drawn tile by tile as the fused loop does.
 
-    Each tile of ``tile_rows`` rows draws its ``draws`` noise blocks in turn,
-    each as (rows, k) uniforms mapped through the Gumbel inverse CDF.
+    Each tile of ``tile_rows`` rows draws (rows, k) uniforms, mapped
+    through the Gumbel inverse CDF.
     """
-    noise = np.empty((draws, m, k))
+    noise = np.empty((m, k))
     for lo in range(0, m, tile_rows):
         hi = min(lo + tile_rows, m)
-        for j in range(draws):
-            u = np.clip(rng.random((hi - lo, k)), 1e-300, 1.0 - 1e-16)
-            noise[j, lo:hi] = -np.log(-np.log(u))
+        u = np.clip(rng.random((hi - lo, k)), 1e-300, 1.0 - 1e-16)
+        noise[lo:hi] = -np.log(-np.log(u))
     return noise
 
 
-def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, draws: int, iterations: int):
+def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, iterations: int):
     """w_tilde, attention and codebook of the Gumbel loop built from one node per step."""
     rng = np.random.default_rng(seed)
     m, k = w_node.shape[0], cfg.clusters
@@ -220,11 +190,8 @@ def composed_gumbel_loop(w_node, start: np.ndarray, cfg: DkmConfig, seed: int, d
 
     def noisy_attention(c):
         dist = core.distance_matrix(w_node, c, cfg.metric)
-        total = None
-        for noise in gumbel_noise(rng, m, k, draws, tile_rows):
-            sample = ad.row_softmax(ad.add(dist, ad.constant(cfg.temperature * noise)), cfg.temperature)
-            total = sample if total is None else ad.add(total, sample)
-        return ad.mul(total, ad.constant(np.full(total.shape, 1.0 / draws)))
+        noise = ad.constant(cfg.temperature * gumbel_noise(rng, m, k, tile_rows))
+        return ad.row_softmax(ad.add(dist, noise), cfg.temperature)
 
     c = ad.constant(start)
     for _ in range(iterations):
@@ -239,24 +206,25 @@ BITS8_TILE_ROWS = core.TILE_BYTES // (256 * 8)
 THREE_TILE_ROWS = 2 * BITS8_TILE_ROWS + BITS8_TILE_ROWS // 2 + 20
 
 
-def gumbel_attention(values, start, cfg, seed, draws=1):
+def gumbel_attention(values, start, cfg, seed):
     """The (m, k) attention of gumbel_forward's loop, which it does not keep.
 
     Each tile draws from a fresh generator of the seed's stream, moved past
-    the first * k * draws uniforms of the tiles before it.
+    the first * k uniforms of the tiles before it.
     """
 
     def rule(dist, tau, work, first):
         rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(first * dist.shape[0] * draws)
-        return baselines.gumbel_samples(dist / tau, 1.0, rng, draws, work)
+        rng.bit_generator.advance(first * dist.shape[0])
+        return baselines.gumbel_sample(dist / tau, 1.0, rng, work)
 
-    rule.takes = {"noise": np.float64, **dict.fromkeys(f"sample{i}" for i in range(draws))}
+    rule.takes = {"noise": np.float64}
     return core._cluster_loop(ad.constant(values), Codebook(start), cfg, 0, rule).attention
 
 
+# seed is the noise seed
 @pytest.mark.parametrize(
-    "m, bits, draws, metric",
+    "m, bits, seed, metric",
     [
         (120, 2, 1, core.SQUARED_EUCLIDEAN),
         (120, 2, 3, core.SQUARED_EUCLIDEAN),
@@ -265,7 +233,7 @@ def gumbel_attention(values, start, cfg, seed, draws=1):
         (THREE_TILE_ROWS, 8, 2, core.SQUARED_EUCLIDEAN),
     ],
 )
-def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
+def test_fused_gumbel_matches_composed_loop(m, bits, seed, metric):
     cfg = DkmConfig(bits=bits, temperature=0.3, epsilon=0.0, max_iterations=3, metric=metric)
     if bits == 8:
         rows = core.TILE_BYTES // (cfg.clusters * 8)
@@ -276,16 +244,16 @@ def test_fused_gumbel_matches_composed_loop(m, bits, draws, metric):
     start = core.init_centroids(SubvectorMatrix(values, m), cfg, seed=2).centroids
 
     leaf = ad.leaf(values)
-    res = baselines.gumbel_forward(leaf, Codebook(start), cfg, seed=11, draws=draws)
+    res = baselines.gumbel_forward(leaf, Codebook(start), cfg, seed=seed)
     ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
 
     ref_leaf = ad.leaf(values)
-    ref_w_tilde, ref_attention, ref_codebook = composed_gumbel_loop(ref_leaf, start, cfg, 11, draws, 3)
+    ref_w_tilde, ref_attention, ref_codebook = composed_gumbel_loop(ref_leaf, start, cfg, seed, 3)
     ad.backward(ad.sum_all(ad.square(ad.sub(ref_w_tilde, ad.constant(target)))))
 
     assert res.telemetry.iterations_used == 3
     assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-10
-    assert rel_err(gumbel_attention(values, start, cfg, 11, draws), ref_attention) <= 1e-10
+    assert rel_err(gumbel_attention(values, start, cfg, seed), ref_attention) <= 1e-10
     assert rel_err(res.w_tilde.value, ref_w_tilde.value) <= 1e-10
     assert rel_err(leaf.grad, ref_leaf.grad) <= 1e-10
     assert np.any(leaf.grad != 0)
@@ -302,10 +270,10 @@ def test_gumbel_draws_its_noise_inline_in_tile_order(monkeypatch):
     start = core.init_centroids(SubvectorMatrix(values, m), cfg, seed=2).centroids
 
     leaf = ad.leaf(values)
-    res = baselines.gumbel_forward(leaf, Codebook(start), cfg, seed=11, draws=2)
+    res = baselines.gumbel_forward(leaf, Codebook(start), cfg, seed=11)
     ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
     ref_leaf = ad.leaf(values)
-    ref_w_tilde, _, ref_codebook = composed_gumbel_loop(ref_leaf, start, cfg, 11, 2, 2)
+    ref_w_tilde, _, ref_codebook = composed_gumbel_loop(ref_leaf, start, cfg, 11, 2)
     ad.backward(ad.sum_all(ad.square(ad.sub(ref_w_tilde, ad.constant(target)))))
 
     assert rel_err(res.codebook.centroids, ref_codebook) <= 1e-10
@@ -317,12 +285,12 @@ def test_gumbel_forward_runs_and_is_seeded():
     rng = np.random.default_rng(85)
     w = SubvectorMatrix(rng.normal(size=(16, 1)), 16)
     cfg = DkmConfig(bits=2, temperature=0.5)
-    a = baselines.gumbel_forward(w, config=cfg, seed=9, draws=2)
-    b = baselines.gumbel_forward(w, config=cfg, seed=9, draws=2)
+    a = baselines.gumbel_forward(w, config=cfg, seed=9)
+    b = baselines.gumbel_forward(w, config=cfg, seed=9)
     assert np.array_equal(a.w_tilde.value, b.w_tilde.value)
     assert np.array_equal(a.indices, b.indices)
     start = core.init_centroids(w, cfg, 9).centroids
-    np.testing.assert_allclose(gumbel_attention(w.values, start, cfg, 9, 2).sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(gumbel_attention(w.values, start, cfg, 9).sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_gumbel_indices_are_the_nearest_centroids_not_the_noisy_argmax():
@@ -337,8 +305,8 @@ def test_gumbel_indices_are_the_nearest_centroids_not_the_noisy_argmax():
 
 
 @pytest.mark.parametrize("kept", [True, False])
-@pytest.mark.parametrize("draws", [1, 2])
-def test_gumbel_gradient_matches_finite_differences_with_fixed_noise(monkeypatch, kept, draws):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_gumbel_gradient_matches_finite_differences_with_fixed_noise(monkeypatch, kept, seed):
     # a fixed seed fixes the noise, so the loss is a smooth function of w;
     # each sample is softmax((dist + tau * g) / tau), whose gradient to the
     # distances carries one 1 / tau
@@ -350,7 +318,7 @@ def test_gumbel_gradient_matches_finite_differences_with_fixed_noise(monkeypatch
     start = core.init_centroids(SubvectorMatrix(values, 24), cfg, seed=4)
 
     def loss(w):
-        res = baselines.gumbel_forward(w, start, cfg, seed=5, draws=draws)
+        res = baselines.gumbel_forward(w, start, cfg, seed=seed)
         return ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target))))
 
     leaf = ad.leaf(values)

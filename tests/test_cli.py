@@ -77,6 +77,17 @@ def test_weight_io_rejects_unknown_extension(tmp_path):
 
     with pytest.raises(ParameterError):
         read_weights(tmp_path / "w.csv")
+    with pytest.raises(ParameterError, match="unsupported output extension '.csv'"):
+        write_weights(tmp_path / "w.csv", np.ones(2))
+
+
+def test_empty_weight_file_is_a_data_error(tmp_path):
+    from dkm.errors import DataError
+
+    path = tmp_path / "w.f32"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match="holds no weights"):
+        read_weights(path)
 
 
 def test_truncated_raw_weight_file_is_one_data_error(tmp_path, capsys):
@@ -369,6 +380,16 @@ def test_summary_matches_reevaluation_of_saved_model(tmp_path, capsys):
     assert json.loads(out)["accuracy"] == summary["train_time_accuracy"]
 
 
+def test_evaluating_a_model_saved_without_its_dataset_is_a_data_error(tmp_path, capsys):
+    from dkm import harness
+
+    spec = harness.ModelSpec((2, 4), (None,), seed=0, attention_mode="none")
+    harness.save_model(harness.ToyModel(spec), tmp_path / "model.npz")
+    code, out, err = run_cli(capsys, "evaluate", "--model", str(tmp_path / "model.npz"))
+    assert code == 2 and out == ""
+    assert err == "error:DataError: model file carries no dataset description\n"
+
+
 def test_missing_config_key_names_it(tmp_path, capsys):
     cfg = train_config(tmp_path)
     raw = json.loads(cfg.read_text())
@@ -487,9 +508,12 @@ def drop_train(raw):
         (lambda raw: raw.update(extra=1), "config.extra: unknown key"),
         (lambda raw: raw["dataset"].update(colour="red"), "dataset.colour: unknown key"),
         (lambda raw: raw["compression"].update(groups=[]), "compression.groups: must be an object"),
+        (lambda raw: raw["compression"]["groups"].update(hidden=5), "compression.groups.hidden: must be an object"),
+        # Gumbel attention takes one sample per row; the key that set more is gone
+        (lambda raw: raw["compression"].update(draws=1), "compression.draws: unknown key"),
     ],
     ids=["not_json", "root_not_object", "missing_section", "section_not_object", "unknown_section",
-         "unknown_key", "groups_not_object"],
+         "unknown_key", "groups_not_object", "group_not_object", "draws_key"],
 )
 def test_load_run_spec_reports_malformed_files(tmp_path, edit, message):
     cfg = train_config(tmp_path)

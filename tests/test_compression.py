@@ -361,10 +361,51 @@ def test_report_on_float32_weights_makes_no_widened_copy():
     finally:
         tracemalloc.stop()
     decoded = layer.codebook[layer.indices].reshape(-1).astype(np.float64)
-    assert report.reconstruction_error == float(np.linalg.norm(original.astype(np.float64) - decoded))
-    # the float64 difference alone: float32 decoded weights would add 4
-    # bytes per weight, and a float64 copy of the original 8
-    assert peak < 8 * n + (1 << 19)
+    want = float(np.linalg.norm(original.astype(np.float64) - decoded))
+    # chunked sums round in another order than one dot product
+    assert abs(report.reconstruction_error - want) <= 1e-12 * want
+    # one float64 chunk of decoded weights and the subtraction's casting
+    # buffer: a full-size float64 difference would be 8 bytes per weight
+    assert peak < 8 * comp.REPORT_CHUNK + (1 << 17)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_report_error_over_chunks_is_the_norm_of_the_difference(monkeypatch, chunk):
+    # 1,000 weights at dim 3: the last sub-vector is padded, and chunks of
+    # 1 and 7 weights (one and two rows) leave a ragged last chunk
+    monkeypatch.setattr(comp, "REPORT_CHUNK", chunk)
+    rng = np.random.default_rng(214)
+    original = rng.standard_normal(1000)
+    layer = comp.CompressedLayer(
+        bits=2, dim=3, original_length=1000, pad_count=2,
+        codebook=rng.normal(size=(4, 3)), indices=rng.integers(0, 4, 334),
+    )
+    report = comp.build_report(layer, original)
+    want = float(np.linalg.norm(original - layer.decode_flat().astype(np.float64)))
+    assert abs(report.reconstruction_error - want) <= 1e-12 * want
+
+
+def test_size_accounting_and_snapping_refuse_bad_arguments():
+    with pytest.raises(ShapeError, match="dim must be >= 1, got 0"):
+        comp.reshape_to_subvectors(np.ones(4), 0)
+    for bits, dim in ((0, 1), (1, 0)):
+        with pytest.raises(ShapeError, match="bits and dim must be >= 1"):
+            comp.compression_ratio(bits, dim)
+        with pytest.raises(ShapeError, match="bits and dim must be >= 1"):
+            comp.effective_bits_per_weight(bits, dim)
+    w = SubvectorMatrix(np.zeros((3, 2)), 6)
+    book = Codebook(np.zeros((4, 2)))
+    with pytest.raises(ShapeError, match="attention rows 2 != sub-vector count 3"):
+        comp.snap(w, np.full((2, 4), 0.25), book)
+    with pytest.raises(ShapeError, match="attention cols 2 != clusters 4"):
+        comp.snap(w, np.full((3, 2), 0.5), book)
+    with pytest.raises(ShapeError, match="codebook dim 1 != sub-vector dim 2"):
+        comp.snap(w, np.full((3, 4), 0.25), Codebook(np.zeros((4, 1))))
+    layer = comp.CompressedLayer(
+        bits=1, dim=1, original_length=4, pad_count=0, codebook=[[1.0], [2.0]], indices=[0, 1, 0, 1]
+    )
+    with pytest.raises(ShapeError, match="original has 3 weights, layer encodes 4"):
+        comp.build_report(layer, np.ones(3))
 
 
 def test_unpacking_indices_holds_no_wide_bit_matrix():

@@ -78,6 +78,24 @@ def test_subvector_matrix_bookkeeping():
         SubvectorMatrix(np.zeros((2, 2)), original_length=2, pad_count=2)
 
 
+def test_containers_refuse_other_ranks_and_non_finite_centroids():
+    with pytest.raises(ShapeError, match=r"subvectors must be 2-D, got shape \(4,\)"):
+        SubvectorMatrix(np.zeros(4), original_length=4)
+    with pytest.raises(ShapeError, match=r"codebook must be 2-D, got shape \(4,\)"):
+        Codebook(np.zeros(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="codebook contains NaN or Inf"):
+            Codebook(np.array([[0.0], [bad]]))
+
+
+def test_loop_refuses_a_missing_config_and_another_dim():
+    w = subvectors(np.arange(8.0))
+    with pytest.raises(ParameterError, match="config is required"):
+        core.dkm_forward(w)
+    with pytest.raises(ShapeError, match="sub-vector dim 1 != config dim 2"):
+        core.dkm_forward(w, config=DkmConfig(bits=2, dim=2))
+
+
 # ---------------------------------------------------------------------------
 # init_centroids
 # ---------------------------------------------------------------------------
@@ -521,8 +539,7 @@ def tape_arrays(root, min_size: int) -> list[np.ndarray]:
 def test_forward_tape_holds_no_attention_sized_buffer():
     cfg = DkmConfig(bits=4, temperature=0.05, epsilon=0.0)
     mk = 4096 * cfg.clusters
-    gumbel = functools.partial(baselines.gumbel_forward, draws=2)
-    for forward in (core.dkm_forward, gumbel):
+    for forward in (core.dkm_forward, baselines.gumbel_forward):
         w_node = ad.leaf(np.random.default_rng(65).normal(size=(4096, 1)))
         res = forward(w_node, config=cfg, seed=0)
         assert tape_arrays(res.w_tilde, mk) == []
@@ -1014,7 +1031,7 @@ def test_distance_matrix_has_the_bits_of_negating_last(metric, dim, dtype, nan_r
 
 FORWARDS = {
     "dkm": core.dkm_forward,
-    "gumbel": functools.partial(baselines.gumbel_forward, draws=2),
+    "gumbel": baselines.gumbel_forward,
 }
 
 
@@ -1075,7 +1092,7 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, mode, epsilon):
         "dkm_kept": core.dkm_forward,
         "dkm_free": functools.partial(core.dkm_forward, keep_attention=False),
         "hard": baselines.hard_forward,
-        "gumbel": functools.partial(baselines.gumbel_forward, draws=2),
+        "gumbel": baselines.gumbel_forward,
     }[mode]
 
     def run(workers):
@@ -1203,45 +1220,44 @@ def near_fixed_point(values: np.ndarray) -> Codebook:
 
 gumbel = baselines.gumbel_forward
 BITS2 = DkmConfig(bits=2, temperature=0.05, epsilon=0.0)
-# name -> (forward, values, warm start, config, draws); every layer's passes
-# fit in KEPT_BYTES
+# name -> (forward, values, warm start, config); every layer's passes fit in
+# KEPT_BYTES
 KEPT_LAYERS = {
     "squared": lambda: (
-        core.dkm_forward, battery_weights(4096, 110), off_weights(battery_weights(4096, 110), 4), BITS2, 1
+        core.dkm_forward, battery_weights(4096, 110), off_weights(battery_weights(4096, 110), 4), BITS2
     ),
     "euclidean": lambda: (
         core.dkm_forward,
         np.random.default_rng(111).normal(size=(2000, 2)),
         None,
         DkmConfig(bits=3, dim=2, temperature=0.1, epsilon=0.0, metric=core.EUCLIDEAN),
-        1,
     ),
     # warm-started near its fixed point, as in training
     "early_exit": lambda: (
         core.dkm_forward, battery_weights(4096, 112), near_fixed_point(battery_weights(4096, 112)),
-        DkmConfig(bits=2, temperature=0.01, epsilon=1e-4), 1,
+        DkmConfig(bits=2, temperature=0.01, epsilon=1e-4),
     ),
     "float32": lambda: (
         core.dkm_forward, battery_weights(4096, 113).astype(np.float32), None,
-        DkmConfig(bits=3, temperature=0.05, epsilon=0.0), 1,
+        DkmConfig(bits=3, temperature=0.05, epsilon=0.0),
     ),
     "empty_cluster": lambda: (
         core.dkm_forward,
         np.random.default_rng(114).uniform(-1, 1, (64, 1)),
         Codebook(np.array([[-0.5], [0.0], [0.5], [1e3]])),
         DkmConfig(bits=2, temperature=0.1, epsilon=0.0, max_iterations=3),
-        1,
     ),
     # random_sample seeding puts pass 0's centroids on weights: a clamped zero
-    "seeded_on_weights": lambda: (core.dkm_forward, battery_weights(1024, 115), None, BITS2, 1),
-    "gumbel_1": lambda: (gumbel, battery_weights(4096, 117), None, BITS2, 1),
-    "gumbel_2": lambda: (gumbel, battery_weights(2048, 118), None, BITS2, 2),
+    "seeded_on_weights": lambda: (core.dkm_forward, battery_weights(1024, 115), None, BITS2),
+    "gumbel_1": lambda: (gumbel, battery_weights(4096, 117), None, BITS2),
+    # float32 samples of float64 noise
+    "gumbel_float32": lambda: (gumbel, battery_weights(2048, 118).astype(np.float32), None, BITS2),
 }
 
 
-def loop_outputs(forward, values, warm, cfg, draws, seed=3):
+def loop_outputs(forward, values, warm, cfg, seed=3):
     """Telemetry, and w_tilde, codebook, indices and the gradient of a squared-error loss."""
-    kwargs = {"draws": draws} if forward is gumbel else {"keep_attention": False}
+    kwargs = {} if forward is gumbel else {"keep_attention": False}
     leaf = ad.leaf(values)
     res = forward(leaf, warm, cfg, seed=seed, **kwargs)
     target = np.random.default_rng(119).normal(size=values.shape).astype(values.dtype)
@@ -1266,13 +1282,13 @@ def keep_decisions(monkeypatch) -> list:
 
 @pytest.mark.parametrize("layer", sorted(KEPT_LAYERS))
 def test_kept_passes_match_replayed_passes(monkeypatch, layer):
-    forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    forward, values, warm, cfg = KEPT_LAYERS[layer]()
     m, k = values.shape[0], cfg.clusters
-    assert (cfg.max_iterations + 1) * draws * m * k * values.itemsize <= core.KEPT_BYTES
+    assert (cfg.max_iterations + 1) * m * k * values.itemsize <= core.KEPT_BYTES
     kept_calls = keep_decisions(monkeypatch)
-    telemetry, kept = loop_outputs(forward, values, warm, cfg, draws)
+    telemetry, kept = loop_outputs(forward, values, warm, cfg)
     monkeypatch.setattr(core, "KEPT_BYTES", 0)
-    want_telemetry, replayed = loop_outputs(forward, values, warm, cfg, draws)
+    want_telemetry, replayed = loop_outputs(forward, values, warm, cfg)
     assert kept_calls == [True, False]  # kept, then replayed
     if layer == "early_exit":
         assert telemetry.iterations_used < cfg.max_iterations
@@ -1287,31 +1303,30 @@ def test_kept_passes_match_replayed_passes(monkeypatch, layer):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_call_whose_passes_fit_is_one_tile(dtype):
-    # so kept samples need no per-tile slicing: at the shipped constants the
-    # largest layer whose passes fit in KEPT_BYTES is one tile
+    # so kept attention needs no per-tile slicing: at the shipped constants
+    # the largest layer whose passes fit in KEPT_BYTES is one tile
     itemsize = np.dtype(dtype).itemsize
-    for bits in range(1, 17):
+    for bits, iterations in itertools.product(range(1, 17), (1, 2, 5, 20)):
         k = 1 << bits
-        for draws, iterations in itertools.product((1, 2, 3), (1, 2, 5, 20)):
-            cfg = DkmConfig(bits=bits, max_iterations=iterations)
-            m = core.KEPT_BYTES // ((iterations + 1) * draws * k * itemsize)
-            if m:
-                assert len(core._row_tiles(m, k, itemsize)) == 1
-                assert core._keeps(m, cfg, itemsize, draws)
-            assert not core._keeps(m + 1, cfg, itemsize, draws)
+        cfg = DkmConfig(bits=bits, max_iterations=iterations)
+        m = core.KEPT_BYTES // ((iterations + 1) * k * itemsize)
+        if m:
+            assert len(core._row_tiles(m, k, itemsize)) == 1
+            assert core._keeps(m, cfg, itemsize)
+        assert not core._keeps(m + 1, cfg, itemsize)
 
 
 @pytest.mark.parametrize("layer", ["squared", "euclidean", "gumbel_1"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_fitting_layer_of_several_tiles_replays(monkeypatch, layer, workers):
-    forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    forward, values, warm, cfg = KEPT_LAYERS[layer]()
     kept_calls = keep_decisions(monkeypatch)
-    telemetry, kept = loop_outputs(forward, values, warm, cfg, draws)
+    telemetry, kept = loop_outputs(forward, values, warm, cfg)
     # tiles of half the layer: its passes still fit in KEPT_BYTES
     monkeypatch.setattr(core, "TILE_BYTES", values.shape[0] * cfg.clusters * values.itemsize // 2)
     monkeypatch.setattr(core, "_max_workers", lambda: workers)
     assert len(core._row_tiles(values.shape[0], cfg.clusters, values.itemsize)) == 2
-    want_telemetry, replayed = loop_outputs(forward, values, warm, cfg, draws)
+    want_telemetry, replayed = loop_outputs(forward, values, warm, cfg)
     assert kept_calls == [True, False]
     # the same results, but for the tiles' partial sums adding in another order
     assert telemetry.iterations_used == want_telemetry.iterations_used
@@ -1338,9 +1353,9 @@ def test_update_pass_vjp_matches_finite_differences(metric, kept):
     a, c_next = update(w, c)
     assert a[3].sum() < ad.EMPTY_CLUSTER_THRESHOLD
     tiles = core._row_tiles(40, 4, 8)
-    # pass 1 of a call, its (1, k, m) samples kept or replayed by the soft rule
+    # pass 1 of a call, its (k, m) attention kept or replayed by the soft rule
     blocks = [None, a.ravel()] if kept else None
-    vjp = core._Backward(w, 4, tau, euclidean, tiles, core._soft_rule, 1, blocks, [None, euclidean])
+    vjp = core._Backward(w, 4, tau, euclidean, tiles, core._soft_rule, blocks, [None, euclidean])
     g_c = vjp.update_vjp(1, c, a.sum(axis=1), c_next, g_next)
     for work in vjp.works:
         work.release()
@@ -1354,28 +1369,29 @@ def test_update_pass_vjp_matches_finite_differences(metric, kept):
 
 def test_a_work_array_the_rule_did_not_declare_fails_naming_it():
     def rule(dist, tau, work, first):
-        return (ad.softmax_cluster_major(dist, tau, work.get("undeclared", dist.shape)),)
+        return ad.softmax_cluster_major(dist, tau, work.get("undeclared", dist.shape))
 
-    rule.takes = {"sample0": None}
+    rule.takes = {}
     with pytest.raises(KeyError, match="undeclared"):
         core._cluster_loop(ad.leaf(battery_weights(64, 131)), None, BITS2, 0, rule)
 
 
-@pytest.mark.parametrize("draws", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("epsilon", [0.0, 0.02])
 @pytest.mark.parametrize("fits", [True, False])
-def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, fits, epsilon, draws):
+def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, fits, epsilon, seed):
     # 16 KiB tiles: a 2,048-weight layer in four tiles, its passes within
     # KEPT_BYTES or not; either way a call of four tiles replays
     monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
     if not fits:
         monkeypatch.setattr(core, "KEPT_BYTES", 0)
     values = battery_weights(2048, 124)
-    # at epsilon 0.02 two draws converge at iteration 5, so the cap is 6
+    # at epsilon 0.02 the noise of seeds 1 and 2 converges at iterations 4
+    # and 5, so the cap is 6
     cfg = DkmConfig(bits=2, temperature=0.05, epsilon=epsilon, max_iterations=6)
     warm = near_fixed_point(values)
     assert len(core._row_tiles(2048, cfg.clusters, 8)) == 4
-    assert ((cfg.max_iterations + 1) * draws * 2048 * cfg.clusters * 8 <= core.KEPT_BYTES) == fits
+    assert ((cfg.max_iterations + 1) * 2048 * cfg.clusters * 8 <= core.KEPT_BYTES) == fits
     kept_calls = keep_decisions(monkeypatch)
     runs = []
     switch = sys.getswitchinterval()
@@ -1383,7 +1399,7 @@ def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, fits
     try:
         for workers in (1, 2):
             monkeypatch.setattr(core, "_max_workers", lambda: workers)
-            runs.append(loop_outputs(gumbel, values, warm, cfg, draws))
+            runs.append(loop_outputs(gumbel, values, warm, cfg, seed))
     finally:
         sys.setswitchinterval(switch)
     assert kept_calls == [False, False]
@@ -1402,7 +1418,7 @@ def test_kept_backward_recomputes_distances_only_where_the_vjp_reads_them(
 ):
     # squared distances: only pass 0 after random_sample seeding has a
     # centroid on a weight (a clamped zero); euclidean: every pass's root
-    forward, values, warm, cfg, draws = KEPT_LAYERS[layer]()
+    forward, values, warm, cfg = KEPT_LAYERS[layer]()
     leaf = ad.leaf(values)
     res = forward(leaf, warm, cfg, seed=3, keep_attention=False)
     distances = count_calls(monkeypatch, "_tile_distances")
@@ -1417,7 +1433,7 @@ def test_kept_call_tape_holds_at_most_kept_bytes_of_attention_sized_data():
         leaf = ad.leaf(values)
         res = forward(leaf, config=cfg, seed=0)
         held = tape_arrays(res.w_tilde, mk)
-        # one (k, m) block of samples per pass
+        # one (k, m) block of attention per pass
         assert len(held) == cfg.max_iterations + 1
         assert 0 < sum(a.nbytes for a in held) <= core.KEPT_BYTES
         loss = ad.sum_all(ad.square(res.w_tilde))
@@ -1433,14 +1449,14 @@ def free_list_bytes() -> int:
 
 
 def test_a_live_tapes_kept_samples_are_never_handed_out():
-    forward, values, warm, cfg, draws = KEPT_LAYERS["squared"]()
-    want_telemetry, want = loop_outputs(forward, values, warm, cfg, draws)
+    forward, values, warm, cfg = KEPT_LAYERS["squared"]()
+    want_telemetry, want = loop_outputs(forward, values, warm, cfg)
     leaf = ad.leaf(values)
     res = forward(leaf, warm, cfg, seed=3, keep_attention=False)
     # calls of the same size take and give back buffers while the tape lives
     for seed in range(3):
-        loop_outputs(forward, battery_weights(4096, seed), warm, cfg, draws)
-        loop_outputs(gumbel, battery_weights(4096, seed), warm, cfg, draws)
+        loop_outputs(forward, battery_weights(4096, seed), warm, cfg)
+        loop_outputs(gumbel, battery_weights(4096, seed), warm, cfg)
     target = np.random.default_rng(119).normal(size=values.shape)
     ad.backward(ad.sum_all(ad.square(ad.sub(res.w_tilde, ad.constant(target)))))
     assert res.telemetry == want_telemetry
@@ -1481,9 +1497,9 @@ def test_two_threads_clustering_at_once_give_the_sequential_results(monkeypatch)
     # a kept battery layer, a kept Gumbel layer and a replayed multi-tile layer
     check_clustering_at_once([
         KEPT_LAYERS["squared"](),
-        KEPT_LAYERS["gumbel_2"](),
+        KEPT_LAYERS["gumbel_float32"](),
         (core.dkm_forward, np.random.default_rng(122).normal(size=(WORKER_ROWS, 1)), None,
-         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)),
     ])
 
 
@@ -1491,11 +1507,11 @@ def test_two_threads_drawing_gumbel_noise_at_once_give_the_sequential_results(mo
     monkeypatch.setattr(core, "_max_workers", lambda: 2)
     # 16 KiB tiles: a kept Gumbel layer of one tile and a replayed one of 47
     monkeypatch.setattr(core, "TILE_BYTES", 1 << 14)
-    assert core._keeps(512, BITS2, 8, 2) and len(core._row_tiles(512, BITS2.clusters, 8)) == 1
+    assert core._keeps(512, BITS2, 8) and len(core._row_tiles(512, BITS2.clusters, 8)) == 1
     check_clustering_at_once([
-        (gumbel, battery_weights(512, 125), None, BITS2, 2),
+        (gumbel, battery_weights(512, 125), None, BITS2),
         (gumbel, np.random.default_rng(126).normal(size=(3000, 1)), None,
-         DkmConfig(bits=5, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+         DkmConfig(bits=5, temperature=0.05, epsilon=0.0, max_iterations=2)),
     ])
 
 
@@ -1505,7 +1521,7 @@ def test_free_list_stays_within_its_bound(monkeypatch):
         KEPT_LAYERS["squared"](),
         KEPT_LAYERS["float32"](),
         (core.dkm_forward, np.random.default_rng(123).normal(size=(WORKER_ROWS, 1)), None,
-         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2), 1),
+         DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)),
     ]
     want = [loop_outputs(*job) for job in jobs]
     assert free_list_bytes() <= core._FREE_BOUND
@@ -1552,8 +1568,8 @@ def test_multi_tile_calls_leave_the_free_list_as_they_found_it(monkeypatch):
     values = np.random.default_rng(127).normal(size=(WORKER_ROWS, 1))
     cfg = DkmConfig(bits=8, temperature=0.05, epsilon=0.0, max_iterations=2)
     assert len(core._row_tiles(WORKER_ROWS, cfg.clusters, 8)) > 1
-    loop_outputs(core.dkm_forward, values, None, cfg, 1)
-    loop_outputs(gumbel, values, None, cfg, 2)
+    loop_outputs(core.dkm_forward, values, None, cfg)
+    loop_outputs(gumbel, values, None, cfg)
     assert free_list_contents() == before
     # as dkm compress clusters: float32 weights, indices only
     flat = np.random.default_rng(128).standard_normal(1 << 18).astype(np.float32)
@@ -1566,18 +1582,28 @@ def test_multi_tile_calls_leave_the_free_list_as_they_found_it(monkeypatch):
     assert free_list_contents() == before
 
 
-@pytest.mark.parametrize("mode", ["dkm", "gumbel"])
+# a replayed call of one full float32 tile at k = 16: its Gumbel backward
+# holds the most a one-tile call takes, float64 noise included
+FULL_FLOAT32_TILE = core.TILE_BYTES // (16 * 4)
+
+
+@pytest.mark.parametrize("mode", ["dkm", "gumbel", "gumbel_float32"])
 def test_one_tile_calls_take_no_fresh_buffer_after_the_first(monkeypatch, mode):
     # from an empty free list: the first call allocates, the next two reuse
     monkeypatch.setattr(core, "_free", OrderedDict())
     monkeypatch.setattr(core, "_free_bytes", 0)
-    forward, values, warm, cfg, draws = KEPT_LAYERS["squared" if mode == "dkm" else "gumbel_1"]()
-    assert len(core._row_tiles(values.shape[0], cfg.clusters, 8)) == 1
+    if mode == "gumbel_float32":
+        values = battery_weights(FULL_FLOAT32_TILE, 132).astype(np.float32)
+        forward, warm, cfg = gumbel, None, DkmConfig(bits=4, temperature=0.05, epsilon=0.0, max_iterations=2)
+        assert not core._keeps(FULL_FLOAT32_TILE, cfg, 4)
+    else:
+        forward, values, warm, cfg = KEPT_LAYERS["squared" if mode == "dkm" else "gumbel_1"]()
+    assert len(core._row_tiles(values.shape[0], cfg.clusters, values.itemsize)) == 1
     made = record_tile_allocations(monkeypatch, values.shape[0] * cfg.clusters)
     runs = []
     for fresh in (True, False, False):
         del made[:]
-        runs.append(loop_outputs(forward, values, warm, cfg, draws))
+        runs.append(loop_outputs(forward, values, warm, cfg))
         assert bool(made) == fresh
     for telemetry, arrays in runs[1:]:
         assert telemetry == runs[0][0]
@@ -1603,10 +1629,10 @@ def test_every_tile_buffer_is_allocated_on_the_calling_thread(monkeypatch, kept)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
     try:
-        loop_outputs(gumbel, values, None, cfg, 2)
+        loop_outputs(gumbel, values, None, cfg)
     finally:
         sys.setswitchinterval(switch)
     assert kept_calls == [kept]
-    # forward alone takes dist, tmp, two samples and their noise per worker
-    assert len(made) >= 2 * 5
+    # forward alone takes dist, tmp, the sample and its noise per worker
+    assert len(made) >= 2 * 4
     assert {thread for thread, _ in made} == {threading.get_ident()}

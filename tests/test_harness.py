@@ -51,6 +51,9 @@ def test_class_center_oracle_tracks_noise():
     noisy = hz.make_dataset("blobs", 2000, 4, 1.6, seed=1)
     assert hz.class_center_accuracy(clean) == 1.0
     assert hz.class_center_accuracy(noisy) < 1.0
+    # moons have no class centers
+    with pytest.raises(ParameterError, match="dataset has no class centers"):
+        hz.class_center_accuracy(hz.make_dataset("moons", 200, 2, 0.05, seed=0))
 
 
 def test_moons_requires_two_classes():
@@ -129,7 +132,7 @@ def test_training_is_bit_reproducible():
 def test_gumbel_mode_trains_and_logs():
     data = blobs(n=400)
     cfgs = (scheme(tau=0.05), None, None)
-    spec = hz.ModelSpec((2, 16, 16, 4), cfgs, seed=1, attention_mode="gumbel", draws=2)
+    spec = hz.ModelSpec((2, 16, 16, 4), cfgs, seed=1, attention_mode="gumbel")
     model, log = hz.train(hz.ToyModel(spec), data, hz.TrainConfig(epochs=2, seed=1))
     assert all(0 in m.layer_iterations for m in log)
     acc = hz.evaluate(model, data, snapped=True)
@@ -270,7 +273,9 @@ def test_model_file_stores_indices_and_round_trips(tmp_path, trained_dkm_model):
     path = tmp_path / "model.npz"
     hz.save_model(model, path, dataset_args={"kind": "blobs"})
     with np.load(path) as archive:
-        assert json.loads(str(archive["meta"]))["format_version"] == 2
+        meta = json.loads(str(archive["meta"]))
+        # one Gumbel sample per row, a key that earlier readers require
+        assert meta["format_version"] == 2 and meta["draws"] == 1
         assert "st0_idx" in archive and "st0_att" not in archive and "st1_idx" not in archive
     loaded, dataset_args = hz.load_model(path)
     assert dataset_args == {"kind": "blobs"}
@@ -374,6 +379,10 @@ def edit_meta(arrays, edit):
         (lambda arrays: arrays.update(st0_it=np.zeros(3)), r"st0_it has shape \(3,\), not \(\)"),
         (lambda arrays: arrays.pop("b1"), "model file has no b1 array"),
         (lambda arrays: edit_meta(arrays, lambda meta: meta.pop("draws")), "model file meta is malformed: KeyError..draws"),
+        (lambda arrays: edit_meta(arrays, lambda meta: meta.update(draws=2)), r"meta draws must be in \[1, 1\], got 2"),
+        (lambda arrays: edit_meta(arrays, lambda meta: meta.update(draws=True)), "meta draws must be an integer, got True"),
+        (lambda arrays: edit_meta(arrays, lambda meta: meta["schemes"].__setitem__(0, None)),
+         "layer 0 has clustering state but no scheme"),
         (
             lambda arrays: edit_meta(arrays, lambda meta: meta["schemes"][0].update(colour="red")),
             "model file meta is malformed: TypeError",
@@ -384,7 +393,8 @@ def edit_meta(arrays, edit):
         (lambda arrays: arrays.update(meta=np.array("[1]")), "model file meta is a JSON list, not an object"),
     ],
     ids=[
-        "no_iterations", "iterations_not_scalar", "no_bias", "no_draws", "unknown_scheme_key",
+        "no_iterations", "iterations_not_scalar", "no_bias", "no_draws", "two_draws", "draws_not_an_integer",
+        "state_without_scheme", "unknown_scheme_key",
         "weights_of_other_shape", "flat_bias", "meta_not_json", "meta_not_an_object",
     ],
 )
@@ -522,6 +532,17 @@ def test_export_empty_log_is_an_error():
         hz.export_metrics_csv([], io.StringIO())
     with pytest.raises(DataError):
         hz.export_metrics_json([], io.StringIO())
+
+
+def test_reading_metrics_of_another_format_is_a_data_error():
+    with pytest.raises(DataError, match="not a dkm metrics file"):
+        hz.read_metrics_csv(io.StringIO("epoch,batch,loss\n0,0,1.0\n"))
+    buf = io.StringIO()
+    hz.export_metrics_csv(trained_log(), buf)
+    header, first, *_ = buf.getvalue().splitlines()
+    other = first.replace(hz.METRICS_SCHEMA, "dkm-metrics-v0", 1)
+    with pytest.raises(DataError, match="unsupported metrics schema 'dkm-metrics-v0'"):
+        hz.read_metrics_csv(io.StringIO(f"{header}\n{other}\n"))
 
 
 def test_export_json_shape():
