@@ -1,7 +1,11 @@
 """Cost of the clustering loop's tile kernel, of the battery trainings, and of compress.
 
-Six measurements, written to one JSON file (default ``BENCH_kernel.json``
-at the repository root):
+Seven measurements, written to one JSON file (default ``BENCH_kernel.json``
+at the repository root). Every timed row of ``tile_passes`` and
+``multi_tile`` is the median over rounds, with its quartiles beside it
+(``_q1`` and ``_q3`` keys): each round runs every case of the section
+once, in an order that reverses from round to round, so host drift falls
+on every case alike, and the first round only warms up.
 
 - ``tile_passes``: microseconds per tile pass of each assignment rule
   (soft ``dkm_forward``, Gumbel ``gumbel_forward``, hard ``hard_forward``)
@@ -41,14 +45,24 @@ at the repository root):
   the share of sub-vectors whose float32 index equals the float64 one,
   and both reconstruction RMSEs of ``codebook[indices]`` against the
   weights.
-- ``multi_tile``: median wall seconds of forward and of backward of one
+- ``multi_tile``: wall seconds of forward and of backward of one
   65,536-weight layer at bits 4/dim 1 and at bits 5/dim 2, as in the
   ``cluster_large`` workload (tau 0.05, epsilon 0, 5 iterations), under
   each ``rule``: soft (``dkm_forward``, attention kept, as the workload
   runs it) and Gumbel (``gumbel_forward``, one draw), with the tile
   workers limited to one and with all of them (the machine block's
-  ``workers``), the two runs alternating. Both layers are 16 tiles at full
-  size and 2 with ``--tiny``.
+  ``workers``). Both layers are 16 tiles at full size and 2 with
+  ``--tiny``.
+- ``numerics``: on the same two layers, the soft loop against what it
+  must agree with: the largest absolute difference between its final
+  attention and the public ``attention(distance_matrix(w, codebook))``
+  (the loop softmaxes logits, the public nodes distances over tau, so
+  they agree to rounding, not bit for bit), whether both have the same
+  zero entries and whether ``indices`` is the public attention's argmax;
+  and the largest absolute difference between one loop iteration's
+  codebook and one fixed-variance EM step (acceptance criterion 1). The
+  script exits 1, after writing its file, when the attention differs by
+  more than 1e-12 or the codebook by more than 1e-10.
 - ``attention_free``: one bits=12 layer (65,536 sub-vectors of dim 1,
   max_iterations 1) clustered with ``keep_attention=False``: the
   ``tracemalloc`` peak of one call and the seconds of another, untraced,
@@ -148,80 +162,125 @@ RULES = {
     "gumbel": baselines.gumbel_forward,
     "hard": baselines.hard_forward,
 }
+# the loop's final attention against the public nodes', and one loop
+# iteration's codebook against one EM step (acceptance criterion 1)
+ATTENTION_TOLERANCE = 1e-12
+EM_TOLERANCE = 1e-10
 
 
-def tile_pass(bits: int, dim: int, count: int, tau: float, scale: float, rule: str, repeats: int) -> dict:
-    """Median microseconds per forward and backward tile pass of one rule."""
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal((count, dim)) * scale
-    target = rng.standard_normal((count, dim))
-    cfg = DkmConfig(bits=bits, dim=dim, temperature=tau, epsilon=0.0, max_iterations=ITERATIONS)
-    start = core.init_centroids(SubvectorMatrix(values, values.size), cfg, 0)
-    forward = RULES[rule]
-    fwd, bwd = [], []
-    for rep in range(repeats + 1):  # the first call warms up
-        leaf = ad.leaf(values)
-        t0 = time.perf_counter()
-        res = forward(leaf, start, cfg, seed=rep)
-        t1 = time.perf_counter()
-        ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
-        t2 = time.perf_counter()
-        if rep:
-            passes = res.telemetry.iterations_used + 1
-            fwd.append((t1 - t0) / passes * 1e6)
-            bwd.append((t2 - t1) / passes * 1e6)
-    out = {
-        "shape": [cfg.clusters, count],
-        "dim": dim,
-        "tau": tau,
-        "rule": rule,
-        "forward_us_per_pass": round(statistics.median(fwd), 1),
-    }
-    if rule != "hard":
-        out["backward_us_per_pass"] = round(statistics.median(bwd), 1)
-        out["backward"] = "kept" if core._keeps(count, cfg, values.itemsize) else "replayed"
-    return out
+def alternating_rounds(cases: list, repeats: int) -> list[list]:
+    """Each case's results over ``repeats`` rounds after one warm-up round.
+
+    ``cases`` are callables; a round calls every one once, with the round
+    number, in an order that reverses from round to round.
+    """
+    results = [[] for _ in cases]
+    for rep in range(repeats + 1):
+        order = range(len(cases)) if rep % 2 else reversed(range(len(cases)))
+        for i in order:
+            out = cases[i](rep)
+            if rep:
+                results[i].append(out)
+    return results
 
 
-def multi_tile(size: str, repeats: int) -> list[dict]:
-    """Median forward and backward wall seconds of multi-tile layers per rule, at one and at all workers."""
+def spread(key: str, values, digits: int) -> dict:
+    """``key``: the median of ``values``; ``key_q1``, ``key_q3``: its quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {key: round(median, digits), f"{key}_q1": round(q1, digits), f"{key}_q3": round(q3, digits)}
+
+
+def timed_step(forward, values, start, cfg, target, seed: int) -> tuple[float, float, int]:
+    """Forward and backward wall seconds of one differentiable call, and its passes."""
+    leaf = ad.leaf(values)
+    t0 = time.perf_counter()
+    res = forward(leaf, start, cfg, seed=seed)
+    t1 = time.perf_counter()
+    ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
+    t2 = time.perf_counter()
+    return t1 - t0, t2 - t1, res.telemetry.iterations_used + 1
+
+
+def tile_passes(size: str) -> list[dict]:
+    """Microseconds per forward and backward tile pass of each layer and rule, over alternating rounds."""
+    rows, cases = [], []
+    for label, bits, dim, count, tau, scale in TILES[size]:
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((count, dim)) * scale
+        target = rng.standard_normal((count, dim))
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=tau, epsilon=0.0, max_iterations=ITERATIONS)
+        start = core.init_centroids(SubvectorMatrix(values, values.size), cfg, 0)
+        for rule, forward in RULES.items():
+            row = {"layer": label, "shape": [cfg.clusters, count], "dim": dim, "tau": tau, "rule": rule}
+            if rule != "hard":  # hard mode has no loop backward
+                row["backward"] = "kept" if core._keeps(count, cfg, values.itemsize) else "replayed"
+            rows.append(row)
+            cases.append(functools.partial(timed_step, forward, values, start, cfg, target))
+    for row, runs in zip(rows, alternating_rounds(cases, REPEATS[size])):
+        fwd, bwd, passes = zip(*runs)
+        row.update(spread("forward_us_per_pass", [t / n * 1e6 for t, n in zip(fwd, passes)], 1))
+        if "backward" in row:
+            row.update(spread("backward_us_per_pass", [t / n * 1e6 for t, n in zip(bwd, passes)], 1))
+    return rows
+
+
+def multi_tile(size: str) -> list[dict]:
+    """Forward and backward wall seconds of multi-tile layers per rule, at one and at all workers."""
     weights = np.random.default_rng(13).standard_normal(MULTI_TILE_WEIGHTS[size])
     count_workers = core._max_workers
-    all_workers = count_workers()
-    rows = []
-    runs = itertools.product(MULTI_TILE_LAYERS, MULTI_TILE_RULES.items())
-    for (label, bits, dim), (rule, forward) in runs:
+
+    def step(workers, forward, values, cfg, target, rep):
+        core._max_workers = lambda: workers
+        try:
+            return timed_step(forward, values, None, cfg, target, 0)[:2]
+        finally:
+            core._max_workers = count_workers
+
+    rows, cases = [], []
+    runs = itertools.product(MULTI_TILE_LAYERS, MULTI_TILE_RULES.items(), sorted({1, count_workers()}))
+    for (label, bits, dim), (rule, forward), workers in runs:
         values = weights.reshape(-1, dim)
         target = np.random.default_rng(14).standard_normal(values.shape)
         cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0, max_iterations=ITERATIONS)
-        times = {1: ([], []), all_workers: ([], [])}
-        for rep in range(repeats + 1):  # the first round warms up
-            for workers in (1, all_workers) if rep % 2 else (all_workers, 1):
-                core._max_workers = lambda: workers
-                try:
-                    leaf = ad.leaf(values)
-                    t0 = time.perf_counter()
-                    res = forward(leaf, config=cfg, seed=0)
-                    t1 = time.perf_counter()
-                    ad.backward(ad.sum_all(ad.mul(res.w_tilde, ad.constant(target))))
-                    t2 = time.perf_counter()
-                finally:
-                    core._max_workers = count_workers
-                if rep:
-                    times[workers][0].append(t1 - t0)
-                    times[workers][1].append(t2 - t1)
-        for workers, (fwd, bwd) in times.items():
-            rows.append({
-                "layer": label,
-                "rule": rule,
-                "weights": weights.size,
-                "bits": bits,
-                "dim": dim,
-                "tiles": len(core._row_tiles(values.shape[0], cfg.clusters, values.itemsize)),
-                "workers": workers,
-                "forward_s": round(statistics.median(fwd), 4),
-                "backward_s": round(statistics.median(bwd), 4),
-            })
+        rows.append({
+            "layer": label,
+            "rule": rule,
+            "weights": weights.size,
+            "bits": bits,
+            "dim": dim,
+            "tiles": len(core._row_tiles(values.shape[0], cfg.clusters, values.itemsize)),
+            "workers": workers,
+        })
+        cases.append(functools.partial(step, workers, forward, values, cfg, target))
+    for row, runs in zip(rows, alternating_rounds(cases, REPEATS[size])):
+        fwd, bwd = zip(*runs)
+        row.update(spread("forward_s", fwd, 4))
+        row.update(spread("backward_s", bwd, 4))
+    return rows
+
+
+def numerics(size: str) -> list[dict]:
+    """The soft loop against the public nodes and against one EM step, on the multi-tile layers."""
+    weights = np.random.default_rng(0).standard_normal(MULTI_TILE_WEIGHTS[size])
+    rows = []
+    for label, bits, dim in MULTI_TILE_LAYERS:
+        sub = SubvectorMatrix(weights.reshape(-1, dim), weights.size)
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0, max_iterations=ITERATIONS)
+        res = core.dkm_forward(sub, config=cfg, seed=0)
+        public = core.attention(core.distance_matrix(sub, res.codebook), cfg.temperature).value
+        one = core.dkm_forward(sub, config=replace(cfg, max_iterations=1), seed=0, keep_attention=False)
+        start = core.init_centroids(sub, cfg, 0).centroids
+        _, centers, _ = baselines.em_gmm_step(sub, baselines.GmmState(start, cfg.temperature / 2.0))
+        rows.append({
+            "layer": label,
+            "weights": weights.size,
+            "bits": bits,
+            "dim": dim,
+            "attention_max_abs_diff": float(np.abs(res.attention - public).max()),
+            "same_zero_entries": bool(np.array_equal(res.attention == 0.0, public == 0.0)),
+            "indices_are_public_argmax": bool(np.array_equal(res.indices, np.argmax(public, axis=1))),
+            "codebook_vs_em_max_abs_diff": float(np.abs(one.codebook.centroids - centers).max()),
+        })
     return rows
 
 
@@ -401,15 +460,15 @@ def main(argv=None) -> int:
     train = trainings(size)
     for mode, row in train.items():
         print(json.dumps({"mode": mode, **row}), flush=True)
-    passes = []
-    for label, bits, dim, count, tau, scale in TILES[size]:
-        for rule in RULES:
-            row = {"layer": label, **tile_pass(bits, dim, count, tau, scale, rule, REPEATS[size])}
-            passes.append(row)
-            print(json.dumps(row), flush=True)
-    tiled = multi_tile(size, REPEATS[size])
+    passes = tile_passes(size)
+    for row in passes:
+        print(json.dumps(row), flush=True)
+    tiled = multi_tile(size)
     for row in tiled:
         print(json.dumps({"multi_tile": row}), flush=True)
+    agreement = numerics(size)
+    for row in agreement:
+        print(json.dumps({"numerics": row}), flush=True)
     compress = compress_cost(size)
     print(json.dumps({"compress": compress}), flush=True)
     probe = precision(size)
@@ -432,6 +491,7 @@ def main(argv=None) -> int:
         "iterations_per_call": ITERATIONS,
         "tile_passes": passes,
         "multi_tile": tiled,
+        "numerics": agreement,
         "trainings": train,
         "compress": compress,
         "precision": probe,
@@ -439,6 +499,14 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
+    failed = [
+        row["layer"] for row in agreement
+        if not (row["attention_max_abs_diff"] <= ATTENTION_TOLERANCE
+                and row["codebook_vs_em_max_abs_diff"] <= EM_TOLERANCE)
+    ]
+    if failed:
+        print(f"numerics out of tolerance on {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,11 +12,15 @@ The tape holds only what backward reads:
 - ``broadcast_row`` returns a read-only view of its input, not a copy;
 - ``neg_sq_distance``, ``row_softmax`` and ``centroid_update`` keep for
   backward at most their inputs' values, their output and (the update)
-  the (k,) column sums. They are the
-  plain-array kernels that ``dkm.core``'s loop writes its step with, with
-  a tape entry: the cluster-major (k, m) ``neg_distance_cluster_major``,
-  ``neg_distance_vjp`` and ``softmax_cluster_major`` it runs tile by tile,
-  and the update ``masked_mean`` with its VJP ``masked_mean_vjp``;
+  the (k,) column sums. They are plain-array kernels with a tape entry:
+  the cluster-major (k, m) ``neg_distance_cluster_major`` with
+  ``neg_distance_vjp``, ``softmax_cluster_major``, and the update
+  ``masked_mean`` with its VJP ``masked_mean_vjp``. ``dkm.core``'s loop
+  runs the softmax and the update kernels too, but clusters on
+  ``Logits``, whose tile is the negated distance over tau plus a term
+  equal across each row's clusters (for the squared metric, without the
+  row norms, the clamp or a division by tau), with its own VJP; so the
+  loop agrees with the composed nodes to rounding, not bit for bit;
 - ``softmax_cross_entropy`` is the whole classification loss in one node,
   saving the row exponentials and their sums, and ``regroup`` lays a
   matrix's row-major entries out in a new shape, zero-padded or cut short,
@@ -310,7 +314,8 @@ def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None
     Entries whose shifted logit ``(logit - column max) / tau`` is below
     log(finfo.tiny) are exactly 0: exp is not evaluated there, because its
     subnormal and underflowing results take libm's slow path. Every other
-    entry has the bits of the plain softmax. ``out`` may be ``logits``.
+    entry has the bits of the plain softmax. ``out`` may be ``logits``;
+    given, it must be contiguous.
     """
     y = np.subtract(logits, logits.max(axis=0), out=out)
     if tau != 1:  # dividing by 1 changes no bit
@@ -320,11 +325,14 @@ def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None
     if y.min() < floor:
         low = y < floor
         if np.count_nonzero(low) * 32 <= low.size:
-            # a few entries (a large layer at a moderate tau): masked copies
-            # cost little more than reading the mask
-            np.copyto(y, 0.0, where=low)
+            # a few entries (a large layer at a moderate tau): zero them by
+            # index in memory order (low is laid out as y), where masked
+            # copies would read the whole mask twice
+            flat = y.ravel(order="K")
+            idx = np.flatnonzero(low.ravel(order="K"))
+            flat[idx] = 0.0
             np.exp(y, out=y)
-            np.copyto(y, 0.0, where=low)
+            flat[idx] = 0.0
         else:
             # many (Gumbel noise at a small tau), where masked copies cost
             # over ten times a multiply: multiply by the complement
@@ -364,9 +372,95 @@ def neg_distance_vjp(
         np.negative(g, out=g)
     if dist is not None and not dist.max() < 0:  # a clamped entry is 0; most tiles have none
         g *= np.less(dist, 0, out=clamp)
-    gw = 2.0 * w * g.sum(axis=0)[:, None] - 2.0 * (g.T @ c)
-    gc = 2.0 * c * g.sum(axis=1)[:, None] - 2.0 * (g @ w) if need_c else None
+    return _sq_distance_vjp(g, w, c, need_c)
+
+
+def _sq_distance_vjp(gs: np.ndarray, w: np.ndarray, c: np.ndarray, need_c: bool):
+    """Gradients reaching w and c from gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), (k, m)."""
+    gw = 2.0 * w * gs.sum(axis=0)[:, None] - 2.0 * (gs.T @ c)
+    gc = 2.0 * c * gs.sum(axis=1)[:, None] - 2.0 * (gs @ w) if need_c else None
     return gw, gc
+
+
+class Logits:
+    """The clustering loop's logits against one (k, d) codebook ``c`` at temperature ``tau``.
+
+    Plain arrays, no tape; a (k, m) tile is cluster-major, like the
+    distances. The softmax of a tile's columns is the temperature softmax
+    of the negated distances, so every assignment rule reads these logits
+    at temperature 1.
+
+    - Squared: entry (j, i) is (2 c_j.w_i - |c_j|^2) / tau, the negated
+      squared distance over tau plus |w_i|^2 / tau. That term is equal
+      across the clusters of row i, so no softmax over them sees it, and
+      the tile never forms it. A tile is one ``rows_dot`` against the
+      scaled codebook 2c / tau and one add of the (k,) bias -|c|^2 / tau,
+      both computed here, once per codebook. Nothing cancels toward a
+      negative distance, so nothing is clamped.
+    - Euclidean: the negated distance of ``neg_distance_cluster_major``,
+      whose root needs |w_i|^2, divided by tau.
+
+    For O(1) weights, a float64 tau of about 1e-306 or more keeps the
+    squared logits finite; at 1e-308, 2c / tau overflows.
+    """
+
+    def __init__(self, c: np.ndarray, tau, euclidean: bool = False):
+        self.c, self.tau, self.euclidean = c, tau, euclidean
+        if not euclidean:
+            self.scaled = (c + c) / tau
+            self.bias = (c * c).sum(axis=1) / -tau
+
+    def tile(
+        self, w: np.ndarray, out: np.ndarray | None = None, w_sq: np.ndarray | None = None,
+        cross: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The (k, m) logits of the rows of w (m, d), into ``out``.
+
+        ``w_sq`` (w's row sums of squares) and the work array ``cross`` serve
+        only the euclidean kernel, as in ``neg_distance_cluster_major``.
+        """
+        if self.euclidean:
+            out = neg_distance_cluster_major(w, self.c, True, w_sq, out, cross)
+            out /= self.tau
+            return out
+        out = rows_dot(self.scaled, w, out=out)
+        out += self.bias[:, None]
+        return out
+
+    def vjp(
+        self, g: np.ndarray, logits: np.ndarray | None, w: np.ndarray, need_c: bool = True,
+        tmp: np.ndarray | None = None, clamp: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Gradients reaching w (m, d) and c (k, d) from ``g`` = d(loss)/d(logits), (k, m).
+
+        Squared: gw = g^T (2c / tau) and gc = (2 / tau)(g w - c * sum_i g),
+        read from neither the tile nor ``logits`` (which may be None). A
+        softmax's gradient sums to zero over each column, so the |w|^2
+        term the tile leaves out would have added nothing but rounding.
+        Euclidean: through the root, recovered as -tau * ``logits`` (the
+        tile of these ``w``), as ``neg_distance_vjp`` does; an entry at
+        zero distance passes no gradient. ``g`` is overwritten; the c
+        gradient is None unless ``need_c``; ``tmp`` (float) and ``clamp``
+        (bool) are optional (k, m) work arrays of the euclidean VJP.
+        """
+        if self.euclidean:
+            # d(logit)/ds = -1 / (2 tau sqrt(s)) for s the squared distance,
+            # the root floored so a zero distance stays finite until masked
+            root = np.multiply(logits, -self.tau, out=tmp)
+            g /= np.maximum(root, np.finfo(logits.dtype).tiny ** 0.5, out=root)
+            g *= -0.5
+            g /= self.tau
+            if not logits.max() < 0:  # a zero distance; most tiles have none
+                g *= np.less(logits, 0, out=clamp)
+            return _sq_distance_vjp(g, w, self.c, need_c)
+        gw = g.T @ self.scaled
+        if not need_c:
+            return gw, None
+        gc = g @ w
+        gc -= self.c * g.sum(axis=1)[:, None]
+        gc += gc
+        gc /= self.tau
+        return gw, gc
 
 
 def neg_sq_distance(w: Node, c: Node, euclidean: bool = False) -> Node:

@@ -36,9 +36,10 @@ from .errors import DataError, ParameterError, check_fields, integer
 # ---------------------------------------------------------------------------
 
 
-def _hard_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> np.ndarray:
-    # the one-hot attention tile, so centroids become cluster means
-    return _nearest_one_hot(dist, work.get("sample", dist.shape))
+def _hard_rule(logits: np.ndarray, work: _TileWork, first: int) -> np.ndarray:
+    # the one-hot attention tile of the largest logits, the nearest
+    # centroids, so centroids become cluster means
+    return _nearest_one_hot(logits, work.get("sample", logits.shape))
 
 
 _hard_rule.takes = {}
@@ -153,16 +154,15 @@ def gumbel_forward(
     check_fields(seed=integer(seed, 0))
     places = {}  # thread id -> its generator and the uniforms drawn from it
 
-    def rule(dist, tau, work, first):
+    def rule(logits, work, first):
         # a tile draws after the first * k uniforms of the tiles before
-        at, thread = first * dist.shape[0], threading.get_ident()
+        at, thread = first * logits.shape[0], threading.get_ident()
         generator, drawn = places.pop(thread, None) or (np.random.default_rng(seed), 0)
         if drawn != at:  # the period is 2**128: going back is going round
             generator.bit_generator.advance((at - drawn) % (1 << 128))
-        # the noise goes on the logits dist / tau: softmax((dist + tau * g) / tau)
-        logits = np.divide(dist, tau, out=work.get("tmp", dist.shape))
+        # the noise goes on the logits, already over tau: softmax((dist + tau * g) / tau)
         sample = gumbel_sample(logits, 1, generator, work)
-        places[thread] = generator, at + dist.size
+        places[thread] = generator, at + logits.size
         return sample
 
     rule.takes = {"noise": np.float64}

@@ -78,10 +78,14 @@ def _dkm_config(args) -> core.DkmConfig:
 def _float32_logits_safe(values: np.ndarray, cfg: core.DkmConfig) -> bool:
     """Whether float32 clustering keeps every logit within FLOAT32_LOGIT_ERROR.
 
-    Centroids are means of sub-vectors, so with r = max|w| no squared
-    distance exceeds 4 * dim * r^2, and float32 rounding moves a logit by
-    at most eps32 times that over tau, provided tau is a normal float32.
-    Past the bound the distances may also overflow float32.
+    Centroids are means of sub-vectors, so with r = max|w| the terms of a
+    squared logit (2 c.w - |c|^2) / tau (``autodiff.Logits``) add up to at
+    most 3 * dim * r^2 / tau, below the 4 * dim * r^2 / tau that bounds a
+    squared distance over tau, and float32 rounding moves a logit by at
+    most eps32 times that, provided tau is a normal float32. Past the bound
+    the logits may also overflow float32; within it, so does no scaled
+    centroid 2c / tau (its overflow would need r > 2, and then r^2 / tau
+    is past the bound).
     """
     f32 = np.finfo(np.float32)
     reach = max(float(values.max()), -float(values.min()))

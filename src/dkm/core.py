@@ -1,37 +1,47 @@
 """Iterative attention-based soft clustering with a differentiable unrolled loop.
 
 A weight vector is viewed as (count, dim) sub-vectors. Each forward pass
-alternates distance -> temperature softmax -> attention-weighted centroid
-means until the codebook moves less than epsilon in Frobenius norm or an
-iteration cap is hit, then emits soft-reconstructed weights A @ C. The
-converged codebook is returned detached so the caller can warm-start the
-next batch.
+alternates logits -> softmax -> attention-weighted centroid means until
+the codebook moves less than epsilon in Frobenius norm or an iteration
+cap is hit, then emits soft-reconstructed weights A @ C. The converged
+codebook is returned detached so the caller can warm-start the next
+batch.
+
+The loop never forms distances for the squared metric. Its softmax is
+over the clusters of each row, which cannot see a term equal across
+them, such as the |w_i|^2 of a squared distance; so it takes the logits
+(2 c_j.w_i - |c_j|^2) / tau (``autodiff.Logits``), the negated squared
+distances over tau plus |w_i|^2 / tau, and softmaxes them at temperature
+1. Its attention, codebooks and gradients agree with the composed public
+nodes to rounding, not bit for bit. The euclidean metric needs the true
+root, so its logits are the negated distances over tau.
 
 The whole loop is one tape node. It runs over row tiles of about
 TILE_BYTES, each laid out cluster-major (k, rows), and saves for
 backward the input, each iteration's (k, dim) codebook and (k,)
 attention column sums. A call of one tile whose passes' attention tiles
 fit in KEPT_BYTES together keeps those too; any other call's backward
-recomputes every tile's distances and attention. So the tape holds at
+recomputes every tile's logits and attention. So the tape holds at
 most KEPT_BYTES that grow with count * 2^bits, and the workloads reach
 three cases: one tile, kept (each layer of a training battery); one
 tile, replayed (one full tile at k = 16); several tiles, replayed (large
 layers, ``dkm compress``). Backward is the output pass's
 vector-Jacobian product, then each earlier update pass's, last to first.
-The final pass also writes each row's nearest centroid from its
-distance tile, so a caller that only snaps can skip the (count, 2^bits)
+The final pass also writes each row's nearest centroid, its largest
+logit, so a caller that only snaps can skip the (count, 2^bits)
 attention array altogether (``keep_attention=False`` in
 ``dkm_forward``; the Gumbel and hard loops of ``baselines`` never build
 it). A caller that stores only the codebook and the indices, as ``dkm
 compress`` does, also passes ``soft_weights=False``: the final pass
 then stops at the indices, with no softmax and no soft weights. The
 same loop serves every assignment mode: only the rule turning a
-distance tile into its attention tile changes (the softmax here; a
+logits tile into its attention tile changes (the softmax here; a
 Gumbel-softmax sample and a one-hot argmax in ``baselines``), and
 ``_cluster_loop`` is its only entry. The public ``distance_matrix``,
 ``attention`` and ``centroid_update`` build the three soft steps as one
-tape node each, from the ``autodiff`` kernels the loop runs
-(``masked_mean`` and its VJP for the update).
+tape node each, from the ``autodiff`` distance, softmax and update
+kernels (``masked_mean`` and its VJP for the update, which the loop
+runs too).
 
 Tiles hold about TILE_BYTES (512 KiB). A pass runs its tiles on
 min(usable CPUs, tiles) threads of one process-wide pool, built at the
@@ -54,10 +64,11 @@ ends, so nothing of it stays parked after the call. A forked child
 drops the parent's pool and builds its own.
 
 The softmax, the loop's and ``attention``'s alike, flushes subnormal
-tails: an entry whose shifted logit ``(d - max_k d) / tau`` is below
-log(finfo.tiny), so that its unnormalised weight would fall below the
-smallest normal float, is exactly 0 instead of a subnormal. Every other
-entry keeps the bits of the plain max-subtracted softmax.
+tails: an entry whose shifted logit (``l - max_k l`` in the loop,
+``(d - max_k d) / tau`` in ``attention``) is below log(finfo.tiny), so
+that its unnormalised weight would fall below the smallest normal float,
+is exactly 0 instead of a subnormal. Every other entry keeps the bits of
+the plain max-subtracted softmax.
 """
 
 from __future__ import annotations
@@ -100,6 +111,10 @@ class DkmConfig:
     """Clustering hyper-parameters: 2^bits centroids of ``dim`` components.
 
     epsilon = 0 disables the early exit and always runs max_iterations.
+    temperature is any float > 0, but the squared metric's logits scale the
+    codebook by 2 / temperature: with weights of about 1, a float64
+    temperature of 1e-306 still clusters, while at 1e-308 the logits
+    overflow and the call raises NumericError naming iteration 1.
     """
 
     bits: int
@@ -199,11 +214,11 @@ class DkmResult:
     soft weights (``soft_weights=False``, as ``dkm compress`` runs it);
     attention, indices and codebook are detached values the caller owns
     (the codebook is the next batch's warm start). indices is the (m,)
-    intp array of each row's nearest centroid of the final codebook, taken
-    from the distances (ties go to the lowest index), whatever the
-    assignment rule. In soft and Gumbel attention, an
-    entry whose weight before normalisation, exp((d - max_k d) / tau), would
-    fall below the smallest normal float is exactly 0, not a subnormal.
+    intp array of each row's nearest centroid of the final codebook: its
+    largest logit (ties go to the lowest index), whatever the assignment
+    rule. In soft and Gumbel attention, an entry whose weight before
+    normalisation, exp(l - max_k l) for the loop's logits l, would fall
+    below the smallest normal float is exactly 0, not a subnormal.
     Dividing by the column sum (at most k) can still leave entries between
     tiny / k and tiny. When the attention is not kept, ``attention`` is a
     read-only (m, k) broadcast of one NaN (zero strides, see
@@ -362,9 +377,10 @@ class _TileWork:
 # Flat buffers no call holds, by (size, dtype), the key returned to least
 # recently first. Together they hold at most _FREE_BOUND bytes: what one
 # one-tile call holds, as only those recycle. The most work such a call
-# takes is a replayed Gumbel backward's: dist, tmp, ga, the clamp mask and
-# the sample, each at most TILE_BYTES, and the float64 noise, two tiles'
-# worth in a float32 call. Its kept blocks take at most KEPT_BYTES.
+# takes is a replayed Gumbel backward's: logits, tmp, ga, the sample and
+# (euclidean) the clamp mask, each at most TILE_BYTES, and the float64
+# noise, two tiles' worth in a float32 call. Its kept blocks take at most
+# KEPT_BYTES.
 _free = OrderedDict()
 _free_bytes = 0
 _free_lock = threading.Lock()
@@ -524,24 +540,24 @@ def _nearest_one_hot(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soft_rule(dist: np.ndarray, tau, work: _TileWork, first: int) -> np.ndarray:
-    """The DKM assignment rule: the temperature softmax over the clusters."""
-    return ad.softmax_cluster_major(dist, tau, work.get("sample", dist.shape))
+def _soft_rule(logits: np.ndarray, work: _TileWork, first: int) -> np.ndarray:
+    """The DKM assignment rule: the softmax over the clusters of logits already over tau."""
+    return ad.softmax_cluster_major(logits, 1, work.get("sample", logits.shape))
 
 
 _soft_rule.takes = {}
 
 
-def _tile_distances(w, w_sq, rows, c, euclidean, work: _TileWork) -> np.ndarray:
-    """The (k, rows) negated-distance tile of ``w[rows]``, in the work arrays.
+def _tile_logits(kernel: ad.Logits, w, w_sq, rows, work: _TileWork) -> np.ndarray:
+    """The (k, rows) logits tile of ``w[rows]``, in the work array ``logits``.
 
-    ``tmp`` holds only the kernel's cross term, so later steps of the tile
-    may reuse it.
+    ``w_sq`` (w's row norms) is None but for the euclidean metric, and
+    ``tmp`` holds only that kernel's cross term, so later steps of the
+    tile may reuse it.
     """
-    shape = (c.shape[0], rows.stop - rows.start)
-    return ad.neg_distance_cluster_major(
-        w[rows], c, euclidean, w_sq[rows],
-        work.get("dist", shape), work.get("tmp", shape),
+    shape = (kernel.c.shape[0], rows.stop - rows.start)
+    return kernel.tile(
+        w[rows], work.get("logits", shape), None if w_sq is None else w_sq[rows], work.get("tmp", shape)
     )
 
 
@@ -561,18 +577,23 @@ class _Backward:
     """The VJP of each pass of a differentiable call, adding into ``gw``, the gradient of ``w``.
 
     One set of tile work arrays per tile worker, taken on the calling
-    thread, serves every pass. ``blocks`` and ``reads_dist`` are
-    ``_loop_backward``'s; a kept pass's block goes back to the free list
-    once its VJP has run.
+    thread, serves every pass. ``blocks`` is ``_loop_backward``'s; a kept
+    pass's block goes back to the free list once its VJP has run.
     """
 
-    def __init__(self, w, k, tau, euclidean, tiles, rule, blocks, reads_dist):
+    def __init__(self, w, k, tau, euclidean, tiles, rule, blocks):
         self.w, self.tau, self.euclidean, self.tiles = w, tau, euclidean, tiles
-        self.rule, self.blocks, self.reads_dist = rule, blocks, reads_dist
-        self.w_sq, self.gw = (w * w).sum(axis=1), np.zeros_like(w)
-        # the distances, the kernel's cross term, the attention gradient, the
-        # clamp mask and, on a replayed call, the rule's tile and arrays
-        reserve = {**dict.fromkeys(("dist", "tmp", "ga"), w.dtype), "clamp": bool}
+        self.rule, self.blocks = rule, blocks
+        self.w_sq = (w * w).sum(axis=1) if euclidean else None
+        self.gw = np.zeros_like(w)
+        # the kernel's cross term and the attention gradient; the logits
+        # wherever the tile is recomputed; the euclidean VJP's clamp mask;
+        # and, on a replayed call, the rule's tile and arrays
+        reserve = dict.fromkeys(("tmp", "ga"), w.dtype)
+        if euclidean or blocks is None:
+            reserve["logits"] = w.dtype
+        if euclidean:
+            reserve["clamp"] = bool
         if blocks is None:
             reserve.update({"sample": w.dtype, **rule.takes})
         self.works = _tile_works(k, tiles, reserve)
@@ -580,7 +601,7 @@ class _Backward:
     def output_vjp(self, p, c, g):
         """Pass p, the output ``w_tilde = A c``: the gradient of ``c``, given g = d(loss)/d(w_tilde)."""
         g_c = np.zeros_like(c)
-        # g_c takes, tile by tile, a @ g[rows] and then the distance term
+        # g_c takes, tile by tile, a @ g[rows] and then the logits term
         self._run(p, c, (g_c, g_c), g, None, None)
         return g_c
 
@@ -596,20 +617,23 @@ class _Backward:
         return g_c
 
     def _run(self, p, c, totals, *grads):
-        _run_tiles(partial(self._tile, p, c, bool(totals), *grads), self.tiles, self.works, totals)
+        kernel = ad.Logits(c, self.tau, self.euclidean)
+        _run_tiles(partial(self._tile, p, kernel, bool(totals), *grads), self.tiles, self.works, totals)
         if self.blocks is not None:  # a kept pass's attention is read once
             _give_back((self.blocks[p],))
             self.blocks[p] = None
 
-    def _tile(self, p, c, need_c, g, g_weighted, g_sums, rows, work):
+    def _tile(self, p, kernel, need_c, g, g_weighted, g_sums, rows, work):
         # writes the tile's rows of gw; returns its terms of the gradient of c
-        w, wr = self.w, self.w[rows]
+        w, wr, c = self.w, self.w[rows], kernel.c
+        logits = None
         if self.blocks is None:
-            dist = _tile_distances(w, self.w_sq, rows, c, self.euclidean, work)
-            a = self.rule(dist, self.tau, work, p * w.shape[0] + rows.start)
-        else:  # the call's one tile
+            logits = _tile_logits(kernel, w, self.w_sq, rows, work)
+            a = self.rule(logits, work, p * w.shape[0] + rows.start)
+        else:  # the call's one tile; only the euclidean VJP reads its logits
             a = self.blocks[p].reshape(c.shape[0], w.shape[0])
-            dist = _tile_distances(w, self.w_sq, rows, c, self.euclidean, work) if self.reads_dist[p] else None
+            if self.euclidean:
+                logits = _tile_logits(kernel, w, self.w_sq, rows, work)
         ga = work.get("ga", a.shape)
         if g is not None:
             gr = g[rows]
@@ -617,25 +641,23 @@ class _Backward:
         else:
             ad.rows_dot(g_weighted, wr, out=ga)
             ga += g_sums[:, None]
-        # through the softmax over clusters of (distances + any noise) / tau,
-        # a * (ga - sum_k ga a) / tau, ...
+        # through the softmax over clusters of the logits (plus any noise),
+        # a * (ga - sum_k ga a), ...
         ga -= np.multiply(ga, a, out=work.get("tmp", a.shape)).sum(axis=0)
         ga *= a
-        ga /= self.tau
         terms = ()
         if g is not None:
             terms = (a @ gr,)
         else:
             self.gw[rows] += a.T @ g_weighted
         # ... to the rows and the centroids
-        gw_rows, gc = ad.neg_distance_vjp(
-            ga, dist, wr, c, self.euclidean, need_c, work.get("tmp", a.shape), work.get("clamp", a.shape)
-        )
+        clamp = work.get("clamp", a.shape) if self.euclidean else None
+        gw_rows, gc = kernel.vjp(ga, logits, wr, need_c, work.get("tmp", a.shape), clamp)
         self.gw[rows] += gw_rows
         return (*terms, gc)
 
 
-def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks, reads_dist):
+def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks):
     """Backward of the fused loop: the output pass's VJP, then each update's, last to first.
 
     The last pass is the output ``w_tilde = A C``; every earlier one, p,
@@ -644,15 +666,15 @@ def _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks, 
     gradient: the starting codebook is a constant.
 
     On a replayed call (``blocks`` None), every case but one tile kept,
-    pass p recomputes each tile's distances and the rule's attention tile,
+    pass p recomputes each tile's logits and the rule's attention tile,
     with the ``first`` the forward pass gave the rule. A kept call is one
-    tile: pass p reads its (k, m) attention from the flat ``blocks[p]`` and
-    recomputes the distances only where ``neg_distance_vjp`` reads them,
-    ``reads_dist[p]`` (the euclidean root, or a clamped zero).
+    tile: pass p reads its (k, m) attention from the flat ``blocks[p]``,
+    and recomputes the logits only for the euclidean metric, whose VJP
+    reads the root; the squared VJP reads no tile.
     """
 
     def backward(g):
-        vjp = _Backward(w, codebooks[0].shape[0], tau, euclidean, tiles, rule, blocks, reads_dist)
+        vjp = _Backward(w, codebooks[0].shape[0], tau, euclidean, tiles, rule, blocks)
         steps = len(col_sums)
         g_c = vjp.output_vjp(steps, codebooks[steps], g)
         for p in range(steps - 1, -1, -1):
@@ -688,9 +710,11 @@ def _cluster_loop(
     The loop starts from ``warm_start``, which must be (2^bits, dim) and is
     copied, never aliased, or else from ``init_centroids(..., seed)``.
 
-    ``rule(dist, tau, work, first)`` maps a cluster-major (k, rows) tile of
-    negated distances to its (k, rows) attention tile: the softmax for the
-    soft rule, a Gumbel-softmax sample, a one-hot for hard. ``first = p *
+    ``rule(logits, work, first)`` maps a cluster-major (k, rows) tile of
+    logits (``autodiff.Logits``: already over tau, so the rule runs at
+    temperature 1) to its (k, rows) attention tile: the softmax for the
+    soft rule, a Gumbel-softmax sample, a one-hot of the largest logit
+    for hard. ``first = p *
     m + rows.start``, the tile's first row among the rows of passes 0, 1,
     ..., places a random rule's noise (the soft and hard rules ignore it).
     The rule writes the tile into the work array ``sample`` (``work.get``),
@@ -745,28 +769,28 @@ def _cluster_loop(
     euclidean = config.metric == EUCLIDEAN
     tiles = _row_tiles(m, k, w.itemsize)
     blocks = [] if keep else None  # each pass's attention, on a kept call
-    reads_dist = []  # per kept pass, whether its VJP reads the distances
-    # w's row norms, a tile's rows at a time: no (m, dim) temporary; the
-    # tape does not hold them, as an (m,) array it holds can split the heap
-    # so that a later (m, k) array no longer fits where the last one was
-    w_sq = np.empty(m, w.dtype)
-    for rows in tiles:
-        np.sum(w[rows] * w[rows], axis=1, out=w_sq[rows])
-    # the distances, the kernel's cross term, and the rule's tile and arrays
-    works = _tile_works(k, tiles, {"dist": w.dtype, "tmp": w.dtype, "sample": w.dtype, **rule.takes})
+    w_sq = None
+    if euclidean:
+        # w's row norms, for the root, a tile's rows at a time: no (m, dim)
+        # temporary; the tape does not hold them, as an (m,) array it holds
+        # can split the heap so that a later (m, k) array no longer fits
+        # where the last one was
+        w_sq = np.empty(m, w.dtype)
+        for rows in tiles:
+            np.sum(w[rows] * w[rows], axis=1, out=w_sq[rows])
+    # the logits, the euclidean kernel's cross term, and the rule's tile and arrays
+    works = _tile_works(k, tiles, {"logits": w.dtype, "tmp": w.dtype, "sample": w.dtype, **rule.takes})
 
-    def attention_of(dist, rows, work):
-        a = rule(dist, tau, work, len(col_sums) * m + rows.start)
+    def attention_of(logits, rows, work):
+        a = rule(logits, work, len(col_sums) * m + rows.start)
         if keep:  # a kept call's one tile runs on the calling thread
             blocks.append(_take(m * k, w.dtype))
             blocks[-1].reshape(k, m)[...] = a
-            # the euclidean VJP always reads them, the squared one at a clamped zero
-            reads_dist.append(euclidean or not dist.max() < 0)
         return a
 
     def tile_mass(rows, work):
-        # c is rebound only after every tile of the pass has run
-        a = attention_of(_tile_distances(w, w_sq, rows, c, euclidean, work), rows, work)
+        # kernel is rebound only after every tile of the pass has run
+        a = attention_of(_tile_logits(kernel, w, w_sq, rows, work), rows, work)
         return a.sum(axis=1), a @ w[rows]
 
     codebooks = [c]
@@ -774,6 +798,7 @@ def _cluster_loop(
     delta = np.inf
     converged = False
     for it in range(1, config.max_iterations + 1):
+        kernel = ad.Logits(c, tau, euclidean)
         sums = np.zeros(k, dtype=w.dtype)
         weighted = np.zeros((k, d), dtype=w.dtype)
         _run_tiles(tile_mass, tiles, works, (sums, weighted))
@@ -791,23 +816,24 @@ def _cluster_loop(
             converged = True
             break
 
-    # the final pass: the nearest centroid of each row from the distances
+    # the final pass: the nearest centroid of each row, its largest logit
     # (the rule may be noisy), then, unless only those are asked for, the
     # soft weights and the attention if kept
     attn = np.empty((m, k), dtype=w.dtype) if keep_attention else None
     w_tilde = np.empty((m, d), dtype=w.dtype) if soft_weights else None
     indices = np.empty(m, dtype=np.intp)
     cluster_ids = np.arange(k, dtype=w.dtype)
+    kernel = ad.Logits(c, tau, euclidean)
 
     def final_tile(rows, work):
-        dist = _tile_distances(w, w_sq, rows, c, euclidean, work)
-        indices[rows] = cluster_ids @ _nearest_one_hot(dist, work.get("tmp", dist.shape))
+        logits = _tile_logits(kernel, w, w_sq, rows, work)
+        indices[rows] = cluster_ids @ _nearest_one_hot(logits, work.get("tmp", logits.shape))
         if not soft_weights:
             return
-        a = attention_of(dist, rows, work)
+        a = attention_of(logits, rows, work)
         # row-major either way, so w_tilde has the same bits with or without;
-        # the distances are spent, so their buffer takes the attention
-        tile = attn[rows] if keep_attention else work.get("dist", a.shape[::-1])
+        # the logits are spent, so their buffer takes the attention
+        tile = attn[rows] if keep_attention else work.get("logits", a.shape[::-1])
         tile[...] = a.T
         # straight into the output: a (rows, dim) temporary made on a pool
         # thread would stay in that thread's malloc arena
@@ -821,7 +847,7 @@ def _cluster_loop(
     if soft_weights:
         backward = None
         if w_node.requires_grad:
-            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks, reads_dist)
+            backward = _loop_backward(w, codebooks, col_sums, tau, euclidean, tiles, rule, blocks)
         w_tilde = Node(w_tilde, (w_node,), backward)
 
     return DkmResult(

@@ -164,7 +164,7 @@ def test_hard_rule_matches_hard_attention_with_ties():
     dist[3] = dist[5]  # duplicate centroids tie in every column
     for tile in (dist[:, :100], dist):
         tile = np.ascontiguousarray(tile)
-        one_hot = baselines._hard_rule(tile, 1.0, core._TileWork(tile.size, {"sample": tile.dtype}), 0)
+        one_hot = baselines._hard_rule(tile, core._TileWork(tile.size, {"sample": tile.dtype}), 0)
         np.testing.assert_array_equal(one_hot, hard_attention(tile.T).T)
 
 
@@ -213,10 +213,10 @@ def gumbel_attention(values, start, cfg, seed):
     the first * k uniforms of the tiles before it.
     """
 
-    def rule(dist, tau, work, first):
+    def rule(logits, work, first):
         rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(first * dist.shape[0])
-        return baselines.gumbel_sample(dist / tau, 1.0, rng, work)
+        rng.bit_generator.advance(first * logits.shape[0])
+        return baselines.gumbel_sample(logits, 1.0, rng, work)
 
     rule.takes = {"noise": np.float64}
     return core._cluster_loop(ad.constant(values), Codebook(start), cfg, 0, rule).attention

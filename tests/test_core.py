@@ -5,6 +5,8 @@ import sys
 import threading
 from collections import OrderedDict
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -916,7 +918,9 @@ def plain_softmax_clusters(dist: np.ndarray, tau) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("plain_columns", [0, 40])  # many flushed entries, then few
+# many flushed entries; few, at the branch boundary (8 of 7 * 37 entries,
+# size // 32); and fewer
+@pytest.mark.parametrize("plain_columns", [0, 35, 40])
 def test_softmax_clusters_flushes_logits_below_log_tiny(dtype, plain_columns):
     floor = np.log(np.finfo(dtype).tiny, dtype=np.float64)
     # shifted logits: the kept max, the normal range, the subnormal band just
@@ -966,16 +970,22 @@ def test_softmax_clusters_columns_sum_to_one_at_a_near_hard_temperature():
     np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-15)
 
 
-def test_public_attention_is_the_loops_attention_bit_for_bit():
-    # a cluster_large b5d2 layer (eight tiles), where tau 0.05 flushes a few
-    # entries of the final attention to 0
-    values = np.random.default_rng(0).standard_normal(65_536).reshape(-1, 2)
-    sub = SubvectorMatrix(values, values.size)
-    cfg = DkmConfig(bits=5, dim=2, temperature=0.05, epsilon=0.0)
-    res = core.dkm_forward(sub, config=cfg, seed=3)
-    public = core.attention(core.distance_matrix(sub, res.codebook), cfg.temperature).value
-    assert np.count_nonzero(res.attention == 0.0) > 0
-    np.testing.assert_array_equal(public, res.attention)
+def test_public_attention_is_the_loops_attention_to_rounding():
+    # both cluster_large layers (several tiles each), where tau 0.05 flushes
+    # a few entries of the final attention to 0: the loop softmaxes its
+    # logits, the public nodes the negated distances over tau, so the two
+    # agree to rounding, flush the same entries and pick the same nearest
+    # centroids
+    values = np.random.default_rng(0).standard_normal(65_536)
+    for bits, dim in ((4, 1), (5, 2)):
+        sub = SubvectorMatrix(values.reshape(-1, dim), values.size)
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0)
+        res = core.dkm_forward(sub, config=cfg, seed=3)
+        public = core.attention(core.distance_matrix(sub, res.codebook), cfg.temperature).value
+        assert np.count_nonzero(res.attention == 0.0) > 0
+        assert np.abs(public - res.attention).max() <= 1e-12
+        np.testing.assert_array_equal(public == 0.0, res.attention == 0.0)
+        np.testing.assert_array_equal(res.indices, np.argmax(public, axis=1))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1027,6 +1037,83 @@ def test_distance_matrix_has_the_bits_of_negating_last(metric, dim, dtype, nan_r
     assert got.dtype == dtype
     assert np.count_nonzero(ref == 0.0) > 0
     assert np.array_equal(got, ref, equal_nan=nan_row)
+
+
+@pytest.mark.parametrize("metric", core.METRICS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logits_kernel_is_the_negated_distance_over_tau_plus_the_row_norm(metric, dim, dtype):
+    rng = np.random.default_rng(95)
+    k, m = 256, 1300
+    w = rng.normal(size=(m, dim)).astype(dtype)
+    c = rng.normal(size=(k, dim)).astype(dtype)
+    tau, euclidean = dtype(0.05), metric == core.EUCLIDEAN
+    kernel = ad.Logits(c, tau, euclidean)
+    w_sq = (w * w).sum(axis=1)
+    # tiles of the loop's size, the last one ragged, in reused work arrays,
+    # have the bits of fresh ones
+    tiles = core._row_tiles(m, k, np.dtype(dtype).itemsize)
+    assert len(tiles) >= 3 and tiles[-1].stop - tiles[-1].start < tiles[0].stop - tiles[0].start
+    work = core._TileWork(k * (tiles[0].stop - tiles[0].start), {"logits": dtype, "tmp": dtype})
+    whole = np.empty((k, m), dtype)
+    for rows in tiles:
+        shape = (k, rows.stop - rows.start)
+        got = kernel.tile(w[rows], work.get("logits", shape), w_sq[rows], work.get("tmp", shape))
+        assert got is work.get("logits", shape) and got.dtype == dtype
+        np.testing.assert_array_equal(got, kernel.tile(w[rows]))
+        whole[:, rows] = got
+    w64, c64 = w.astype(np.float64), c.astype(np.float64)
+    sq = ((w64[None] - c64[:, None]) ** 2).sum(axis=2)  # by direct differences
+    eps = np.finfo(dtype).eps
+    if euclidean:
+        # the negated root over tau: the distance kernel's bits, divided
+        for rows in tiles:
+            np.testing.assert_array_equal(whole[:, rows], ad.neg_distance_cluster_major(w[rows], c, True) / tau)
+        # a root near zero amplifies the squared distance's rounding
+        scale = ((w64 * w64).sum(axis=1) + (c64 * c64).sum(axis=1)[:, None]).max()
+        assert np.abs(whole + np.sqrt(sq) / float(tau)).max() <= 4 * np.sqrt(eps * scale) / float(tau)
+        return
+    # (2 c.w - |c|^2) / tau, which is the negated squared distance over tau
+    # plus |w|^2 / tau, to rounding
+    scale = (2 * np.abs(c64 @ w64.T) + (c64 * c64).sum(axis=1)[:, None]).max() / float(tau)
+    direct = (2 * (c64 @ w64.T) - (c64 * c64).sum(axis=1)[:, None]) / float(tau)
+    shifted = (-sq + (w64 * w64).sum(axis=1)) / float(tau)
+    for ref in (direct, shifted):
+        assert np.abs(whole - ref).max() <= 8 * eps * scale
+
+
+@pytest.mark.parametrize("need_c", [True, False])
+@pytest.mark.parametrize("metric", core.METRICS)
+def test_logits_vjp_matches_finite_differences(metric, need_c):
+    # any gradient of the logits, not only a softmax's, whose columns sum to zero
+    rng = np.random.default_rng(96)
+    w, c, g = rng.normal(size=(30, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 30))
+    tau, euclidean = np.float64(0.3), metric == core.EUCLIDEAN
+
+    def loss(w, c):
+        return float(np.sum(ad.Logits(c, tau, euclidean).tile(w) * g))
+
+    kernel = ad.Logits(c, tau, euclidean)
+    logits = kernel.tile(w) if euclidean else None  # the squared VJP reads no tile
+    tmp, clamp = np.empty_like(g), np.empty(g.shape, bool)
+    gw, gc = kernel.vjp(g.copy(), logits, w, need_c, tmp, clamp)
+    assert rel_err(gw, central_diff(lambda x: loss(x, c), w)) < 1e-7
+    if need_c:
+        assert rel_err(gc, central_diff(lambda x: loss(w, x), c)) < 1e-7
+    else:
+        assert gc is None
+
+
+def test_float64_temperature_domain_of_the_squared_logits():
+    values = np.random.default_rng(97).standard_normal((512, 1))
+    cfg = DkmConfig(bits=2, temperature=1e-300, epsilon=0.0)
+    # logits near 1e300 stay finite: the assignment is all but hard
+    res = core.dkm_forward(ad.constant(values), config=cfg, seed=0, keep_attention=False)
+    assert np.all(np.isfinite(res.w_tilde.value)) and np.all(np.isfinite(res.codebook.centroids))
+    # at tau 1e-308 the scaled codebook 2c / tau overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite centroids at iteration 1"):
+            core.dkm_forward(ad.constant(values), config=replace(cfg, temperature=1e-308), seed=0)
 
 
 FORWARDS = {
@@ -1355,7 +1442,7 @@ def test_update_pass_vjp_matches_finite_differences(metric, kept):
     tiles = core._row_tiles(40, 4, 8)
     # pass 1 of a call, its (k, m) attention kept or replayed by the soft rule
     blocks = [None, a.ravel()] if kept else None
-    vjp = core._Backward(w, 4, tau, euclidean, tiles, core._soft_rule, blocks, [None, euclidean])
+    vjp = core._Backward(w, 4, tau, euclidean, tiles, core._soft_rule, blocks)
     g_c = vjp.update_vjp(1, c, a.sum(axis=1), c_next, g_next)
     for work in vjp.works:
         work.release()
@@ -1368,8 +1455,8 @@ def test_update_pass_vjp_matches_finite_differences(metric, kept):
 
 
 def test_a_work_array_the_rule_did_not_declare_fails_naming_it():
-    def rule(dist, tau, work, first):
-        return ad.softmax_cluster_major(dist, tau, work.get("undeclared", dist.shape))
+    def rule(logits, work, first):
+        return ad.softmax_cluster_major(logits, 1, work.get("undeclared", logits.shape))
 
     rule.takes = {}
     with pytest.raises(KeyError, match="undeclared"):
@@ -1412,16 +1499,17 @@ def test_multi_tile_gumbel_does_not_depend_on_the_worker_count(monkeypatch, fits
     assert np.any(want[3] != 0)
 
 
-@pytest.mark.parametrize("layer, recomputed", [("squared", 0), ("seeded_on_weights", 1), ("euclidean", 6)])
+@pytest.mark.parametrize("layer, recomputed", [("squared", 0), ("seeded_on_weights", 0), ("euclidean", 6)])
 def test_kept_backward_recomputes_distances_only_where_the_vjp_reads_them(
     monkeypatch, layer, recomputed
 ):
-    # squared distances: only pass 0 after random_sample seeding has a
-    # centroid on a weight (a clamped zero); euclidean: every pass's root
+    # squared logits: no pass, not even pass 0 after random_sample seeding
+    # put a centroid on a weight, as the logits clamp nothing; euclidean:
+    # every pass's root
     forward, values, warm, cfg = KEPT_LAYERS[layer]()
     leaf = ad.leaf(values)
     res = forward(leaf, warm, cfg, seed=3, keep_attention=False)
-    distances = count_calls(monkeypatch, "_tile_distances")
+    distances = count_calls(monkeypatch, "_tile_logits")
     ad.backward(ad.sum_all(ad.square(res.w_tilde)))
     assert len(distances) == recomputed
 
@@ -1532,7 +1620,7 @@ def test_free_list_stays_within_its_bound(monkeypatch):
         telemetry, arrays = loop_outputs(*job)
         assert free_list_bytes() <= 3 * 4096 * 4 * 8
         if i == 1:  # the float32 call's buffers pushed out the float64 ones
-            assert {dtype for _, dtype in core._free} == {np.dtype(np.float32), np.dtype(bool)}
+            assert {dtype for _, dtype in core._free} == {np.dtype(np.float32)}
         assert telemetry == want_telemetry
         for a, b in zip(arrays, want_arrays):
             np.testing.assert_array_equal(a, b)

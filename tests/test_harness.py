@@ -151,7 +151,7 @@ def test_divergence_aborts_with_diagnostic():
 def test_divergence_in_the_clustering_loop_names_epoch_batch_and_iteration():
     data = blobs(n=200)
     model = hz.ToyModel(mlp_spec((scheme(), None, None), "dkm"))
-    model.weights[0][0, 0] = 1e300  # its square overflows the distances
+    model.weights[0][0, 0] = 1e308  # 2 c w / tau overflows its logits at the first pass
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as info:
             hz.train(model, data, hz.TrainConfig(epochs=1, seed=0))
