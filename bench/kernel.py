@@ -76,7 +76,7 @@ Usage, from anywhere (the script puts this repository's ``src`` first on
 ``sys.path`` and pins BLAS to one thread unless the environment says
 otherwise)::
 
-    python bench/kernel.py                 # full sizes, ~2 minutes
+    python bench/kernel.py                 # full sizes, about a minute
     python bench/kernel.py --tiny --out /tmp/BENCH_kernel.json
 
 Standard library and numpy only.
