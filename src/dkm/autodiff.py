@@ -400,8 +400,7 @@ class Logits:
     - Euclidean: the negated distance of ``neg_distance_cluster_major``,
       whose root needs |w_i|^2, divided by tau.
 
-    For O(1) weights, a float64 tau of about 1e-306 or more keeps the
-    squared logits finite; at 1e-308, 2c / tau overflows.
+    ``core.DkmConfig`` states the temperatures at which 2c / tau stays finite.
     """
 
     def __init__(self, c: np.ndarray, tau, euclidean: bool = False):
