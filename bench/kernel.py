@@ -60,9 +60,8 @@ on every case alike, and the first round only warms up.
   they agree to rounding, not bit for bit), whether both have the same
   zero entries and whether ``indices`` is the public attention's argmax;
   and the largest absolute difference between one loop iteration's
-  codebook and one fixed-variance EM step (acceptance criterion 1). The
-  script exits 1, after writing its file, when the attention differs by
-  more than 1e-12 or the codebook by more than 1e-10.
+  codebook and one fixed-variance EM step (acceptance criterion 1).
+  Recorded, not gated: tier-1 tests hold both agreements.
 - ``attention_free``: one bits=12 layer (65,536 sub-vectors of dim 1,
   max_iterations 1) clustered with ``keep_attention=False``: the
   ``tracemalloc`` peak of one call and the seconds of another, untraced,
@@ -162,10 +161,6 @@ RULES = {
     "gumbel": baselines.gumbel_forward,
     "hard": baselines.hard_forward,
 }
-# the loop's final attention against the public nodes', and one loop
-# iteration's codebook against one EM step (acceptance criterion 1)
-ATTENTION_TOLERANCE = 1e-12
-EM_TOLERANCE = 1e-10
 
 
 def alternating_rounds(cases: list, repeats: int) -> list[list]:
@@ -499,14 +494,6 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
-    failed = [
-        row["layer"] for row in agreement
-        if not (row["attention_max_abs_diff"] <= ATTENTION_TOLERANCE
-                and row["codebook_vs_em_max_abs_diff"] <= EM_TOLERANCE)
-    ]
-    if failed:
-        print(f"numerics out of tolerance on {', '.join(failed)}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -372,13 +372,8 @@ def neg_distance_vjp(
         np.negative(g, out=g)
     if dist is not None and not dist.max() < 0:  # a clamped entry is 0; most tiles have none
         g *= np.less(dist, 0, out=clamp)
-    return _sq_distance_vjp(g, w, c, need_c)
-
-
-def _sq_distance_vjp(gs: np.ndarray, w: np.ndarray, c: np.ndarray, need_c: bool):
-    """Gradients reaching w and c from gs = d(loss)/d(|w|^2 + |c|^2 - 2 w.c), (k, m)."""
-    gw = 2.0 * w * gs.sum(axis=0)[:, None] - 2.0 * (gs.T @ c)
-    gc = 2.0 * c * gs.sum(axis=1)[:, None] - 2.0 * (gs @ w) if need_c else None
+    gw = 2.0 * w * g.sum(axis=0)[:, None] - 2.0 * (g.T @ c)
+    gc = 2.0 * c * g.sum(axis=1)[:, None] - 2.0 * (g @ w) if need_c else None
     return gw, gc
 
 
@@ -436,22 +431,16 @@ class Logits:
         read from neither the tile nor ``logits`` (which may be None). A
         softmax's gradient sums to zero over each column, so the |w|^2
         term the tile leaves out would have added nothing but rounding.
-        Euclidean: through the root, recovered as -tau * ``logits`` (the
-        tile of these ``w``), as ``neg_distance_vjp`` does; an entry at
-        zero distance passes no gradient. ``g`` is overwritten; the c
-        gradient is None unless ``need_c``; ``tmp`` (float) and ``clamp``
-        (bool) are optional (k, m) work arrays of the euclidean VJP.
+        Euclidean: ``neg_distance_vjp`` of g / tau on the distances,
+        recovered as tau * ``logits`` (the tile of these ``w``) in place,
+        so ``logits`` is overwritten. ``g`` is overwritten; the c gradient
+        is None unless ``need_c``; ``tmp`` (float) and ``clamp`` (bool) are
+        optional (k, m) work arrays of the euclidean VJP.
         """
         if self.euclidean:
-            # d(logit)/ds = -1 / (2 tau sqrt(s)) for s the squared distance,
-            # the root floored so a zero distance stays finite until masked
-            root = np.multiply(logits, -self.tau, out=tmp)
-            g /= np.maximum(root, np.finfo(logits.dtype).tiny ** 0.5, out=root)
-            g *= -0.5
             g /= self.tau
-            if not logits.max() < 0:  # a zero distance; most tiles have none
-                g *= np.less(logits, 0, out=clamp)
-            return _sq_distance_vjp(g, w, self.c, need_c)
+            dist = np.multiply(logits, self.tau, out=logits)
+            return neg_distance_vjp(g, dist, w, self.c, True, need_c, tmp, clamp)
         gw = g.T @ self.scaled
         if not need_c:
             return gw, None
