@@ -19,8 +19,9 @@ The tape holds only what backward reads:
   runs the softmax and the update kernels too, but clusters on
   ``Logits``, whose tile is the negated distance over tau plus a term
   equal across each row's clusters (for the squared metric, without the
-  row norms, the clamp or a division by tau), with its own VJP; so the
-  loop agrees with the composed nodes to rounding, not bit for bit;
+  row norms, the clamp or a division by tau, and with its own VJP; the
+  euclidean VJP is ``neg_distance_vjp``'s); so the loop agrees with the
+  composed nodes to rounding, not bit for bit;
 - ``softmax_cross_entropy`` is the whole classification loss in one node,
   saving the row exponentials and their sums, and ``regroup`` lays a
   matrix's row-major entries out in a new shape, zero-padded or cut short,
