@@ -1,8 +1,9 @@
 """Cost of the clustering loop's tile kernel, of the battery trainings, and of compress.
 
 Seven measurements, written to one JSON file (default ``BENCH_kernel.json``
-at the repository root). Every timed row of ``tile_passes`` and
-``multi_tile`` is the median over rounds, with its quartiles beside it
+at the repository root). Every timed row of ``tile_passes``,
+``multi_tile``, ``compress`` and ``precision`` is the median over rounds,
+with its quartiles beside it
 (``_q1`` and ``_q3`` keys): each round runs every case of the section
 once, in an order that reverses from round to round, so host drift falls
 on every case alike, and the first round only warms up.
@@ -34,14 +35,14 @@ on every case alike, and the first round only warms up.
   file (seeded standard normal float32 weights; full size 1,048,576
   weights at bits 3, dim 8, as the benchmark's ``codec`` w1m file), each
   run in a fresh child process: the ``tracemalloc`` peak of the command
-  in one child; and, over several children run without tracemalloc, the
-  median wall seconds of the command and the median ``ru_maxrss`` after
-  imports and after the command.
+  in one child; and, over several children run one after another without
+  tracemalloc, the wall seconds of the command and the ``ru_maxrss``
+  after imports and after the command.
 - ``precision``: the soft loop (``dkm_forward`` on a constant, epsilon
   1e-4, 5 iterations, no attention) on the benchmark's two ``codec``
   shapes (its seeded float32 weights, bits, dim and tau), run on the
-  weights widened to float64 and on the float32 weights themselves: best
-  wall seconds of alternating runs, the ``tracemalloc`` peak of one call,
+  weights widened to float64 and on the float32 weights themselves: wall
+  seconds of alternating rounds, the ``tracemalloc`` peak of one call,
   the share of sub-vectors whose float32 index equals the float64 one,
   and both reconstruction RMSEs of ``codebook[indices]`` against the
   weights.
@@ -115,7 +116,9 @@ from dkm.core import DkmConfig, SubvectorMatrix  # noqa: E402
 
 sys.path.insert(0, str(ROOT))
 from perfbench.run import source_commit, source_digest  # noqa: E402
-from perfbench.workloads import CODEC_FILES  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    BATTERY_SCHEME, BATTERY_SIZES, CLUSTER_TAU, CLUSTER_VARIANTS, CLUSTER_WEIGHTS, CODEC_FILES, TRAIN_MODES,
+)
 
 ITERATIONS = 5
 # label, bits, dim, sub-vectors, tau, weight scale; each is one tile, and
@@ -123,31 +126,27 @@ ITERATIONS = 5
 TILES = {
     "full": (
         ("battery", 2, 1, 4096, 0.002, (2.0 / 64) ** 0.5),
-        ("cluster_b4d1", 4, 1, core.TILE_BYTES // (16 * 8), 0.05, 1.0),
-        ("cluster_b5d2", 5, 2, core.TILE_BYTES // (32 * 8), 0.05, 1.0),
+        ("cluster_b4d1", 4, 1, core.TILE_BYTES // (16 * 8), CLUSTER_TAU, 1.0),
+        ("cluster_b5d2", 5, 2, core.TILE_BYTES // (32 * 8), CLUSTER_TAU, 1.0),
     ),
     "tiny": (
         ("battery", 2, 1, 256, 0.002, (2.0 / 64) ** 0.5),
-        ("cluster_b4d1", 4, 1, 256, 0.05, 1.0),
-        ("cluster_b5d2", 5, 2, 256, 0.05, 1.0),
+        ("cluster_b4d1", 4, 1, 256, CLUSTER_TAU, 1.0),
+        ("cluster_b5d2", 5, 2, 256, CLUSTER_TAU, 1.0),
     ),
 }
 REPEATS = {"full": 15, "tiny": 2}
 # rounds of battery trainings, each training every mode once
 TRAINING_RUNS = {"full": 5, "tiny": 1}
-BATTERY = {
-    "full": {"n": 2000, "hidden": (64, 64), "epochs": 15},
-    "tiny": {"n": 200, "hidden": (8, 8), "epochs": 1},
-}
-SCHEME = DkmConfig(bits=2, dim=1, temperature=0.002, epsilon=1e-4)
-# weights, bits, dim, tau of the compressed file
-COMPRESS = {"full": (1_048_576, 3, 8, 0.5), "tiny": (8_192, 3, 8, 0.5)}
-# untraced compress children, and alternating runs per precision
-COMPRESS_RUNS = {"full": 5, "tiny": 1}
-PRECISION_RUNS = {"full": 7, "tiny": 1}
-# weights of the multi-tile layer, and its (label, bits, dim) shapes
-MULTI_TILE_WEIGHTS = {"full": 65_536, "tiny": 8_192}
-MULTI_TILE_LAYERS = (("b4d1", 4, 1), ("b5d2", 5, 2))
+# weights, bits, dim, tau of the compressed file: the codec workload's larger one
+COMPRESS = {size: files[1][1:] for size, files in CODEC_FILES.items()}
+# untraced compress children, and alternating runs per precision, after one
+# warm-up round; at least 2, which quartiles need
+COMPRESS_RUNS = {"full": 5, "tiny": 2}
+PRECISION_RUNS = {"full": 7, "tiny": 2}
+# weights of the multi-tile layer: cluster_large's at full size, but not its
+# tiny 2,048, which fit in one tile, where these rows measure several
+MULTI_TILE_WEIGHTS = {"full": CLUSTER_WEIGHTS["full"], "tiny": 8_192}
 MULTI_TILE_RULES = {"soft": core.dkm_forward, "gumbel": baselines.gumbel_forward}
 # sub-vectors of the bits=12 layer (at least 2^12 to seed it)
 ATTENTION_FREE_ROWS = {"full": 65_536, "tiny": 4_096}
@@ -155,7 +154,6 @@ ATTENTION_FREE_ROWS = {"full": 65_536, "tiny": 4_096}
 # starts from the RSS of the process that spawned it. The compress child is
 # spawned through a bare interpreter that imports nothing else.
 RELAY = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-MODES = ("dkm", "hard", "gumbel", "none")
 RULES = {
     "soft": functools.partial(core.dkm_forward, keep_attention=False),
     "gumbel": baselines.gumbel_forward,
@@ -232,11 +230,11 @@ def multi_tile(size: str) -> list[dict]:
             core._max_workers = count_workers
 
     rows, cases = [], []
-    runs = itertools.product(MULTI_TILE_LAYERS, MULTI_TILE_RULES.items(), sorted({1, count_workers()}))
+    runs = itertools.product(CLUSTER_VARIANTS, MULTI_TILE_RULES.items(), sorted({1, count_workers()}))
     for (label, bits, dim), (rule, forward), workers in runs:
         values = weights.reshape(-1, dim)
         target = np.random.default_rng(14).standard_normal(values.shape)
-        cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0, max_iterations=ITERATIONS)
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=CLUSTER_TAU, epsilon=0.0, max_iterations=ITERATIONS)
         rows.append({
             "layer": label,
             "rule": rule,
@@ -258,9 +256,9 @@ def numerics(size: str) -> list[dict]:
     """The soft loop against the public nodes and against one EM step, on the multi-tile layers."""
     weights = np.random.default_rng(0).standard_normal(MULTI_TILE_WEIGHTS[size])
     rows = []
-    for label, bits, dim in MULTI_TILE_LAYERS:
+    for label, bits, dim in CLUSTER_VARIANTS:
         sub = SubvectorMatrix(weights.reshape(-1, dim), weights.size)
-        cfg = DkmConfig(bits=bits, dim=dim, temperature=0.05, epsilon=0.0, max_iterations=ITERATIONS)
+        cfg = DkmConfig(bits=bits, dim=dim, temperature=CLUSTER_TAU, epsilon=0.0, max_iterations=ITERATIONS)
         res = core.dkm_forward(sub, config=cfg, seed=0)
         public = core.attention(core.distance_matrix(sub, res.codebook), cfg.temperature).value
         one = core.dkm_forward(sub, config=replace(cfg, max_iterations=1), seed=0, keep_attention=False)
@@ -281,19 +279,19 @@ def numerics(size: str) -> list[dict]:
 
 def trainings(size: str) -> dict:
     """Median cost of warm battery trainings per mode, their results and tape nodes per batch."""
-    sizes = BATTERY[size]
+    sizes = BATTERY_SIZES[size]
     data = harness.make_dataset("blobs", sizes["n"], 4, 0.5, seed=1)
     dims = (2, *sizes["hidden"], 4)
     cfg = harness.TrainConfig(epochs=sizes["epochs"], seed=0)
 
     def model(mode):
-        scheme = None if mode == "none" else SCHEME
+        scheme = None if mode == "none" else BATTERY_SCHEME
         spec = harness.ModelSpec(dims, (scheme,) * (len(dims) - 1), seed=0, attention_mode=mode)
         return harness.ToyModel(spec)
 
     init = ad.Node.__init__
     nodes = {}
-    for mode in MODES:
+    for mode in TRAIN_MODES:
         built = [0]
 
         def counting_init(node, *args, **kwargs):
@@ -306,10 +304,10 @@ def trainings(size: str) -> dict:
         finally:
             ad.Node.__init__ = init
         nodes[mode] = built[0] / len(log)
-    runs = {mode: [] for mode in MODES}
+    runs = {mode: [] for mode in TRAIN_MODES}
     outcome = {}
     for rep in range(TRAINING_RUNS[size]):
-        for mode in MODES if rep % 2 == 0 else reversed(MODES):
+        for mode in TRAIN_MODES if rep % 2 == 0 else reversed(TRAIN_MODES):
             m = model(mode)
             before = resource.getrusage(resource.RUSAGE_SELF)
             wall = time.perf_counter()
@@ -325,7 +323,7 @@ def trainings(size: str) -> dict:
             if outcome.setdefault(mode, result) != result:
                 raise SystemExit(f"{mode} training gave {result}, then {outcome[mode]}")
     out = {}
-    for mode in MODES:
+    for mode in TRAIN_MODES:
         cpu, wall, faults = zip(*runs[mode])
         batches, final_loss, accuracy = outcome[mode]
         out[mode] = {
@@ -372,11 +370,11 @@ def compress_cost(size: str) -> dict:
             proc = subprocess.run(cmd, input=json.dumps(argv), capture_output=True, text=True, check=True)
             return json.loads(proc.stdout)
 
-        plain = [child("plain") for _ in range(COMPRESS_RUNS[size])]
+        (plain,) = alternating_rounds([lambda rep: child("plain")], COMPRESS_RUNS[size])
         out = {"weights": weights, "bits": bits, "dim": dim, "tau": tau, "runs": len(plain)}
-        out["wall_s"] = round(statistics.median(p["wall_s"] for p in plain), 4)
+        out.update(spread("wall_s", [p["wall_s"] for p in plain], 4))
         for key in ("ru_maxrss_after_imports_kib", "ru_maxrss_kib"):
-            out[key] = statistics.median(p[key] for p in plain)
+            out.update(spread(key, [p[key] for p in plain], 0))
         out.update(child("traced"))
     return out
 
@@ -393,13 +391,12 @@ def precision(size: str) -> list[dict]:
         def forward(p):
             return core.dkm_forward(inputs[p], config=cfg, seed=1, keep_attention=False)
 
-        seconds = {p: [] for p in inputs}
-        for rep in range(runs + 1):  # the first round warms up
-            for p in inputs if rep % 2 else reversed(inputs):
-                start = time.perf_counter()
-                forward(p)
-                if rep:
-                    seconds[p].append(time.perf_counter() - start)
+        def timed(p, rep):
+            start = time.perf_counter()
+            forward(p)
+            return time.perf_counter() - start
+
+        seconds = dict(zip(inputs, alternating_rounds([functools.partial(timed, p) for p in inputs], runs)))
         row = {"file": name, "weights": weights, "bits": bits, "dim": dim, "tau": tau, "runs": runs}
         results = {}
         for p in inputs:
@@ -407,7 +404,7 @@ def precision(size: str) -> list[dict]:
             results[p] = forward(p)
             row[f"{p}_peak_bytes"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            row[f"{p}_forward_s"] = round(min(seconds[p]), 4)
+            row.update(spread(f"{p}_forward_s", seconds[p], 4))
             snapped = results[p].codebook.centroids[results[p].indices].astype(np.float64)
             row[f"{p}_rmse"] = float(np.sqrt(np.mean((snapped.reshape(-1) - values) ** 2)))
         row["index_agreement"] = float(np.mean(results["float32"].indices == results["float64"].indices))

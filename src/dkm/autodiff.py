@@ -9,7 +9,7 @@ The tape holds only what backward reads:
 
 - a node computed from constants alone keeps no parents and no closure, so
   a forward pass on constants builds no tape at all;
-- ``broadcast_row`` returns a read-only view of its input, not a copy;
+- ``dense`` is one node per MLP layer, saving its inputs and relu mask;
 - ``neg_sq_distance``, ``row_softmax`` and ``centroid_update`` keep for
   backward at most their inputs' values, their output and (the update)
   the (k,) column sums. They are plain-array kernels with a tape entry:
@@ -157,23 +157,27 @@ def square(a: Node) -> Node:
     return Node(a.value * a.value, (a,), lambda g: (2.0 * a.value * g,))
 
 
-def relu(a: Node) -> Node:
-    # np.maximum (not where) so NaN propagates instead of masking to zero
-    mask = a.value > 0
-    return Node(np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ {a.value.shape} vs {b.value.shape}")
     return Node(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
 
-def broadcast_row(a: Node, m: int) -> Node:
-    """Tile a (1, n) row down to (m, n) as a read-only view."""
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"broadcast_row: expected a single row, got {a.value.shape}")
-    return Node(np.broadcast_to(a.value, (m, a.value.shape[1])), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
+def dense(h: Node, w: Node, b: Node, relu: bool = False) -> Node:
+    """One MLP layer: ``h @ w + b`` for a (1, n) bias row ``b``, through a relu if ``relu`` is set."""
+    hv, wv, bv = h.value, w.value, b.value
+    if hv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
+        raise ShapeError(f"dense: no layer from h {hv.shape}, w {wv.shape} and bias {bv.shape}")
+    out = hv @ wv + bv
+    if relu:
+        mask = out > 0
+        np.maximum(out, 0.0, out=out)  # not np.where: NaN propagates instead of masking to zero
+
+    def backward(g):
+        g = g * mask if relu else g
+        return (g @ wv.T if h.requires_grad else None), hv.T @ g, g.sum(axis=0, keepdims=True)
+
+    return Node(out, (h, w, b), backward)
 
 
 def regroup(a: Node, rows: int, cols: int) -> Node:
@@ -349,16 +353,14 @@ def softmax_cluster_major(logits: np.ndarray, tau, out: np.ndarray | None = None
 
 
 def neg_distance_vjp(
-    g: np.ndarray, dist: np.ndarray | None, w: np.ndarray, c: np.ndarray, euclidean: bool = False,
+    g: np.ndarray, dist: np.ndarray, w: np.ndarray, c: np.ndarray, euclidean: bool = False,
     need_c: bool = True, tmp: np.ndarray | None = None, clamp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradients reaching w (m, d) and c (k, d) from ``g`` = d(loss)/d(dist).
 
     ``dist`` is the (k, m) output of ``neg_distance_cluster_major`` and ``g``
     has its layout; ``g`` is overwritten. A clamped entry (a row that
-    coincides with a centroid) passes no gradient. Only the euclidean root
-    and the clamp read ``dist``: for squared distances with every entry
-    below zero, which clamped none, it may be None. The c gradient is None
+    coincides with a centroid) passes no gradient. The c gradient is None
     unless ``need_c``. ``tmp`` (float, like ``g``) and ``clamp`` (bool)
     are optional (k, m) work arrays.
     """
@@ -371,7 +373,7 @@ def neg_distance_vjp(
         g /= np.maximum(root, np.finfo(dist.dtype).tiny ** 0.5, out=root)
     else:
         np.negative(g, out=g)
-    if dist is not None and not dist.max() < 0:  # a clamped entry is 0; most tiles have none
+    if not dist.max() < 0:  # a clamped entry is 0; most tiles have none
         g *= np.less(dist, 0, out=clamp)
     gw = 2.0 * w * g.sum(axis=0)[:, None] - 2.0 * (g.T @ c)
     gc = 2.0 * c * g.sum(axis=1)[:, None] - 2.0 * (g @ w) if need_c else None

@@ -8,10 +8,10 @@ counts per batch. Layers are clustered without the (m, k) attention:
 snapping reads the loop's nearest-centroid indices. A bracketing search
 over the softmax temperature drives repeated short runs.
 
-On the tape, each clustered layer's weights reach the loop and come back
-through one ``autodiff.regroup`` node each way, and the loss is one
-``autodiff.softmax_cross_entropy`` node. Evaluation runs the same MLP
-forward on constant nodes, which build no tape.
+On the tape, each layer is one ``autodiff.dense`` node, a clustered layer's
+weights reach the loop and come back through one ``autodiff.regroup`` node
+each way, and the loss is one ``autodiff.softmax_cross_entropy`` node.
+Evaluation runs the same MLP forward on constant nodes, which build no tape.
 """
 
 from __future__ import annotations
@@ -231,13 +231,11 @@ def _cluster_layer(
     mode = model.spec.attention_mode
 
     if mode == "dkm":
-        res = core.dkm_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
-    elif mode == "hard":
-        res = baselines.hard_forward(sub_node, warm, cfg, seed=init_seed)
-    else:  # gumbel; "none" never clusters
-        draw_seed = int(gumbel_rng.integers(2**62))
-        res = baselines.gumbel_forward(sub_node, warm, cfg, seed=draw_seed, init_seed=init_seed)
-    return res
+        return core.dkm_forward(sub_node, warm, cfg, seed=init_seed, keep_attention=False)
+    if mode == "hard":
+        return baselines.hard_forward(sub_node, warm, cfg, seed=init_seed)
+    draw_seed = int(gumbel_rng.integers(2**62))  # gumbel; "none" never clusters
+    return baselines.gumbel_forward(sub_node, warm, cfg, seed=draw_seed, init_seed=init_seed)
 
 
 def _layer_weight_nodes(
@@ -254,19 +252,18 @@ def _layer_weight_nodes(
         if cfg is None or model.spec.attention_mode == "none":
             effective.append(w_leaf)
             continue
-        res = _cluster_layer(model, i, w_leaf, gumbel_rng)
-        results[i] = res
-        effective.append(ad.regroup(res.w_tilde, *w_leaf.shape))
+        try:
+            results[i] = _cluster_layer(model, i, w_leaf, gumbel_rng)
+        except NumericError as exc:
+            raise NumericError(f"layer {i}: {exc}") from exc
+        effective.append(ad.regroup(results[i].w_tilde, *w_leaf.shape))
     return leaves, effective, results
 
 
 def _forward_logits(effective, bias_nodes, x: np.ndarray) -> ad.Node:
     h = ad.constant(x, checked=False)
-    last = len(effective) - 1
     for i, (w, b) in enumerate(zip(effective, bias_nodes)):
-        h = ad.add(ad.matmul(h, w), ad.broadcast_row(b, h.shape[0]))
-        if i != last:
-            h = ad.relu(h)
+        h = ad.dense(h, w, b, relu=i < len(effective) - 1)
     return h
 
 
@@ -405,10 +402,10 @@ def tau_search(
 ) -> tuple[float, list[TauProbe]]:
     """Bracketing search over log-temperature maximizing snapped accuracy.
 
-    Runs exactly ``budget`` independent short trainings (fresh model and
-    warm-start state per probe): both endpoints first, then golden-section
-    interior points. Returns the best probe's temperature and the full
-    trace in execution order.
+    Runs ``budget`` independent short trainings, one if tau_low == tau_high
+    (fresh model and warm-start state per probe): both endpoints first, then
+    golden-section interior points. Returns the best probe's temperature and
+    the full trace in execution order.
     """
     if tau_low <= 0 or tau_high <= 0:
         raise ParameterError("temperatures must be > 0")

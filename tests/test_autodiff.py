@@ -20,8 +20,12 @@ def test_matmul_hand_arithmetic():
 
 
 def test_nodes_refuse_operands_of_other_shapes():
-    with pytest.raises(ShapeError, match=r"broadcast_row: expected a single row, got \(2, 3\)"):
-        ad.broadcast_row(ad.constant(np.zeros((2, 3))), 4)
+    h, w = ad.constant(np.zeros((4, 2))), ad.constant(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"dense: no layer from h \(4, 2\), w \(4, 2\) and bias \(1, 2\)"):
+        ad.dense(h, h, ad.constant(np.zeros((1, 2))))
+    for bias in ((2, 3), (1, 2)):
+        with pytest.raises(ShapeError, match=rf"w \(2, 3\) and bias \({bias[0]}, {bias[1]}\)"):
+            ad.dense(h, w, ad.constant(np.zeros(bias)), relu=True)
     for rows, cols in ((0, 3), (3, 0)):
         with pytest.raises(ShapeError, match=rf"regroup: cannot lay out \({rows}, {cols}\)"):
             ad.regroup(ad.constant(np.zeros((2, 3))), rows, cols)
@@ -124,8 +128,8 @@ def test_composed_chain_gradient_matches_finite_differences():
 
     def build(xv, wv):
         x, w = ad.leaf(xv), ad.leaf(wv)
-        h = ad.relu(ad.matmul(x, w))
-        r = ad.broadcast_row(ad.matmul(ad.constant(np.ones((1, 4))), ad.square(h)), 4)
+        h = ad.dense(x, w, ad.constant(np.zeros((1, 3))), relu=True)
+        r = ad.matmul(ad.constant(np.ones((4, 1))), ad.matmul(ad.constant(np.ones((1, 4))), ad.square(h)))
         z = ad.mul(ad.add(h, ad.constant(np.ones((4, 3)))), ad.sub(r, ad.constant(np.full((4, 3), 2.0))))
         return x, w, ad.sum_all(ad.mul(z, z))
 
@@ -155,7 +159,6 @@ def test_each_primitive_gradient_on_random_inputs(seed):
         "sub": (lambda a, b: ad.sub(a, b), lambda a, b: a - b),
         "mul": (lambda a, b: ad.mul(a, b), lambda a, b: a * b),
         "square": (lambda a, b: ad.square(a), lambda a, b: a * a),
-        "relu": (lambda a, b: ad.relu(a), lambda a, b: np.maximum(a, 0)),
         "sum_all": (lambda a, b: ad.sum_all(a), lambda a, b: a.sum(keepdims=True)),
         "regroup_same": (lambda a, b: ad.regroup(a, 6, 2), lambda a, b: a.reshape(6, 2)),
         "regroup_pad": (lambda a, b: ad.regroup(a, 7, 2), lambda a, b: np.append(a, [0.0, 0.0]).reshape(7, 2)),
@@ -230,14 +233,32 @@ def test_softmax_cross_entropy_rejects_bad_labels():
             ad.softmax_cross_entropy(x, np.array(labels))
 
 
-def test_broadcast_gradients():
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-7), (np.float32, 1e-5)])
+def test_dense_gradients_match_finite_differences(dtype, tol, relu):
     rng = np.random.default_rng(5)
-    r0 = rng.uniform(-2, 2, (1, 4))
+    arrays = {"h": rng.uniform(-2, 2, (4, 3)), "w": rng.uniform(-2, 2, (3, 5)), "b": rng.uniform(-2, 2, (1, 5))}
+    weights = rng.uniform(-1, 1, (4, 5))
 
-    r = ad.leaf(r0)
-    loss = ad.sum_all(ad.square(ad.broadcast_row(r, 3)))
-    ad.backward(loss)
-    assert rel_err(r.grad, central_diff(lambda v: float(np.sum(np.broadcast_to(v, (3, 4)) ** 2)), r0)) <= 1e-7
+    def f(trial):
+        z = trial["h"] @ trial["w"] + trial["b"]
+        return float(np.sum(weights * (np.maximum(z, 0) if relu else z)))
+
+    nodes = {key: ad.leaf(value.astype(dtype)) for key, value in arrays.items()}
+    out = ad.dense(nodes["h"], nodes["w"], nodes["b"], relu=relu)
+    assert out.value.dtype == dtype
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(weights.astype(dtype)))))
+    for key, value in arrays.items():
+        assert nodes[key].grad.dtype == dtype
+        fd = central_diff(lambda v, key=key: f({**arrays, key: v}), value)
+        assert rel_err(nodes[key].grad, fd) <= tol, key
+
+
+def test_dense_relu_propagates_nan():
+    # a NaN row stays NaN through the relu instead of masking to zero
+    h = ad.constant([[np.nan], [-1.0]], checked=False)
+    out = ad.dense(h, ad.constant([[1.0, 2.0]]), ad.constant([[0.0, -3.0]]), relu=True)
+    np.testing.assert_array_equal(out.value, [[np.nan, np.nan], [0.0, 0.0]])
 
 
 def test_backward_sum_gives_ones():
@@ -266,8 +287,8 @@ def test_backward_mlp_matches_finite_differences():
     def forward(p):
         x = ad.constant(x0)
         nodes = {k: ad.leaf(v) for k, v in p.items()}
-        h = ad.relu(ad.add(ad.matmul(x, nodes["w1"]), ad.broadcast_row(nodes["b1"], 4)))
-        out = ad.add(ad.matmul(h, nodes["w2"]), ad.broadcast_row(nodes["b2"], 4))
+        h = ad.dense(x, nodes["w1"], nodes["b1"], relu=True)
+        out = ad.dense(h, nodes["w2"], nodes["b2"])
         loss = ad.sum_all(ad.square(ad.sub(out, ad.constant(target))))
         return nodes, loss
 
@@ -389,20 +410,13 @@ def test_neg_sq_distance_rejects_dim_mismatch():
         ad.neg_sq_distance(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 3))))
 
 
-def test_broadcast_row_is_a_read_only_view():
-    row = ad.leaf(np.arange(3.0).reshape(1, 3))
-    node = ad.broadcast_row(row, 4)
-    assert np.shares_memory(node.value, row.value)
-    assert not node.value.flags.writeable
-    assert row.value.flags.writeable
-
-
 def test_constant_graph_keeps_no_tape():
     rng = np.random.default_rng(92)
     w, c = ad.constant(rng.normal(size=(5, 2))), ad.constant(rng.normal(size=(3, 2)))
     y = ad.row_softmax(ad.neg_sq_distance(w, c), 0.5)
     out = ad.centroid_update(y, w)
-    for node in (y, out):
+    layer = ad.dense(w, ad.constant(rng.normal(size=(2, 3))), ad.constant(rng.normal(size=(1, 3))), relu=True)
+    for node in (y, out, layer):
         assert not node.requires_grad
         assert node.parents == () and node._backward is None
 

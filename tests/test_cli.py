@@ -527,6 +527,16 @@ def test_load_run_spec_reports_malformed_files(tmp_path, edit, message):
         load_run_spec(cfg)
 
 
+def test_a_compression_section_without_mode_reports_it_missing_once(tmp_path):
+    cfg = train_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    del raw["compression"]["mode"]
+    cfg.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as info:
+        load_run_spec(cfg)
+    assert str(info.value) == "invalid config: compression.mode: missing"
+
+
 def test_layers_too_small_for_their_schemes_are_one_config_error(tmp_path, capsys):
     cfg = train_config(tmp_path, compression={"mode": "dkm", "groups": {"all": {"bits": 6, "temperature": 0.01}}})
     code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))

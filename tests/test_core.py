@@ -121,6 +121,17 @@ def test_kmeans_pp_forced_second_seed():
         assert sorted(book.centroids.ravel().tolist()) == [0.0, 10.0]
 
 
+def test_kmeans_pp_on_identical_points_draws_uniformly():
+    points = np.full((8, 2), 2.5)
+    generator = np.random.default_rng(5)
+    np.testing.assert_array_equal(core.kmeans_pp(points, 4, generator), points[:4])
+    # every distance is zero: each seed after the first is integers(count), not choice(p=...)
+    ref = np.random.default_rng(5)
+    for _ in range(4):
+        ref.integers(8)
+    assert generator.integers(2**62) == ref.integers(2**62)
+
+
 def test_kmeans_pp_matches_scripted_reference():
     rng = np.random.default_rng(123)
     points = rng.uniform(-3, 3, 64)
@@ -488,6 +499,13 @@ def test_gradient_check_near_hard_with_saturation_mask():
     cfg = DkmConfig(bits=2, temperature=1e-3, max_iterations=1, init=core.KMEANS_PP)
     err = core.dkm_gradient_check(w, cfg, seed=8, saturation_tol=1e-9)
     assert err <= 1e-4
+
+
+def test_gradient_check_with_every_row_saturated_is_zero():
+    # four far-apart points seed four centroids: every row is one-hot
+    w = subvectors([0.0, 5.0, 10.0, 15.0])
+    cfg = DkmConfig(bits=2, temperature=1e-2, max_iterations=1)
+    assert core.dkm_gradient_check(w, cfg, seed=8, saturation_tol=1e-9) == 0.0
 
 
 def test_gradient_flows_back_to_weight_node():
@@ -1214,8 +1232,9 @@ def test_forked_child_runs_multi_tile_passes_after_its_parent(monkeypatch):
     assert core._pool is not None  # the parent's pool threads are running
 
     def child():
+        dropped = core._pool is None  # the parent's pool threads are not in this process
         got = core.dkm_forward(ad.constant(values), config=cfg, seed=1).w_tilde.value
-        sys.exit(0 if np.array_equal(got, want) else 1)
+        sys.exit(0 if dropped and np.array_equal(got, want) else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()

@@ -150,12 +150,12 @@ def test_divergence_aborts_with_diagnostic():
 
 def test_divergence_in_the_clustering_loop_names_epoch_batch_and_iteration():
     data = blobs(n=200)
-    model = hz.ToyModel(mlp_spec((scheme(), None, None), "dkm"))
-    model.weights[0][0, 0] = 1e308  # 2 c w / tau overflows its logits at the first pass
+    model = hz.ToyModel(mlp_spec((scheme(), scheme(), None), "dkm"))
+    model.weights[1][0, 0] = 1e308  # 2 c w / tau overflows its logits at the first pass
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError) as info:
             hz.train(model, data, hz.TrainConfig(epochs=1, seed=0))
-    assert str(info.value) == "divergence at epoch 0 batch 0: non-finite centroids at iteration 1"
+    assert str(info.value) == "divergence at epoch 0 batch 0: layer 1: non-finite centroids at iteration 1"
 
 
 def test_iteration_counts_respect_cap():
